@@ -4,9 +4,10 @@ Pulse-energy fluctuations make the kick strength vary from kick to kick; each
 trajectory draws an independent theta per kick from a Gaussian and iterates
 the same per-period update as the deterministic run.  The per-kick update is
 written with the exact expression structure of moments.stroboscopic_evolve,
-once on scalars and once on numpy columns, so a zero-variance ensemble is
-bit-identical to the deterministic iteration and every trajectory is
-bit-reproducible from (seed, parameters) regardless of how many run at once.
+once on scalars and once on numpy columns (two of the five copies listed in
+moments.py), so a zero-variance ensemble is bit-identical to the
+deterministic iteration and every trajectory is bit-reproducible from
+(seed, parameters) regardless of how many run at once.
 tests/test_ensemble.py guards the duplication.
 """
 

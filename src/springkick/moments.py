@@ -258,10 +258,12 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
     )
 
 
-# The per-period update below is written out on scalars and repeated with the
-# same expression structure on numpy columns in ensemble.run_ensemble, so that
-# a noise-free ensemble is bit-identical to the deterministic iteration.
-# tests/test_ensemble.py guards the duplication.
+# The per-period update is written out five times with the same expression
+# structure: on scalars in advance_cycle, stroboscopic_evolve and
+# steady_state_iterative here and in ensemble.run_trajectory, and on numpy
+# columns in ensemble._run_block.  So a noise-free ensemble is bit-identical
+# to the deterministic iteration.  tests/test_ensemble.py and
+# tests/test_moments.py guard the duplication.
 
 
 def _unpack_cycle(cycle: CycleMap):
@@ -297,18 +299,30 @@ def advance_cycle(v: MomentVector, cycle: CycleMap) -> MomentVector:
     )
 
 
+class Samples(list):
+    """Sampled (kick index, state) pairs of one run, plus its squeezing onset.
+
+    A plain list of the samples; onset is the squeezing_onset of the whole
+    run, found by the same pass over the kicks.
+    """
+
+    onset: int | None = None
+
+
 def stroboscopic_evolve(
     v0: MomentVector,
     cycle: CycleMap,
     n_kicks: int,
     sample_stride: int = 1,
-) -> list[tuple[int, MomentVector]]:
+) -> Samples:
     """Iterate the cyclic map n_kicks times, recording sampled states.
 
     Entry (n, state) holds the state after n full periods, i.e. just before
     the (n+1)-th kick.  The initial state (n = 0), every sample_stride-th
-    state, and the final state are always recorded.  Raises DivergenceError
-    if a sampled moment stops being finite.
+    state, and the final state are always recorded.  Every period is also
+    tested for squeezing, and the result carries the run's squeezing onset
+    as .onset (see squeezing_onset).  Raises DivergenceError if a sampled
+    moment stops being finite.
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
@@ -320,23 +334,34 @@ def stroboscopic_evolve(
     t4 = 4.0 * theta
     t4sq = t4 * theta
     m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cycle)
+    sqrt = math.sqrt
+    isfinite = math.isfinite
 
     q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
-    samples = [(0, v0)]
-    for n in range(1, n_kicks + 1):
-        qp_k = qp - t2 * q
-        p_k = p - t4 * qp + t4sq * q
-        q_new = m00 * q + m01 * qp_k + m02 * p_k + b0
-        qp = m10 * q + m11 * qp_k + m12 * p_k + b1
-        p = m20 * q + m21 * qp_k + m22 * p_k + b2
-        q = q_new
-        if n % sample_stride == 0 or n == n_kicks:
-            if not (math.isfinite(q) and math.isfinite(qp) and math.isfinite(p)):
-                raise DivergenceError(
-                    f"moments diverged (non-finite) at kick {n}: "
-                    f"({q}, {qp}, {p})"
-                )
-            samples.append((n, MomentVector(q, qp, p)))
+    d = p - q
+    # 2*sigma_min >= 2*vacuum: the state at this kick is not squeezed
+    last_unsqueezed = 0 if p + q - sqrt(d * d + 4.0 * qp * qp) >= 1.0 else -1
+    samples = Samples([(0, v0)])
+    n = 0
+    while n < n_kicks:
+        end = min(n + sample_stride, n_kicks)
+        for k in range(n + 1, end + 1):
+            qp_k = qp - t2 * q
+            p_k = p - t4 * qp + t4sq * q
+            q_new = m00 * q + m01 * qp_k + m02 * p_k + b0
+            qp = m10 * q + m11 * qp_k + m12 * p_k + b1
+            p = m20 * q + m21 * qp_k + m22 * p_k + b2
+            q = q_new
+            d = p - q
+            if p + q - sqrt(d * d + 4.0 * qp * qp) >= 1.0:
+                last_unsqueezed = k
+        n = end
+        if not (isfinite(q) and isfinite(qp) and isfinite(p)):
+            raise DivergenceError(
+                f"moments diverged (non-finite) at kick {n}: ({q}, {qp}, {p})"
+            )
+        samples.append((n, MomentVector(q, qp, p)))
+    samples.onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
     return samples
 
 
@@ -346,36 +371,10 @@ def squeezing_onset(v0: MomentVector, cycle: CycleMap, n_kicks: int) -> int | No
     Scans every period of an n_kicks-long run and returns one past the last
     index at which the state was not squeezed.  Returns None when the run
     ends unsqueezed, so no permanent onset can be certified within n_kicks.
+    The same as stroboscopic_evolve(...).onset, which a caller that also
+    wants the samples should read instead of scanning the kicks twice.
     """
-    theta = cycle.theta
-    t2 = 2.0 * theta
-    t4 = 4.0 * theta
-    t4sq = t4 * theta
-    m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cycle)
-
-    q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
-    sqrt = math.sqrt
-    last_unsqueezed = 0 if _minimum_variance_scalar(q, qp, p) >= VACUUM_VARIANCE else -1
-    for n in range(1, n_kicks + 1):
-        qp_k = qp - t2 * q
-        p_k = p - t4 * qp + t4sq * q
-        q_new = m00 * q + m01 * qp_k + m02 * p_k + b0
-        qp = m10 * q + m11 * qp_k + m12 * p_k + b1
-        p = m20 * q + m21 * qp_k + m22 * p_k + b2
-        q = q_new
-        d = p - q
-        if p + q - sqrt(d * d + 4.0 * qp * qp) >= 1.0:  # 2*sigma_min >= 2*vacuum
-            last_unsqueezed = n
-    if not (math.isfinite(q) and math.isfinite(qp) and math.isfinite(p)):
-        raise DivergenceError(f"moments diverged (non-finite) by kick {n_kicks}")
-    if last_unsqueezed == n_kicks:
-        return None
-    return last_unsqueezed + 1
-
-
-def _minimum_variance_scalar(q: float, qp: float, p: float) -> float:
-    d = p - q
-    return 0.5 * (p + q - math.sqrt(d * d + 4.0 * qp * qp))
+    return stroboscopic_evolve(v0, cycle, n_kicks, max(n_kicks, 1)).onset
 
 
 def intra_period_trace(

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import hbar as HBAR
 from scipy.constants import k as BOLTZMANN
-from scipy.signal import lfilter
 
 from .moments import MechanicalParams
 
@@ -292,18 +291,12 @@ def intracavity_amplitude(
     drive_integrals = np.sum(wnodes * enodes, axis=1)
     decay = np.exp(-kappa * h)
 
-    if np.allclose(h, h[0], rtol=1e-12, atol=0.0):
-        # Uniform grid: the recursion alpha[j+1] = d*alpha[j] + I[j] is a
-        # first-order IIR filter; run it in C.
-        alpha_tail = lfilter([1.0], [1.0, -decay[0]], drive_integrals)
-        alpha = np.concatenate([[0.0], alpha_tail])
-    else:
-        alpha = np.empty(grid.size)
-        alpha[0] = 0.0
-        a = 0.0
-        for j in range(h.size):
-            a = a * decay[j] + drive_integrals[j]
-            alpha[j + 1] = a
+    alpha = np.empty(grid.size)
+    alpha[0] = 0.0
+    a = 0.0
+    for j, (d, drive) in enumerate(zip(decay.tolist(), drive_integrals.tolist())):
+        a = a * d + drive
+        alpha[j + 1] = a
     return PhotonTrace(times=grid, photon_number=alpha * alpha)
 
 

@@ -15,8 +15,9 @@ runs are byte-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
+
+import numpy as np
 
 from .config import EnsembleConfig, RunConfig, Schedule
 from .ensemble import EnsembleStats, KickNoiseModel, run_ensemble, steady_tail_mean
@@ -27,7 +28,10 @@ from .moments import (
     UnphysicalStateError,
     cycle_map,
     intra_period_trace,
-    squeezing_onset,
+    metric_arrays,
+    # unused since run_config reads samples.onset, but bench/tracing.py
+    # patches every name of its PATCHES list on this module
+    squeezing_onset,  # noqa: F401
     state_metrics,
     steady_state,
     stroboscopic_evolve,
@@ -183,105 +187,55 @@ def _csv_row(cells) -> str:
     return ",".join(cells) + "\n"
 
 
+def _state_columns(states) -> dict[str, list[float]]:
+    """Moment and metric columns of OUTPUT_COLUMNS, by name, one row per state."""
+    states = list(states)
+    q = np.array([v.sigma_q for v in states], dtype=float)
+    qp = np.array([v.sigma_qp for v in states], dtype=float)
+    p = np.array([v.sigma_p for v in states], dtype=float)
+    sigma_min, phi_min, squeezing_db, purity, entropy, n_eff = metric_arrays(q, qp, p)
+    columns = (q, qp, p, sigma_min, squeezing_db, phi_min, purity, entropy, n_eff)
+    return {name: x.tolist() for name, x in zip(OUTPUT_COLUMNS[2:], columns)}
+
+
+def _sampled_columns(tau: float, kicks, states) -> dict[str, list]:
+    """All OUTPUT_COLUMNS for states sampled at the given kick indices."""
+    columns = _state_columns(states)
+    columns["kick_index"] = [int(n) for n in kicks]
+    columns["time_s"] = (np.array(columns["kick_index"], dtype=float) * tau).tolist()
+    return columns
+
+
+def _write_table(path: str, header, columns: dict[str, list]) -> None:
+    """One CSV row per entry of the columns, in header order, cells in repr."""
+    cells = [map(repr, columns[name]) for name in header]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_csv_row(header))
+        fh.writelines(map(_csv_row, zip(*cells)))
+
+
 def write_trajectory_csv(path: str, tau: float, samples) -> None:
     """Deterministic run: one row per sampled kick, OUTPUT_COLUMNS order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_row(OUTPUT_COLUMNS))
-        for n, v in samples:
-            m = state_metrics(v)
-            fh.write(
-                _csv_row(
-                    [
-                        str(n),
-                        _fmt(n * tau),
-                        _fmt(v.sigma_q),
-                        _fmt(v.sigma_qp),
-                        _fmt(v.sigma_p),
-                        _fmt(m.sigma_min),
-                        _fmt(m.squeezing_db),
-                        _fmt(m.phi_min),
-                        _fmt(m.purity),
-                        _fmt(m.entropy),
-                        _fmt(m.n_eff),
-                    ]
-                )
-            )
+    columns = _sampled_columns(tau, (n for n, _ in samples), (v for _, v in samples))
+    _write_table(path, OUTPUT_COLUMNS, columns)
 
 
 def write_ensemble_csv(path: str, tau: float, stats: EnsembleStats) -> None:
     """Ensemble run: base columns are trajectory 0, then the mean/std block."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_row(OUTPUT_COLUMNS + ENSEMBLE_COLUMNS))
-        for row, (n, v, m) in enumerate(stats.trajectory0.samples):
-            fh.write(
-                _csv_row(
-                    [
-                        str(n),
-                        _fmt(n * tau),
-                        _fmt(v.sigma_q),
-                        _fmt(v.sigma_qp),
-                        _fmt(v.sigma_p),
-                        _fmt(m.sigma_min),
-                        _fmt(m.squeezing_db),
-                        _fmt(m.phi_min),
-                        _fmt(m.purity),
-                        _fmt(m.entropy),
-                        _fmt(m.n_eff),
-                        _fmt(stats.sigma_min_mean[row]),
-                        _fmt(stats.sigma_min_std[row]),
-                        _fmt(stats.squeezing_db_of_mean[row]),
-                        _fmt(stats.squeezing_db_mean[row]),
-                        _fmt(stats.squeezing_db_std[row]),
-                        _fmt(stats.phi_min_mean[row]),
-                        _fmt(stats.phi_min_std[row]),
-                        _fmt(stats.purity_mean[row]),
-                        _fmt(stats.purity_std[row]),
-                        _fmt(stats.entropy_mean[row]),
-                        _fmt(stats.entropy_std[row]),
-                        _fmt(stats.n_eff_mean[row]),
-                        _fmt(stats.n_eff_std[row]),
-                    ]
-                )
-            )
+    traj0 = stats.trajectory0.samples
+    columns = _sampled_columns(tau, (n for n, _, _ in traj0), (v for _, v, _ in traj0))
+    for name in ENSEMBLE_COLUMNS:
+        # EnsembleStats fields are the column names without their unit
+        field = name.replace("_rad", "").replace("_nats", "")
+        columns[name] = getattr(stats, field).tolist()
+    _write_table(path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS, columns)
 
 
 def write_intra_csv(path: str, trace) -> None:
     """Fine-grained single-period trace at the stationary state."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            _csv_row(
-                (
-                    "offset_s",
-                    "sigma_q",
-                    "sigma_qp",
-                    "sigma_p",
-                    "sigma_min",
-                    "squeezing_db",
-                    "phi_min_rad",
-                    "purity",
-                    "entropy_nats",
-                    "n_eff",
-                )
-            )
-        )
-        for s, v in trace:
-            m = state_metrics(v)
-            fh.write(
-                _csv_row(
-                    [
-                        _fmt(s),
-                        _fmt(v.sigma_q),
-                        _fmt(v.sigma_qp),
-                        _fmt(v.sigma_p),
-                        _fmt(m.sigma_min),
-                        _fmt(m.squeezing_db),
-                        _fmt(m.phi_min),
-                        _fmt(m.purity),
-                        _fmt(m.entropy),
-                        _fmt(m.n_eff),
-                    ]
-                )
-            )
+    columns = _state_columns(v for _, v in trace)
+    columns["offset_s"] = [float(s) for s, _ in trace]
+    _write_table(path, ("offset_s",) + OUTPUT_COLUMNS[2:], columns)
 
 
 def _steady_lines(cycle: CycleMap) -> tuple[list[str], object | None]:
@@ -398,7 +352,7 @@ def run_config(config: RunConfig, out: str, quiet: bool = False, echo=print) -> 
         samples = stroboscopic_evolve(v0, cycle, sched.n_kicks, sched.stride)
         write_trajectory_csv(csv_path, sched.tau, samples)
         written.append(csv_path)
-        onset = squeezing_onset(v0, cycle, sched.n_kicks)
+        onset = samples.onset
         if onset is None:
             summary.append(
                 "squeezing onset: none certified within"

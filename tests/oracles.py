@@ -69,7 +69,10 @@ def phase_scan_min(sigma_q: float, sigma_qp: float, sigma_p: float, n: int = 10_
 
     variance(phi) = sigma_q cos^2 + sigma_p sin^2 + sigma_qp sin(2 phi).
     A coarse n-point scan over (-pi/2, pi/2] brackets the minimum; a second
-    n-point scan inside the bracket pins it to ~(pi/n^2) in phase.
+    n-point scan inside the bracket pins it to ~(pi/n^2) in phase.  The
+    variance has period pi, so the bracket runs one coarse step either side
+    of the coarse minimum even across +-pi/2, and the phase returned may lie
+    just outside (-pi/2, pi/2].
     """
 
     def variance(phi):
@@ -79,9 +82,8 @@ def phase_scan_min(sigma_q: float, sigma_qp: float, sigma_p: float, n: int = 10_
     phis = np.linspace(-np.pi / 2, np.pi / 2, n, endpoint=True)
     var = variance(phis)
     i = int(np.argmin(var))
-    lo = phis[max(i - 1, 0)]
-    hi = phis[min(i + 1, n - 1)]
-    fine = np.linspace(lo, hi, n)
+    step = phis[1] - phis[0]
+    fine = np.linspace(phis[i] - step, phis[i] + step, n)
     var_f = variance(fine)
     j = int(np.argmin(var_f))
     return float(var_f[j]), float(fine[j])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import moment_vectors
 from oracles import phase_scan_min
@@ -55,6 +55,8 @@ class TestThermal:
 class TestMinimumVariance:
     @settings(max_examples=200, deadline=None)
     @given(moment_vectors())
+    # minimum just inside +pi/2, coarse scan minimum at -pi/2
+    @example(MomentVector(1.0, -8.00650249440563e-05, 0.26865195708032935))
     def test_against_phase_scan_oracle(self, v):
         m = state_metrics(v)
         ref_var, _ = phase_scan_min(v.sigma_q, v.sigma_qp, v.sigma_p)

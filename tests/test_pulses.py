@@ -1,6 +1,9 @@
 """Coupling rate, intracavity field integration, kick strength, regime checks."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,8 @@ from springkick import (
     temperature_for_occupancy,
     theta_from_physical,
 )
-from springkick.pulses import _grade
+import springkick
+from springkick.pulses import _GL_NODES, _GL_WEIGHTS, _grade
 
 # Membrane-in-the-middle reference set: 0.1 mm cavity, 1550 nm drive,
 # 2.5 pg membrane of moderate reflectivity, 0.1 ns rectangular pulses.
@@ -124,6 +128,25 @@ class TestIntracavityField:
     def test_non_monotone_grid_rejected(self):
         with pytest.raises(GridResolutionError, match="increasing"):
             intracavity_amplitude(PULSE, CAV, np.array([0.0, 2e-12, 1e-12]))
+
+    def test_uniform_grid_runs_the_recursion(self):
+        # a caller-supplied uniform grid takes the same per-step recursion as
+        # any other grid, bit for bit
+        grid = np.linspace(0.0, 2e-9, 4001)
+        trace = intracavity_amplitude(PULSE, CAV, grid)
+        kap = CAV.kappa
+        h = np.diff(grid)
+        tnodes = grid[:-1, None] + h[:, None] * _GL_NODES[None, :]
+        enodes = drive_amplitude(PULSE, CAV, tnodes)
+        wnodes = (_GL_WEIGHTS[None, :] * h[:, None]) * np.exp(
+            -kap * h[:, None] * (1.0 - _GL_NODES[None, :])
+        )
+        drive = np.sum(wnodes * enodes, axis=1)
+        decay = np.exp(-kap * h)
+        alpha = [0.0]
+        for d, e in zip(decay, drive):
+            alpha.append(float(alpha[-1] * d + e))
+        assert np.array_equal(trace.photon_number, np.array(alpha) ** 2)
 
     def test_grid_must_start_at_zero(self):
         with pytest.raises(GridResolutionError, match="start at t=0"):
@@ -254,3 +277,14 @@ class TestValidation:
     def test_loss_adds_to_total_decay(self):
         lossy = CavityParams(length_L=1e-4, kappa_0=1e8, wavelength=1.55e-6, kappa_loss=5e7)
         assert lossy.kappa == 1.5e8
+
+
+def test_import_leaves_scipy_signal_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(springkick.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, springkick, springkick.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
