@@ -1,6 +1,11 @@
 """Plot squeezing, purity and ensemble-spread curves from scenario CSVs.
 
-Reads the files produced by run_figures.py and writes PNGs next to them.
+Reads the CSVs of the preset scenarios and writes PNGs next to them.  Make
+the CSVs first with
+
+    mkdir -p results
+    for s in fig1 fig2 fig3; do springkick --scenario $s --out results/$s; done
+
 Usage: python3 scripts/plot_figures.py [--outdir results]
 """
 
@@ -82,7 +87,7 @@ def main() -> int:
         plot_ensemble(load(csv), outdir / "fig3.png", "noisy kicks, variance 1e-3")
         made += 1
     if made == 0:
-        print(f"no scenario CSVs under {outdir}; run scripts/run_figures.py first")
+        print(f"no scenario CSVs under {outdir}; run the scenarios first")
         return 1
     print(f"wrote {made} figure(s) under {outdir}")
     return 0

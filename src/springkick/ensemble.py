@@ -2,19 +2,18 @@
 
 Pulse-energy fluctuations make the kick strength vary from kick to kick; each
 trajectory draws an independent theta per kick from a Gaussian and iterates
-the same per-period update as the deterministic run.  The per-kick update is
-written with the exact expression structure of moments.stroboscopic_evolve,
-once on scalars and once on numpy columns (two of the five copies listed in
-moments.py), so a zero-variance ensemble is bit-identical to the
-deterministic iteration and every trajectory is bit-reproducible from
-(seed, parameters) regardless of how many run at once.
-tests/test_ensemble.py guards the duplication.
+the same per-period update as the deterministic run.  _run_block writes the
+update on numpy columns with the expression structure of the scalar loop in
+moments.stroboscopic_evolve, the only other copy, so a zero-variance ensemble
+is bit-identical to the deterministic iteration;
+tests/test_ensemble.py::test_zero_variance_matches_deterministic_bitwise ties
+the two together.  A single trajectory is column 0 of a one-seed block, and
+each column depends only on its own seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,8 @@ from .moments import (
     _unpack_cycle,
     cycle_map,
     metric_arrays,
-    state_metrics,
+    # unused here; bound because bench/tracing.py patches it on this module
+    state_metrics,  # noqa: F401
     thermal_state,
 )
 
@@ -131,47 +131,25 @@ def run_trajectory(
 
     theta for each kick is drawn from Normal(mean_theta, sqrt(variance));
     negative draws are legal kicks.  The free propagator is fixed by (params,
-    tau) and computed once.  Raises DivergenceError when a sampled state
-    stops being finite.
+    tau) and computed once.  It is column 0 of a one-seed _run_block.  Raises
+    DivergenceError when a sampled state stops being finite.
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     cycle = cycle_map(params, tau, noise.mean_theta)
-    m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cycle)
+    cube = _run_block(cycle, thermal_state(params), noise, n_kicks, stride, [seed])
+    return _trajectory_result(seed, _sample_indices(n_kicks, stride), cube[:, 0])
 
-    mean = noise.mean_theta
-    std = noise.std
-    rng = _generator(seed)
-    v0 = thermal_state(params)
-    q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
 
-    samples = [(0, v0, state_metrics(v0))]
-    buf = None
-    k = RNG_BLOCK
-    for n in range(1, n_kicks + 1):
-        if k == RNG_BLOCK:
-            buf = rng.normal(mean, std, size=RNG_BLOCK)
-            k = 0
-        th = float(buf[k])
-        k += 1
-        t2 = 2.0 * th
-        t4 = 4.0 * th
-        t4sq = t4 * th
-        qp_k = qp - t2 * q
-        p_k = p - t4 * qp + t4sq * q
-        q_new = m00 * q + m01 * qp_k + m02 * p_k + b0
-        qp = m10 * q + m11 * qp_k + m12 * p_k + b1
-        p = m20 * q + m21 * qp_k + m22 * p_k + b2
-        q = q_new
-        if n % stride == 0 or n == n_kicks:
-            if not (math.isfinite(q) and math.isfinite(qp) and math.isfinite(p)):
-                raise DivergenceError(
-                    f"moments diverged (non-finite) at kick {n}: ({q}, {qp}, {p})"
-                )
-            v = MomentVector(q, qp, p)
-            samples.append((n, v, state_metrics(v)))
+def _trajectory_result(seed: int, kicks, column: np.ndarray) -> TrajectoryResult:
+    """TrajectoryResult from one (n_samples, 3) column of a sampled cube."""
+    metrics = zip(*(m.tolist() for m in metric_arrays(*column.T)))
+    samples = [
+        (int(n), MomentVector(*v), StateMetrics(*m))
+        for n, v, m in zip(kicks, column.tolist(), metrics)
+    ]
     return TrajectoryResult(seed=seed, samples=samples)
 
 
@@ -183,12 +161,12 @@ def _run_block(
     stride: int,
     seeds: list[int],
 ) -> np.ndarray:
-    """Lockstep evolution of one contiguous group of trajectories.
+    """Lockstep evolution of a group of trajectories, one column per seed.
 
     Returns the sampled cube with shape (n_samples, len(seeds), 3).  The
-    column for seed s is bit-identical to run_trajectory with that seed: the
-    same generator, the same block-buffered draws, the same expression
-    structure per kick.
+    column for seed s depends only on s: its own generator and block-buffered
+    draws, and per-element arithmetic with the expression structure of
+    moments.stroboscopic_evolve.
     """
     m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cycle)
 
@@ -254,9 +232,9 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Average the noisy stroboscopic dynamics over n_traj trajectories.
 
-    Trajectory i uses trajectory_seed(base_seed, i); aggregation runs over
-    the assembled cube in index order, so the result is bit-identical for any
-    n_jobs.  Jobs split the trajectory index range contiguously.
+    Trajectory i uses trajectory_seed(base_seed, i); all run in one lockstep
+    block, aggregated in index order.  Single-threaded: n_jobs is checked to
+    be >= 1 for compatibility and otherwise ignored.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -271,20 +249,7 @@ def run_ensemble(
     v0 = thermal_state(params)
     seeds = [trajectory_seed(base_seed, i) for i in range(n_traj)]
 
-    n_jobs = min(n_jobs, n_traj)
-    if n_jobs == 1:
-        cube = _run_block(cycle, v0, noise, n_kicks, stride, seeds)
-    else:
-        bounds = np.linspace(0, n_traj, n_jobs + 1).astype(int)
-        groups = [seeds[bounds[k] : bounds[k + 1]] for k in range(n_jobs)]
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(
-                pool.map(
-                    lambda g: _run_block(cycle, v0, noise, n_kicks, stride, g),
-                    groups,
-                )
-            )
-        cube = np.concatenate(parts, axis=1)
+    cube = _run_block(cycle, v0, noise, n_kicks, stride, seeds)
 
     kick_indices = np.array(_sample_indices(n_kicks, stride))
     sigma_min, phi_min, squeezing_db, purity, entropy, n_eff = metric_arrays(
@@ -300,11 +265,6 @@ def run_ensemble(
     pur_mean, pur_std = stats(purity)
     ent_mean, ent_std = stats(entropy)
     neff_mean, neff_std = stats(n_eff)
-
-    traj0_samples = []
-    for r, n in enumerate(kick_indices):
-        v = MomentVector(cube[r, 0, 0], cube[r, 0, 1], cube[r, 0, 2])
-        traj0_samples.append((int(n), v, state_metrics(v)))
 
     return EnsembleStats(
         n_traj=n_traj,
@@ -322,7 +282,7 @@ def run_ensemble(
         entropy_std=ent_std,
         n_eff_mean=neff_mean,
         n_eff_std=neff_std,
-        trajectory0=TrajectoryResult(seed=seeds[0], samples=traj0_samples),
+        trajectory0=_trajectory_result(seeds[0], kick_indices, cube[:, 0]),
     )
 
 

@@ -1,6 +1,7 @@
 """Noisy-kick Monte Carlo: seeding, lockstep/scalar agreement, aggregation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -58,9 +59,10 @@ class TestTrajectory:
         assert not np.array_equal(moments_of(a), moments_of(b))
 
     def test_zero_variance_matches_deterministic_bitwise(self):
-        # guards the duplicated per-kick expression structure: with no noise
-        # every float operation must land on the same bits as the
-        # deterministic iteration
+        # ties the two copies of the per-kick update together: with no noise
+        # every float operation of the lockstep loop in ensemble._run_block
+        # must land on the same bits as the scalar loop in
+        # moments.stroboscopic_evolve
         quiet = KickNoiseModel(mean_theta=10.0, variance=0.0)
         traj = run_trajectory(FIG, TAU, quiet, 3000, 250, seed=99)
         cyc = cycle_map(FIG, TAU, 10.0)
@@ -98,6 +100,34 @@ class TestEnsemble:
             "n_eff_mean",
         ):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_runs_without_threads(self, monkeypatch):
+        # n_jobs is accepted and ignored: no thread is started for any value
+        def refuse(self):
+            raise RuntimeError("run_ensemble started a thread")
+
+        kw = dict(n_kicks=800, stride=200, n_traj=7, base_seed=31)
+        a = run_ensemble(FIG, TAU, NOISE, n_jobs=1, **kw)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        b = run_ensemble(FIG, TAU, NOISE, n_jobs=4, **kw)
+        assert np.array_equal(a.kick_indices, b.kick_indices)
+        for name in (
+            "sigma_min_mean",
+            "sigma_min_std",
+            "squeezing_db_of_mean",
+            "squeezing_db_mean",
+            "squeezing_db_std",
+            "phi_min_mean",
+            "phi_min_std",
+            "purity_mean",
+            "purity_std",
+            "entropy_mean",
+            "entropy_std",
+            "n_eff_mean",
+            "n_eff_std",
+        ):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(moments_of(a.trajectory0), moments_of(b.trajectory0))
 
     def test_repeat_invocation_bitwise(self):
         kw = dict(n_kicks=600, stride=150, n_traj=4, base_seed=5)
@@ -216,6 +246,8 @@ class TestNoiseModel:
     def test_run_guards(self):
         with pytest.raises(ValueError, match="n_traj"):
             run_ensemble(FIG, TAU, NOISE, 10, 5, n_traj=0, base_seed=1)
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_ensemble(FIG, TAU, NOISE, 10, 5, n_traj=2, base_seed=1, n_jobs=0)
         with pytest.raises(ValueError, match="stride"):
             run_trajectory(FIG, TAU, NOISE, 10, 0, seed=1)
         with pytest.raises(ValueError, match="n_kicks"):

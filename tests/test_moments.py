@@ -339,6 +339,11 @@ class TestCycle:
         with pytest.raises(DivergenceError, match="kick 500"):
             stroboscopic_evolve(thermal_state(params), cyc, 500, 500)
 
+    def test_advance_overflow_raises_divergence(self):
+        # the kick's 4 theta^2 sigma_q term overflows to inf
+        with pytest.raises(DivergenceError, match="kick 1"):
+            advance_cycle(MomentVector(1e307, 0.0, 1e307), cycle_map(FIG, TAU, 10.0))
+
     def test_uncertainty_preserved_along_scenario_run(self):
         # The universal along-trajectory bound is false for the non-CP drift
         # (see test_drift_is_not_completely_positive); from the thermal state
@@ -383,6 +388,19 @@ class TestSteadyState:
             a = steady_state(cyc).as_array()
             b = steady_state_iterative(cyc).as_array()
             assert rel_diff(a, b) < 1e-8
+
+    @pytest.mark.parametrize("max_kicks", [1, 4095, 4097])
+    def test_iteration_budget_exhausted_raises(self, max_kicks):
+        # far from converged after one kick, one block less a kick, and one
+        # block plus a kick
+        with pytest.raises(NoStationaryStateError):
+            steady_state_iterative(cycle_map(FIG, TAU, 10.0), max_kicks=max_kicks)
+
+    def test_iteration_of_expanding_map_raises_divergence(self):
+        # the expanding map of test_divergence_raises_with_kick_index
+        cyc = cycle_map(MechanicalParams(5e5, 0.0, 10.0), TAU, -10.0)
+        with pytest.raises(DivergenceError):
+            steady_state_iterative(cyc)
 
     def test_reference_values(self):
         m = state_metrics(steady_state(cycle_map(FIG, TAU, 10.0)))
