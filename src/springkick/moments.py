@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 VACUUM_VARIANCE = 0.5
 UNCERTAINTY_FLOOR = 0.25  # minimum of var(q)*var(p) - cov^2 for a physical state
@@ -29,7 +28,8 @@ class DivergenceError(RuntimeError):
 
 
 class NoStationaryStateError(RuntimeError):
-    """Raised when the cyclic map has no attracting fixed point."""
+    """Raised when the cyclic map has no attracting fixed point, or when a
+    float64 solve for it returns a state that cannot be its fixed point."""
 
 
 class UnphysicalStateError(ValueError):
@@ -180,7 +180,11 @@ def build_drift(params: MechanicalParams) -> DriftModel:
 
 
 def matrix_exponential(B: np.ndarray, t: float) -> np.ndarray:
-    """exp(B*t) for a small dense matrix."""
+    """exp(B*t) for a small dense matrix.
+
+    Imports scipy.linalg when called, so that importing springkick does
+    not pull in scipy; make_propagator does not use this.
+    """
     B = np.asarray(B, dtype=float)
     if not np.all(np.isfinite(B)) or not math.isfinite(t):
         raise ValueError("matrix_exponential requires finite entries and time")
@@ -188,22 +192,192 @@ def matrix_exponential(B: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"time must be >= 0, got {t}")
     if t == 0.0:
         return np.eye(B.shape[0])
+    from scipy.linalg import expm
+
     return expm(B * t)
 
 
-def make_propagator(drift: DriftModel, t: float) -> Propagator:
-    """Exact flow of the affine drift over duration t.
+# g t at or below which the diagonal of J is summed from non-negative
+# terms.  Above it, (F F^T)_ii <= e^{-u} (1 + u + u^2/2) when underdamped or
+# critical, so 1 - (F F^T)_ii cancels by less than e/(e - 2.5) ~ 12.
+_SERIES_DAMPING = 1.0
+# |2 omega_d t|^2 at or below which g1 and g2 come from their Taylor series
+_SERIES_PHASE = 4.0
 
-    Uses the augmented-matrix trick: exp(t*[[B, b], [0, 0]]) holds exp(B t) in
-    its upper-left block and the inhomogeneous displacement in its last
-    column.  This stays well behaved for gamma_m = 0 (b = 0), where B is not
-    invertible.
+
+def _series(z: float, n: int, step: int) -> float:
+    """sum_{k>=0} z^k / (n + step*k)!, summed until the terms stop counting."""
+    term = 1.0 / math.factorial(n)
+    total = term
+    while abs(term) > 1e-17 * abs(total):
+        for _ in range(step):
+            n += 1
+            term /= n
+        term *= z
+        total += term
+    return total
+
+
+def _g1(w: float) -> float:
+    """(y - sin y)/y at w = y^2, continued to w = -Y^2 < 0 as 1 - sinh(Y)/Y."""
+    if abs(w) <= _SERIES_PHASE:
+        return w * _series(-w, 3, 2)
+    if w > 0:
+        y = math.sqrt(w)
+        return 1.0 - math.sin(y) / y
+    y = math.sqrt(-w)
+    return 1.0 - math.sinh(y) / y
+
+
+def _g2(w: float) -> float:
+    """(y^2/2 - 1 + cos y)/y^2 at w = y^2, continued to w < 0 with cosh."""
+    if abs(w) <= _SERIES_PHASE:
+        return w * _series(-w, 4, 2)
+    if w > 0:
+        h = math.sin(0.5 * math.sqrt(w))
+        return 0.5 - 2.0 * h * h / w
+    h = math.sinh(0.5 * math.sqrt(-w))
+    return 0.5 + 2.0 * h * h / w
+
+
+def _slow_mode_j00(g: float, t: float, z: float, r1: float) -> float:
+    """J_00 = (1 - (F F^T)_00)/(2 g) for a strongly overdamped mode.
+
+    F's eigenvalues are -g/2 +- k; with z = 2 k t, r = g/(2 k) = 1 + r1 and
+    u = g t = r z, e^u (1 - (F F^T)_00) = e^{rz} - 1 - r sinh z - r^2 (cosh z - 1).
+    For r near 1 (g > 4 w) the general forms cancel by about g^2/(4 w^2):
+    the slow mode barely decays and (F F^T)_00 sits near e^{-r1 z}.  For
+    z < 2 this sums sum_{n>=3} z^n/n! r^a (r^{n-a} - 1), a = 2 - n mod 2,
+    whose terms are all positive; for z >= 2 it combines the three decays
+    of F F^T, e^{-r1 z}, e^{-u} and e^{-u-z}, which cancel by less than a
+    factor 1/(1 - 1.5/z).
     """
-    F = np.zeros((4, 4))
-    F[:3, :3] = drift.B
-    F[:3, 3] = drift.b
-    E = matrix_exponential(F, t)
-    return Propagator(duration=t, M=E[:3, :3].copy(), v_inh=E[:3, 3].copy())
+    u = g * t
+    r = 1.0 + r1
+    if z < 2.0:
+        log_r = math.log1p(r1)
+        total, term, n = 0.0, 0.5 * z * z, 2
+        while True:
+            n += 1
+            term *= z / n
+            a = 2 - n % 2
+            part = term * r**a * math.expm1((n - a) * log_r)
+            total += part
+            if part <= 1e-17 * total:
+                return math.exp(-u) * total / (2.0 * g)
+    return (
+        -0.5 * r * (r + 1.0) * math.expm1(-r1 * z)
+        + r1 * (r + 1.0) * math.expm1(-u)
+        - 0.5 * r * r1 * math.expm1(-u - z)
+    ) / (2.0 * g)
+
+
+def _drift_rates(drift: DriftModel) -> tuple[float, float, float]:
+    """(omega_m, gamma_m, gamma_m (2 n_bar + 1)) of a build_drift structure."""
+    try:
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = np.asarray(
+            drift.B, dtype=float
+        ).tolist()
+        c0, c1, source = np.asarray(drift.b, dtype=float).tolist()
+    except (TypeError, ValueError):
+        pass
+    else:
+        w, g = -b10, -b11
+        if (
+            math.isfinite(w)
+            and math.isfinite(g)
+            and math.isfinite(source)
+            and w > 0
+            and g >= 0
+            and (b00, b01, b02, b12, b20, b21, b22, c0, c1)
+            == (0.0, 2.0 * w, 0.0, w, 0.0, -2.0 * w, -2.0 * g, 0.0, 0.0)
+        ):
+            return w, g, source
+    raise ValueError(
+        "make_propagator needs the damped-oscillator drift of build_drift: "
+        "B = [[0, 2w, 0], [-w, -g, w], [0, -2w, -2g]], b = (0, 0, c), w > 0, g >= 0"
+    )
+
+
+def make_propagator(drift: DriftModel, t: float) -> Propagator:
+    """Exact flow of the affine drift over duration t, in closed form.
+
+    The moments are the covariance Sigma of (q, p), and the drift is
+    dSigma/dt = G Sigma + Sigma G^T + D with G = [[0, w], [-w, -g]] and
+    D = diag(0, c), c = g (2 n_bar + 1).  So M is the symmetric Kronecker
+    square of the flight F = e^{G t} = e^{-g t/2} [C I + S (G + g/2 I)],
+    with C = cos(omega_d t), S = sin(omega_d t)/omega_d and
+    omega_d^2 = w^2 - g^2/4 (cosh/sinh when that is negative, C = 1 and
+    S = t at critical damping), and v_inh = c J with
+    J = int_0^t F e2 e2^T F^T ds = (I - F F^T)/(2 g).  J is summed from
+    terms that do not cancel, so each of its entries keeps its own relative
+    accuracy even where I - F F^T is tiny (g t ~ 1e-5 at the presets) and
+    is exactly zero at g = 0 or t = 0.
+
+    drift must have the structure of build_drift; anything else raises
+    ValueError.
+    """
+    w, g, source = _drift_rates(drift)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+    u = g * t
+    wd2 = (w - 0.5 * g) * (w + 0.5 * g)
+    # F = [[f00, f01], [-f01, f11]]; s is e^{-g t/2} S
+    if wd2 < 0.0:
+        # from F's real eigenvalues -g/2 +- k, so that nothing overflows:
+        # with r = g/(2k) = 1 + r1, f00, f11 = ((1 +- r) slow + (1 -+ r) fast)/2,
+        # and r1 and the slow rate g/2 - k = r1 k come without cancellation
+        k = math.sqrt(-wd2)
+        z = 2.0 * k * t
+        r1 = 2.0 * w * w / (k * (g + 2.0 * k))
+        slow = math.exp(-r1 * k * t)
+        fast = math.exp(-0.5 * (u + z))
+        s = -slow * math.expm1(-z) / (2.0 * k)
+        f00 = 0.5 * ((2.0 + r1) * slow - r1 * fast)
+        f11 = 0.5 * ((2.0 + r1) * fast - r1 * slow)
+    else:
+        if wd2 > 0.0:
+            wd = math.sqrt(wd2)
+            c = math.exp(-0.5 * u)
+            s = c * math.sin(wd * t) / wd
+            c *= math.cos(wd * t)
+        else:
+            c = math.exp(-0.5 * u)
+            s = c * t
+        f00 = c + 0.5 * g * s
+        f11 = c - 0.5 * g * s
+    f01 = w * s
+    M = np.array(
+        [
+            [f00 * f00, 2.0 * f00 * f01, f01 * f01],
+            [-f00 * f01, f00 * f11 - f01 * f01, f01 * f11],
+            [f01 * f01, -2.0 * f01 * f11, f11 * f11],
+        ]
+    )
+    # (I - F F^T)_01 = e^{-g t} g w S^2 exactly
+    j01 = 0.5 * w * s * s
+    if u <= _SERIES_DAMPING:
+        # 2 g J_00 e^{g t} = expm1(g t) - g C S - g^2 S^2 / 2
+        #   = u g1(y) + u^2 g2(y) + (expm1(u) - u - u^2/2),  y = 2 omega_d t,
+        # three non-negative terms when underdamped, divided here by
+        # 2 g = 2 u / t; J_11 has + g C S and u (2 - g1) in place of u g1.
+        w4 = 4.0 * wd2 * t * t
+        g1 = _g1(w4)
+        rest = u * _g2(w4) + u * u * _series(u, 3, 1)
+        half_t = 0.5 * t * math.exp(-u)
+        j00 = half_t * (g1 + rest)
+        j11 = half_t * (2.0 - g1 + rest)
+    else:
+        j00 = (1.0 - (f00 * f00 + f01 * f01)) / (2.0 * g)
+        j11 = (1.0 - (f01 * f01 + f11 * f11)) / (2.0 * g)
+    if g > 4.0 * w:
+        # (F F^T)_00 can sit near 1 at any g t; see _slow_mode_j00
+        j00 = _slow_mode_j00(g, t, z, r1)
+    return Propagator(
+        duration=t,
+        M=M,
+        v_inh=np.array([source * j00, source * j01, source * j11]),
+    )
 
 
 def propagate_free(v: MomentVector, prop: Propagator) -> MomentVector:
@@ -331,7 +505,11 @@ def stroboscopic_evolve(
 
     q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
     d = p - q
-    # 2*sigma_min >= 2*vacuum: the state at this kick is not squeezed
+    # 2*sigma_min >= 2*vacuum: the state at this kick is not squeezed.  This
+    # keeps the subtraction that metric_arrays replaced with det/(larger
+    # eigenvalue): its error is about eps*(p + q), so it can misjudge a kick
+    # only when sigma_min is that close to 1/2, and the stable form would add
+    # a division to every kick of the hot loop.
     last_unsqueezed = 0 if p + q - sqrt(d * d + 4.0 * qp * qp) >= 1.0 else -1
     samples = Samples([(0, v0)])
     n = 0
@@ -398,7 +576,15 @@ def steady_state(cycle: CycleMap) -> MomentVector:
             "no stationary state: spectral radius of the cycle map is "
             f"{cycle.spectral_radius} >= 1"
         )
-    x = np.linalg.solve(np.eye(3) - cycle.A, cycle.propagator.v_inh)
+    I_minus_A = np.eye(3) - cycle.A
+    x = np.linalg.solve(I_minus_A, cycle.propagator.v_inh)
+    # the fixed point sum_k A^k v_inh of a contraction has positive
+    # variances; a solve that returns anything else has lost every digit
+    if not (np.all(np.isfinite(x)) and x[0] > 0.0 and x[2] > 0.0):
+        raise NoStationaryStateError(
+            "stationary state not resolvable in float64: solving (I - A) x = v_inh "
+            f"gave {tuple(x.tolist())} at cond(I - A) = {np.linalg.cond(I_minus_A):.3g}"
+        )
     return MomentVector.from_array(x)
 
 
@@ -446,9 +632,11 @@ def metric_arrays(q, qp, p):
     p = np.asarray(p, dtype=float)
     d = p - q
     spread = np.sqrt(d * d + 4.0 * qp * qp)
-    sigma_min = 0.5 * (p + q - spread)
-    squeezing_db = 10.0 * np.log10(2.0 * sigma_min)
     det = q * p - qp * qp
+    # the smaller eigenvalue as det / (larger one): (p + q - spread)/2 loses
+    # the digits of p + q when sigma_p >> sigma_q
+    sigma_min = 2.0 * det / (p + q + spread)
+    squeezing_db = 10.0 * np.log10(2.0 * sigma_min)
     # same operand-scale rounding allowance as MomentVector validation
     tol = np.maximum(UNCERTAINTY_ATOL, 1e-12 * (q * p + qp * qp))
     if np.any(det < UNCERTAINTY_FLOOR - tol):

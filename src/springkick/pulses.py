@@ -18,11 +18,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import hbar as HBAR
-from scipy.constants import k as BOLTZMANN
 
 from .moments import MechanicalParams
+
+# SI defining constants, exact since the 2019 redefinition; hbar = h/(2 pi).
+SPEED_OF_LIGHT = 299792458.0  # m/s
+PLANCK = 6.62607015e-34  # J s
+HBAR = PLANCK / (2 * math.pi)
+BOLTZMANN = 1.380649e-23  # J/K
 
 PULSE_SHAPES = ("rectangular", "gaussian")
 

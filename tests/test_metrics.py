@@ -77,6 +77,14 @@ class TestMinimumVariance:
         m = state_metrics(v)
         assert m.sigma_min <= math.sqrt(max(v.det, 0.25)) * (1 + 1e-12)
 
+    def test_no_cancellation_when_momentum_variance_dominates(self):
+        # the k = 2 resonance stationary state (omega_m = 1e3, tau = 2 pi /
+        # omega_m) rounded to float64; 0.5 (p + q - spread) gave exactly 0.25
+        q, qp, p = 0.6167228520333685, -304780.7751510669, 253301983138.8837
+        ref = 0.2500012032303064  # 50-digit value at this float input
+        assert abs(float(metric_arrays(q, qp, p)[0]) - ref) <= 1e-15 * ref
+        assert abs(state_metrics(MomentVector(q, qp, p)).sigma_min - ref) <= 1e-15 * ref
+
     def test_phase_branch_isotropic(self):
         assert state_metrics(MomentVector(3.0, 0.0, 3.0)).phi_min == 0.0
 

@@ -1,16 +1,19 @@
 """Free propagator, kick map, cycle iteration, stationary state."""
 
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mech_params, moment_vectors, params_and_tau, thetas
 from oracles import rk4_free, taylor_expm
 from springkick import (
     DivergenceError,
+    DriftModel,
     MechanicalParams,
     MomentVector,
     NoStationaryStateError,
@@ -189,6 +192,92 @@ class TestPropagator:
         prop = make_propagator(build_drift(params), 1e-7)
         with pytest.raises(UnphysicalStateError):
             propagate_free(MomentVector(0.1, 0.0, 2.5), prop)
+
+
+def mp_flow(w, g, n_bar, t, dps=50):
+    """(M, v_inh) from mpmath's expm of the augmented 4x4 drift at dps digits."""
+    with mp.workdps(dps):
+        A = mp.matrix(4, 4)
+        A[0, 1] = 2 * mp.mpf(w)
+        A[1, 0], A[1, 1], A[1, 2] = -mp.mpf(w), -mp.mpf(g), mp.mpf(w)
+        A[2, 1], A[2, 2] = -2 * mp.mpf(w), -2 * mp.mpf(g)
+        A[2, 3] = mp.mpf(g) * (2 * mp.mpf(n_bar) + 1)
+        E = mp.expm(A * mp.mpf(t))
+        return [[E[i, j] for j in range(3)] for i in range(3)], [E[i, 3] for i in range(3)]
+
+
+def entry_errors(got, ref):
+    """Relative error of each entry of a moment vector (sigma_q, sigma_qp,
+    sigma_p); sigma_qp is measured against its natural scale
+    sqrt(|sigma_q sigma_p|) when that is the larger, as bench/check.py does."""
+    scales = (abs(ref[0]), max(abs(ref[1]), mp.sqrt(abs(ref[0] * ref[2]))), abs(ref[2]))
+    return [float(abs(mp.mpf(float(g)) - r) / s) for g, r, s in zip(got, ref, scales)]
+
+
+class TestPropagatorAgainstMpmath:
+    """Each entry of the closed-form M (column by column, as the image of one
+    moment) and of v_inh, against 50 digits."""
+
+    CASES = {
+        "fig1": (5e5, 1e2, 10.0, 1e-7),
+        "fig2": (5e5, 1e2, 200.0, 1e-7),
+        "sweep_grid": (5e5, 1e2, 30.0, 2e-7),
+        "underdamped_gamma_zero": (5e5, 0.0, 10.0, 1e-7),
+        "overdamped": (1e3, 3e3, 5.0, 1e-3),
+        # g > 4 w: the slow-mode sums, short (g t = 0.1) and long (g t = 30)
+        "overdamped_short": (1e3, 1e5, 5.0, 1e-6),
+        "overdamped_long": (1e3, 1e5, 5.0, 3e-4),
+        # g t = 5; at g t = 2 the flight entry F_11 = e^{-1} (1 - g t/2) is
+        # zero, and M_22 = F_11^2 keeps no relative digits there
+        "critical": (1e3, 2e3, 5.0, 2.5e-3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_entry(self, case):
+        w, g, n_bar, t = self.CASES[case]
+        prop = make_propagator(build_drift(MechanicalParams(w, g, n_bar)), t)
+        M, v = mp_flow(w, g, n_bar, t)
+        for j in range(3):
+            col = [M[i][j] for i in range(3)]
+            assert max(entry_errors(prop.M[:, j], col)) < 1e-14, (case, j)
+        if g == 0.0:
+            assert prop.v_inh.tolist() == [0.0, 0.0, 0.0]
+        else:
+            assert max(entry_errors(prop.v_inh, v)) < 1e-14, case
+
+    def test_resonance_k2(self):
+        # tau = 2 pi / omega_m, where the off-diagonal flight entries are
+        # ~1e-12 of the diagonal ones and carry rounding of omega_d tau
+        # relative to their size: M is bounded normwise
+        w, g, t = 1e3, 1.532e-3, 2 * math.pi / 1e3
+        prop = make_propagator(build_drift(MechanicalParams(w, g, 0.0)), t)
+        M, v = mp_flow(w, g, 0.0, t)
+        err = max(abs(prop.M[i, j] - M[i][j]) for i in range(3) for j in range(3))
+        assert float(err / max(abs(x) for row in M for x in row)) < 1e-14
+        assert max(entry_errors(prop.v_inh, v)) < 1e-14
+
+    def test_foreign_drift_rejected(self):
+        d = build_drift(FIG)
+        B = d.B.copy()
+        B[0, 2] = 1.0
+        for bad in (
+            DriftModel(B=B, b=d.b),
+            DriftModel(B=d.B, b=np.array([1.0, 0.0, d.b[2]])),
+            DriftModel(B=np.eye(2), b=d.b),
+            DriftModel(B=-d.B, b=d.b),
+        ):
+            with pytest.raises(ValueError, match="build_drift"):
+                make_propagator(bad, 1e-7)
+        with pytest.raises(ValueError, match="time"):
+            make_propagator(d, -1e-7)
+
+    def test_needs_no_scipy(self, monkeypatch):
+        # None in sys.modules makes any import of scipy raise ImportError
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+        cyc = cycle_map(FIG, TAU, 10.0)
+        assert steady_state(cyc).sigma_q > 0.0
+        assert len(intra_period_trace(thermal_state(FIG), cyc, 5)) == 5
 
 
 class TestKick:
@@ -370,6 +459,10 @@ class TestSteadyState:
 
     @settings(max_examples=40, deadline=None)
     @given(params_and_tau(), st.floats(0.0, 8.0))
+    # tau = 2 pi / omega_m: cond(I - A) ~ 1e18-1e21 and the solve returned
+    # sigma_q < 0, which MomentVector rejected with a bare ValueError
+    @example((MechanicalParams(1e3, 1.532e-3, 0.0), 2 * math.pi / 1e3), 2.0)
+    @example((MechanicalParams(1e3, 1e-3, 0.0), 2 * math.pi / 1e3), 7.0)
     def test_fixed_point_residual_randomized(self, pt, theta):
         params, tau = pt
         cyc = cycle_map(params, tau, theta)

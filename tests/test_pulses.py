@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import hbar as HBAR
 from scipy.constants import k as BOLTZMANN
@@ -29,6 +30,7 @@ from springkick import (
     theta_from_physical,
 )
 import springkick
+from springkick import pulses
 from springkick.pulses import _GL_NODES, _GL_WEIGHTS, _grade
 
 # Membrane-in-the-middle reference set: 0.1 mm cavity, 1550 nm drive,
@@ -279,12 +281,25 @@ class TestValidation:
         assert lossy.kappa == 1.5e8
 
 
-def test_import_leaves_scipy_signal_out():
+def test_constants_match_scipy_bitwise():
+    # the package spells out the exact SI values so that it need not import scipy
+    for ours, theirs in (
+        (pulses.SPEED_OF_LIGHT, scipy.constants.c),
+        (pulses.HBAR, scipy.constants.hbar),
+        (pulses.BOLTZMANN, scipy.constants.k),
+    ):
+        assert float(ours).hex() == float(theirs).hex()
+
+
+def test_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(springkick.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, springkick, springkick.cli; print('scipy.signal' in sys.modules)"
+    code = (
+        "import sys, springkick, springkick.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
