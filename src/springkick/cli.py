@@ -77,8 +77,6 @@ def _apply_overrides(config, args):
             )
         ens = config.ensemble
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise _UsageError(f"--seed must fit in u64, got {args.seed}")
             ens = replace(ens, base_seed=args.seed)
         if args.trajectories is not None:
             ens = replace(ens, trajectories=args.trajectories)

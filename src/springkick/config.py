@@ -4,16 +4,19 @@ A run file has sections [mechanical], [kick], [schedule] and optionally
 [ensemble], [bath], [output].  The kick is given either directly (theta) or
 through the physical pulse/cavity/membrane parameters; exactly one of the two
 forms must be used.  [bath] only makes sense with the physical form since the
-validity report needs a cavity.  Parsing collects every problem it finds and
+validity report needs a cavity.  The section dataclasses are the schema: each
+field is one key, its annotation picks the converter, and a field without a
+default is a required key.  Parsing collects every problem it finds and
 raises them together.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .moments import MechanicalParams
 from .pulses import PULSE_SHAPES
@@ -105,6 +108,8 @@ class EnsembleConfig:
             raise ValueError(
                 f"ensemble trajectories must be >= 1, got {self.trajectories}"
             )
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"ensemble base_seed must fit in u64, got {self.base_seed}")
         if self.mean_theta is not None and not math.isfinite(self.mean_theta):
             raise ValueError(
                 f"ensemble mean_theta must be finite, got {self.mean_theta}"
@@ -164,58 +169,31 @@ class RunConfig:
             )
 
 
-_PHYSICAL_KEYS = (
-    "shape",
-    "pulse_duration",
-    "peak_power",
-    "cavity_length",
-    "kappa_0",
-    "wavelength",
-    "mass",
-    "reflectivity",
-)
+@dataclass(frozen=True)
+class _DirectKick:
+    """[kick] in its direct form: the kick strength alone."""
 
-_SECTIONS = ("mechanical", "kick", "schedule", "ensemble", "bath", "output")
+    theta: float
 
 
-class _Reader:
-    """Typed key extraction with error aggregation and unknown-key tracking."""
+@dataclass(frozen=True)
+class _Output:
+    """[output]: where the run's files go."""
 
-    def __init__(self, parser: configparser.ConfigParser, errors: list[str]):
-        self.parser = parser
-        self.errors = errors
-        self.seen: dict[str, set[str]] = {s: set() for s in parser.sections()}
+    path: str | None = None
 
-    def get(self, section: str, key: str, conv, required: bool = False, default=None):
-        if not self.parser.has_section(section):
-            if required:
-                self.errors.append(f"[{section}] missing key {key!r}")
-            return default
-        self.seen.setdefault(section, set()).add(key)
-        if not self.parser.has_option(section, key):
-            if required:
-                self.errors.append(f"[{section}] missing key {key!r}")
-            return default
-        raw = self.parser.get(section, key)
-        try:
-            return conv(raw)
-        except (TypeError, ValueError):
-            self.errors.append(
-                f"[{section}] key {key!r}: cannot parse {raw!r} as {conv.__name__}"
-            )
-            return default
 
-    def has(self, section: str, key: str) -> bool:
-        return self.parser.has_option(section, key)
-
-    def finish_unknown(self):
-        for section in self.parser.sections():
-            if section not in _SECTIONS:
-                self.errors.append(f"unknown section [{section}]")
-                continue
-            for key in self.parser.options(section):
-                if key not in self.seen.get(section, set()):
-                    self.errors.append(f"[{section}] unknown key {key!r}")
+# Each section's keys are the fields of its dataclass; [kick] takes exactly
+# one of two forms.
+_SECTIONS = {
+    "mechanical": (MechanicalParams,),
+    "kick": (_DirectKick, PhysicalKick),
+    "schedule": (Schedule,),
+    "ensemble": (EnsembleConfig,),
+    "bath": (BathConfig,),
+    "output": (_Output,),
+}
+_REQUIRED_SECTIONS = ("mechanical", "kick", "schedule")
 
 
 def _bool(raw: str) -> bool:
@@ -227,9 +205,50 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _build(errors: list[str], label: str, factory, *args, **kwargs):
+_CONVERTERS = {"float": float, "int": int, "str": str, "bool": _bool}
+
+
+@functools.cache
+def _keys(cls) -> dict[str, tuple[str, bool]]:
+    """Key -> (converter name, required) for every field of a section dataclass.
+
+    The converter name is the field's annotation less any "| None"; a field
+    without a default is a required key.
+    """
+    return {f.name: (f.type.removesuffix(" | None"), f.default is MISSING) for f in fields(cls)}
+
+
+def _read_section(section: str, cls, values: dict[str, str], errors: list[str]) -> dict:
+    """Constructor arguments for cls; an absent optional key keeps its default."""
+    kwargs = {}
+    for key, (kind, required) in _keys(cls).items():
+        if key not in values:
+            if required:
+                errors.append(f"[{section}] missing key {key!r}")
+            continue
+        try:
+            kwargs[key] = _CONVERTERS[kind](values[key])
+        except ValueError:
+            errors.append(f"[{section}] key {key!r}: cannot parse {values[key]!r} as {kind}")
+    return kwargs
+
+
+def _kick_form(values: dict[str, str], errors: list[str]):
+    """The [kick] dataclass whose keys the section uses; None after an error."""
+    used = [cls for cls in _SECTIONS["kick"] if not values.keys().isdisjoint(_keys(cls))]
+    if len(used) == 1:
+        return used[0]
+    if used:
+        errors.append("[kick] gives both theta and physical pulse keys; use exactly one form")
+    else:
+        required = tuple(key for key, (_, req) in _keys(PhysicalKick).items() if req)
+        errors.append(f"[kick] needs either theta or the physical pulse keys {required}")
+    return None
+
+
+def _build(errors: list[str], label: str, factory, **kwargs):
     try:
-        return factory(*args, **kwargs)
+        return factory(**kwargs)
     except ValueError as exc:
         errors.append(f"{label}: {exc}")
         return None
@@ -237,134 +256,47 @@ def _build(errors: list[str], label: str, factory, *args, **kwargs):
 
 def parse_config(text: str) -> RunConfig:
     """Parse an INI run file; raises ConfigError listing every problem."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"INI syntax: {exc}"]) from exc
 
-    errors: list[str] = []
-    r = _Reader(parser, errors)
-
-    for required_section in ("mechanical", "kick", "schedule"):
-        if not parser.has_section(required_section):
-            errors.append(f"missing section [{required_section}]")
-
-    omega_m = r.get("mechanical", "omega_m", float, required=True)
-    gamma_m = r.get("mechanical", "gamma_m", float, required=True)
-    n_bar = r.get("mechanical", "n_bar", float, required=True)
-
-    has_theta = r.has("kick", "theta")
-    has_physical = any(r.has("kick", k) for k in _PHYSICAL_KEYS + ("kappa_loss",))
-    theta = None
-    physical = None
-    if parser.has_section("kick"):
-        if has_theta and has_physical:
-            errors.append(
-                "[kick] gives both theta and physical pulse keys; use exactly one form"
-            )
-            r.get("kick", "theta", float)
-            for k in _PHYSICAL_KEYS:
-                r.get("kick", k, str if k == "shape" else float)
-            r.get("kick", "kappa_loss", float)
-        elif has_theta:
-            theta = r.get("kick", "theta", float, required=True)
-        elif has_physical:
-            shape = r.get("kick", "shape", str, required=True)
-            pulse_duration = r.get("kick", "pulse_duration", float, required=True)
-            peak_power = r.get("kick", "peak_power", float, required=True)
-            cavity_length = r.get("kick", "cavity_length", float, required=True)
-            kappa_0 = r.get("kick", "kappa_0", float, required=True)
-            wavelength = r.get("kick", "wavelength", float, required=True)
-            mass = r.get("kick", "mass", float, required=True)
-            reflectivity = r.get("kick", "reflectivity", float, required=True)
-            kappa_loss = r.get("kick", "kappa_loss", float, default=0.0)
-            if not errors:
-                physical = _build(
-                    errors,
-                    "[kick]",
-                    PhysicalKick,
-                    shape=shape,
-                    pulse_duration=pulse_duration,
-                    peak_power=peak_power,
-                    cavity_length=cavity_length,
-                    kappa_0=kappa_0,
-                    wavelength=wavelength,
-                    mass=mass,
-                    reflectivity=reflectivity,
-                    kappa_loss=kappa_loss,
-                )
-        else:
-            errors.append(
-                "[kick] needs either theta or the physical pulse keys "
-                f"{_PHYSICAL_KEYS}"
-            )
-
-    tau = r.get("schedule", "tau", float, required=True)
-    n_kicks = r.get("schedule", "n_kicks", int, required=True)
-    stride = r.get("schedule", "stride", int, default=100)
-    intra_samples = r.get("schedule", "intra_samples", int, default=0)
-
-    ensemble = None
-    if parser.has_section("ensemble"):
-        variance = r.get("ensemble", "variance", float, required=True)
-        trajectories = r.get("ensemble", "trajectories", int, required=True)
-        base_seed = r.get("ensemble", "base_seed", int, required=True)
-        enabled = r.get("ensemble", "enabled", _bool, default=True)
-        mean_theta = r.get("ensemble", "mean_theta", float)
-        if not errors:
-            ensemble = _build(
-                errors,
-                "[ensemble]",
-                EnsembleConfig,
-                variance=variance,
-                trajectories=trajectories,
-                base_seed=base_seed,
-                enabled=enabled,
-                mean_theta=mean_theta,
-            )
-
-    bath = None
-    if parser.has_section("bath"):
-        cutoff = r.get("bath", "omega_c_cutoff", float)
-        temperature = r.get("bath", "temperature", float)
-        if not errors:
-            bath = _build(
-                errors, "[bath]", BathConfig, omega_c_cutoff=cutoff, temperature=temperature
-            )
-
-    output = r.get("output", "path", str)
-
-    r.finish_unknown()
+    errors = [f"missing section [{s}]" for s in _REQUIRED_SECTIONS if not parser.has_section(s)]
+    read = {}
+    for section in parser.sections():
+        forms = _SECTIONS.get(section)
+        if forms is None:
+            errors.append(f"unknown section [{section}]")
+            continue
+        values = dict(parser.items(section))
+        known = {key for cls in forms for key in _keys(cls)}
+        errors.extend(f"[{section}] unknown key {key!r}" for key in values if key not in known)
+        cls = forms[0] if len(forms) == 1 else _kick_form(values, errors)
+        if cls is not None:
+            read[section] = (cls, _read_section(section, cls, values, errors))
     if errors:
         raise ConfigError(errors)
 
-    mechanical = _build(
-        errors, "[mechanical]", MechanicalParams, omega_m=omega_m, gamma_m=gamma_m, n_bar=n_bar
-    )
-    schedule = _build(
-        errors,
-        "[schedule]",
-        Schedule,
-        tau=tau,
-        n_kicks=n_kicks,
-        stride=stride,
-        intra_samples=intra_samples,
-    )
+    built = {
+        section: _build(errors, f"[{section}]", cls, **values)
+        for section, (cls, values) in read.items()
+    }
     if errors:
         raise ConfigError(errors)
 
+    kick = built["kick"]
     config = _build(
         errors,
         "run",
         RunConfig,
-        mechanical=mechanical,
-        schedule=schedule,
-        theta=theta,
-        physical=physical,
-        ensemble=ensemble,
-        bath=bath,
-        output=output,
+        mechanical=built["mechanical"],
+        schedule=built["schedule"],
+        theta=kick.theta if isinstance(kick, _DirectKick) else None,
+        physical=kick if isinstance(kick, PhysicalKick) else None,
+        ensemble=built.get("ensemble"),
+        bath=built.get("bath"),
+        output=built["output"].path if "output" in built else None,
     )
     if errors:
         raise ConfigError(errors)
@@ -376,56 +308,39 @@ def read_config(path: str) -> RunConfig:
         return parse_config(fh.read())
 
 
+def _section_text(obj) -> dict[str, str]:
+    """INI values of every non-None field, in field order."""
+    values = {}
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, bool):
+            values[field.name] = "true" if value else "false"
+        elif isinstance(value, str):
+            values[field.name] = value
+        elif value is not None:
+            values[field.name] = repr(value)
+    return values
+
+
 def config_to_text(config: RunConfig) -> str:
-    """Emit a config as INI text; parse_config(config_to_text(c)) == c."""
+    """Emit a config as INI text; parse_config(config_to_text(c)) == c.
+
+    A string value (shape, output path) comes back only if it has no
+    surrounding whitespace and no ";" after whitespace, which would start a
+    comment.
+    """
+    sections = {
+        "mechanical": config.mechanical,
+        "kick": config.physical if config.theta is None else _DirectKick(config.theta),
+        "schedule": config.schedule,
+        "ensemble": config.ensemble,
+        "bath": config.bath,
+        "output": None if config.output is None else _Output(config.output),
+    }
     parser = configparser.ConfigParser(interpolation=None)
-
-    parser["mechanical"] = {
-        "omega_m": repr(config.mechanical.omega_m),
-        "gamma_m": repr(config.mechanical.gamma_m),
-        "n_bar": repr(config.mechanical.n_bar),
-    }
-    if config.theta is not None:
-        parser["kick"] = {"theta": repr(config.theta)}
-    else:
-        phys = config.physical
-        parser["kick"] = {
-            "shape": phys.shape,
-            "pulse_duration": repr(phys.pulse_duration),
-            "peak_power": repr(phys.peak_power),
-            "cavity_length": repr(phys.cavity_length),
-            "kappa_0": repr(phys.kappa_0),
-            "wavelength": repr(phys.wavelength),
-            "mass": repr(phys.mass),
-            "reflectivity": repr(phys.reflectivity),
-            "kappa_loss": repr(phys.kappa_loss),
-        }
-    parser["schedule"] = {
-        "tau": repr(config.schedule.tau),
-        "n_kicks": repr(config.schedule.n_kicks),
-        "stride": repr(config.schedule.stride),
-        "intra_samples": repr(config.schedule.intra_samples),
-    }
-    if config.ensemble is not None:
-        section = {
-            "variance": repr(config.ensemble.variance),
-            "trajectories": repr(config.ensemble.trajectories),
-            "base_seed": repr(config.ensemble.base_seed),
-            "enabled": "true" if config.ensemble.enabled else "false",
-        }
-        if config.ensemble.mean_theta is not None:
-            section["mean_theta"] = repr(config.ensemble.mean_theta)
-        parser["ensemble"] = section
-    if config.bath is not None:
-        section = {}
-        if config.bath.omega_c_cutoff is not None:
-            section["omega_c_cutoff"] = repr(config.bath.omega_c_cutoff)
-        if config.bath.temperature is not None:
-            section["temperature"] = repr(config.bath.temperature)
-        parser["bath"] = section
-    if config.output is not None:
-        parser["output"] = {"path": config.output}
-
+    for name, obj in sections.items():
+        if obj is not None:
+            parser[name] = _section_text(obj)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

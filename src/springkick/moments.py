@@ -389,6 +389,8 @@ def kick_map(theta: float) -> KickMap:
     """Moment-space matrix of one kick of strength theta."""
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
+    if not math.isfinite(4.0 * theta * theta):
+        raise ValueError(f"theta = {theta} overflows the kick map: 4 theta^2 is not finite")
     K = np.array(
         [
             [1.0, 0.0, 0.0],

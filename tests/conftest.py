@@ -1,6 +1,11 @@
-"""Shared strategies: physical moment vectors and underdamped parameter sets."""
+"""Shared strategies: physical moment vectors and underdamped parameter sets.
+
+Also the README's INI example, as documented and in its physical kick form.
+"""
 
 import math
+import re
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -58,3 +63,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in sorted(RESULTS):
         terminalreporter.write_line(line)
+
+
+def readme_ini_example() -> str:
+    """The ```ini block of README.md, verbatim."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def readme_physical_example() -> str:
+    """The README example with the commented physical [kick] keys and [bath] active."""
+    text = re.sub(r"^; (?=\w+ = |\[)", "", readme_ini_example(), flags=re.M)
+    return re.sub(r"^theta = .*\n", "", text, flags=re.M)

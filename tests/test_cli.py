@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import readme_physical_example
 from springkick import MechanicalParams, cycle_map, state_metrics, steady_state
 from springkick.cli import main
 from springkick.runner import ENSEMBLE_COLUMNS, OUTPUT_COLUMNS
@@ -82,6 +83,22 @@ class TestExitCodes:
     def test_oversized_seed(self, capsys):
         assert main(["--scenario", "fig3", "--seed", str(2**64)]) == 1
         assert "u64" in capsys.readouterr().err
+
+    def test_overflowing_theta_names_theta(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(MINIMAL.replace("theta = 10", "theta = 1e160"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "h"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "theta" in err
+        assert "infs or NaNs" not in err
+
+    def test_readme_physical_example_runs(self, tmp_path):
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(readme_physical_example())
+        out = tmp_path / "readme"
+        small = ["--kicks", "1000", "--trajectories", "4"]
+        assert main(["--config", str(cfg), *small, "--out", str(out), "--quiet"]) == 0
+        assert "from pulse chain" in (tmp_path / "readme.summary.txt").read_text()
 
     def test_divergent_run_is_numerical_failure(self, tmp_path, capsys):
         cfg = tmp_path / "div.ini"

@@ -1,7 +1,10 @@
 """INI run-file parsing: validation, error aggregation, round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import readme_ini_example, readme_physical_example
 from springkick import (
     BathConfig,
     ConfigError,
@@ -13,6 +16,7 @@ from springkick import (
     config_to_text,
     parse_config,
 )
+from springkick.pulses import PULSE_SHAPES
 from springkick.runner import scenario_config
 
 MINIMAL = """
@@ -154,6 +158,12 @@ theta = 10
 [schedule]
 tau = 1e-7
 n_kicks = many
+
+[ensemble]
+variance = 1e-3
+trajectories = 10
+base_seed = 1
+enabled = maybe
 """
         with pytest.raises(ConfigError) as exc:
             parse_config(bad)
@@ -161,7 +171,31 @@ n_kicks = many
         assert any("omega_m" in e for e in errors)
         assert any("n_bar" in e for e in errors)
         assert any("n_kicks" in e for e in errors)
-        assert len(errors) >= 3
+        assert "[ensemble] key 'enabled': cannot parse 'maybe' as bool" in errors
+        assert len(errors) >= 4
+
+    def test_every_section_constructor_error_reported(self):
+        bad = (
+            PHYSICAL.replace("gamma_m = 1e2", "gamma_m = -1.0")
+            .replace("reflectivity = 0.2", "reflectivity = 1.5")
+            .replace("n_kicks = 1000", "n_kicks = 1000\nstride = 0")
+            + "\n[ensemble]\nvariance = 1e-3\ntrajectories = 0\nbase_seed = 1\n"
+        )
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad)
+        errors = exc.value.errors
+        assert any(e.startswith("[mechanical]:") and "gamma_m" in e for e in errors)
+        assert any(e.startswith("[kick]:") and "reflectivity" in e for e in errors)
+        assert any(e.startswith("[schedule]:") and "stride" in e for e in errors)
+        assert any(e.startswith("[ensemble]:") and "trajectories" in e for e in errors)
+
+    @pytest.mark.parametrize("seed", ["-1", "99999999999999999999999"])
+    def test_base_seed_outside_u64_rejected(self, seed):
+        ensemble = f"\n[ensemble]\nvariance = 1e-3\ntrajectories = 10\nbase_seed = {seed}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + ensemble)
+        assert "base_seed" in str(exc.value)
+        assert "u64" in str(exc.value)
 
     def test_unknown_key_and_section(self):
         with pytest.raises(ConfigError) as exc:
@@ -210,7 +244,85 @@ n_kicks = many
         assert all(isinstance(e, str) for e in exc.value.errors)
 
 
+class TestReadmeExample:
+    def test_documented_block_parses(self):
+        cfg = parse_config(readme_ini_example())
+        assert cfg.theta == 10.0
+        assert cfg.mechanical == MechanicalParams(5e5, 1e2, 10.0)
+        assert cfg.ensemble.enabled is True
+        assert cfg.bath is None
+        assert cfg.output == "out/myrun"
+
+    def test_physical_form_parses(self):
+        cfg = parse_config(readme_physical_example())
+        assert cfg.theta is None
+        assert cfg.physical.shape == "rectangular"
+        assert cfg.physical.reflectivity == 0.2
+        assert cfg.bath == BathConfig(omega_c_cutoff=1e10, temperature=4e-5)
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+physical_kicks = st.builds(
+    PhysicalKick,
+    shape=st.sampled_from(PULSE_SHAPES),
+    pulse_duration=positive,
+    peak_power=positive,
+    cavity_length=positive,
+    kappa_0=positive,
+    wavelength=positive,
+    mass=positive,
+    reflectivity=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    kappa_loss=non_negative,
+)
+
+ensembles = st.builds(
+    EnsembleConfig,
+    variance=non_negative,
+    trajectories=st.integers(1, 10**6),
+    base_seed=st.integers(0, 2**64 - 1),
+    enabled=st.booleans(),
+    mean_theta=st.none() | finite,
+)
+
+baths = st.builds(
+    BathConfig,
+    omega_c_cutoff=st.none() | positive,
+    temperature=st.none() | non_negative,
+)
+
+# configparser strips surrounding whitespace and "; comments" from values
+output_paths = st.text(alphabet="abcXYZ019/._-", max_size=20)
+
+
+@st.composite
+def run_configs(draw):
+    physical = draw(st.none() | physical_kicks)
+    return RunConfig(
+        mechanical=MechanicalParams(draw(positive), draw(non_negative), draw(non_negative)),
+        schedule=Schedule(
+            tau=draw(positive),
+            n_kicks=draw(st.integers(0, 10**9)),
+            stride=draw(st.integers(1, 10**6)),
+            intra_samples=draw(st.just(0) | st.integers(2, 10**4)),
+        ),
+        theta=draw(finite) if physical is None else None,
+        physical=physical,
+        ensemble=draw(st.none() | ensembles),
+        bath=None if physical is None else draw(st.none() | baths),
+        output=draw(st.none() | output_paths),
+    )
+
+
 class TestRoundTrip:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(run_configs())
+    def test_every_field(self, cfg):
+        assert parse_config(config_to_text(cfg)) == cfg
+
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
     def test_scenarios(self, name):
         cfg = scenario_config(name)

@@ -288,6 +288,14 @@ class TestKick:
             np.array([[1.0, 0.0, 0.0], [-20.0, 1.0, 0.0], [400.0, -40.0, 1.0]]),
         )
 
+    def test_overflowing_theta_rejected(self):
+        # 4 theta^2 = inf would reach the cycle map's eigvals as a bare
+        # "infs or NaNs" error
+        for theta in (1e160, -1e200):
+            with pytest.raises(ValueError, match="theta"):
+                kick_map(theta)
+        assert math.isfinite(kick_map(1e150).K[2, 0])
+
     @settings(max_examples=100, deadline=None)
     @given(thetas)
     def test_unit_determinant(self, theta):
