@@ -325,9 +325,9 @@ def _section_text(obj) -> dict[str, str]:
 def config_to_text(config: RunConfig) -> str:
     """Emit a config as INI text; parse_config(config_to_text(c)) == c.
 
-    A string value (shape, output path) comes back only if it has no
-    surrounding whitespace and no ";" after whitespace, which would start a
-    comment.
+    Raises ValueError naming [output] path when the path would read back
+    differently: INI drops surrounding whitespace, a ";" after whitespace
+    and lines that start with ";" or "#".
     """
     sections = {
         "mechanical": config.mechanical,
@@ -343,4 +343,9 @@ def config_to_text(config: RunConfig) -> str:
             parser[name] = _section_text(obj)
     out = io.StringIO()
     parser.write(out)
-    return out.getvalue()
+    text = out.getvalue()
+    if config.output is not None:
+        back = parse_config(text).output
+        if back != config.output:
+            raise ValueError(f"[output] path {config.output!r} would read back as {back!r}")
+    return text

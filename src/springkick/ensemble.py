@@ -2,13 +2,13 @@
 
 Pulse-energy fluctuations make the kick strength vary from kick to kick; each
 trajectory draws an independent theta per kick from a Gaussian and iterates
-the same per-period update as the deterministic run.  _run_block writes the
-update on numpy columns with the expression structure of the scalar loop in
-moments.stroboscopic_evolve, the only other copy, so a zero-variance ensemble
-is bit-identical to the deterministic iteration;
-tests/test_ensemble.py::test_zero_variance_matches_deterministic_bitwise ties
-the two together.  A single trajectory is column 0 of a one-seed block, and
-each column depends only on its own seed.
+the same per-period update as the deterministic run.  _run_block holds the
+group's state as one (3, n) array and writes the update with the expression
+structure of the scalar loop in moments.stroboscopic_evolve, the only other
+copy, so a zero-variance ensemble is bit-identical to the deterministic
+iteration; tests/test_ensemble.py::test_zero_variance_matches_deterministic_bitwise
+ties the two together.  A single trajectory is column 0 of a one-seed block,
+and each column depends only on its own seed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .moments import (
     MechanicalParams,
     MomentVector,
     StateMetrics,
-    _unpack_cycle,
     cycle_map,
     metric_arrays,
     # unused here; bound because bench/tracing.py patches it on this module
@@ -36,6 +35,10 @@ from .moments import (
 # generator call overhead negligible without holding the whole noise
 # history in memory.
 RNG_BLOCK = 4096
+# Kicks whose 2 theta, 4 theta and 4 theta^2 are formed together: a whole
+# block of them would hold three more block-sized arrays (about 10 MB at
+# 100 trajectories).
+THETA_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ def trajectory_seed(base_seed: int, index: int) -> int:
     Uses numpy's SeedSequence spawn-key hashing, so the value depends only on
     the pair, never on draw order or on which trajectories run together.
     """
+    if not 0 <= base_seed < 2**64:
+        raise ValueError(f"base_seed must fit in u64, got {base_seed}")
     if index < 0:
         raise ValueError(f"trajectory index must be >= 0, got {index}")
     words = np.random.SeedSequence(base_seed, spawn_key=(index,)).generate_state(4)
@@ -168,55 +173,42 @@ def _run_block(
     draws, and per-element arithmetic with the expression structure of
     moments.stroboscopic_evolve.
     """
-    m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cycle)
+    # M's columns as (3, 1) arrays: row r of c0*q + c1*qp_k + c2*p_k + b is
+    # m_r0*q + m_r1*qp_k + m_r2*p_k + b_r, the scalar loop's sum in its order
+    c0, c1, c2 = np.hsplit(cycle.propagator.M, 3)
+    b = cycle.propagator.v_inh[:, None]
 
-    n_traj = len(seeds)
     gens = [_generator(s) for s in seeds]
     mean = noise.mean_theta
     std = noise.std
 
-    q = np.full(n_traj, v0.sigma_q)
-    qp = np.full(n_traj, v0.sigma_qp)
-    p = np.full(n_traj, v0.sigma_p)
-
-    n_rows = len(_sample_indices(n_kicks, stride))
-    cube = np.empty((n_rows, n_traj, 3))
-    cube[0, :, 0] = q
-    cube[0, :, 1] = qp
-    cube[0, :, 2] = p
+    x = np.repeat(v0.as_array()[:, None], len(seeds), axis=1)
+    cube = np.empty((len(_sample_indices(n_kicks, stride)), len(seeds), 3))
+    cube[0] = x.T
     row = 1
 
-    blk = np.empty((n_traj, RNG_BLOCK))
+    blk = np.empty((RNG_BLOCK, len(seeds)))
     n = 0
     while n < n_kicks:
-        m_blk = min(RNG_BLOCK, n_kicks - n)
         for i, g in enumerate(gens):
-            blk[i] = g.normal(mean, std, size=RNG_BLOCK)
-        for j in range(m_blk):
-            th = blk[:, j]
-            t2 = 2.0 * th
-            t4 = 4.0 * th
-            t4sq = t4 * th
-            qp_k = qp - t2 * q
-            p_k = p - t4 * qp + t4sq * q
-            q_new = m00 * q + m01 * qp_k + m02 * p_k + b0
-            qp = m10 * q + m11 * qp_k + m12 * p_k + b1
-            p = m20 * q + m21 * qp_k + m22 * p_k + b2
-            q = q_new
-            n += 1
-            if n % stride == 0 or n == n_kicks:
-                if not (
-                    np.all(np.isfinite(q))
-                    and np.all(np.isfinite(qp))
-                    and np.all(np.isfinite(p))
-                ):
-                    raise DivergenceError(
-                        f"moments diverged (non-finite) at kick {n}"
-                    )
-                cube[row, :, 0] = q
-                cube[row, :, 1] = qp
-                cube[row, :, 2] = p
-                row += 1
+            blk[:, i] = g.normal(mean, std, size=RNG_BLOCK)
+        used = blk[: n_kicks - n]
+        for j in range(0, len(used), THETA_ROWS):
+            th = used[j : j + THETA_ROWS]
+            t4s = 4.0 * th
+            for t2, t4, t4sq in zip(2.0 * th, t4s, t4s * th):
+                q, qp, p = x
+                qp_k = qp - t2 * q
+                p_k = p - t4 * qp + t4sq * q
+                x = c0 * q + c1 * qp_k + c2 * p_k + b
+                n += 1
+                if n % stride == 0 or n == n_kicks:
+                    if not np.isfinite(x).all():
+                        raise DivergenceError(
+                            f"moments diverged (non-finite) at kick {n}"
+                        )
+                    cube[row] = x.T
+                    row += 1
     return cube
 
 

@@ -100,16 +100,8 @@ class MomentVector:
 
 
 @dataclass(frozen=True, eq=False)
-class DriftModel:
-    """Affine generator d(moments)/dt = B.moments + b of the damped free evolution."""
-
-    B: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Propagator:
-    """Flow of the drift over a fixed duration: moments -> M.moments + v_inh."""
+    """Free evolution over a fixed duration: moments -> M.moments + v_inh."""
 
     duration: float
     M: np.ndarray
@@ -135,7 +127,7 @@ class CycleMap:
 
     tau: float
     theta: float
-    drift: DriftModel
+    params: MechanicalParams
     kick: KickMap
     propagator: Propagator
     A: np.ndarray
@@ -158,43 +150,6 @@ def thermal_state(params: MechanicalParams) -> MomentVector:
     """Equilibrium state of the bare mode: both variances n_bar + 1/2, no correlation."""
     v = params.n_bar + 0.5
     return MomentVector(v, 0.0, v)
-
-
-def build_drift(params: MechanicalParams) -> DriftModel:
-    """Assemble the linear drift of the second moments under damped free evolution.
-
-    d/dt sigma_q  =  2 omega_m sigma_qp
-    d/dt sigma_qp =  omega_m (sigma_p - sigma_q) - gamma_m sigma_qp
-    d/dt sigma_p  = -2 omega_m sigma_qp - 2 gamma_m sigma_p + gamma_m (2 n_bar + 1)
-    """
-    w, g = params.omega_m, params.gamma_m
-    B = np.array(
-        [
-            [0.0, 2.0 * w, 0.0],
-            [-w, -g, w],
-            [0.0, -2.0 * w, -2.0 * g],
-        ]
-    )
-    b = np.array([0.0, 0.0, g * (2.0 * params.n_bar + 1.0)])
-    return DriftModel(B=B, b=b)
-
-
-def matrix_exponential(B: np.ndarray, t: float) -> np.ndarray:
-    """exp(B*t) for a small dense matrix.
-
-    Imports scipy.linalg when called, so that importing springkick does
-    not pull in scipy; make_propagator does not use this.
-    """
-    B = np.asarray(B, dtype=float)
-    if not np.all(np.isfinite(B)) or not math.isfinite(t):
-        raise ValueError("matrix_exponential requires finite entries and time")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if t == 0.0:
-        return np.eye(B.shape[0])
-    from scipy.linalg import expm
-
-    return expm(B * t)
 
 
 # g t at or below which the diagonal of J is summed from non-negative
@@ -272,37 +227,16 @@ def _slow_mode_j00(g: float, t: float, z: float, r1: float) -> float:
     ) / (2.0 * g)
 
 
-def _drift_rates(drift: DriftModel) -> tuple[float, float, float]:
-    """(omega_m, gamma_m, gamma_m (2 n_bar + 1)) of a build_drift structure."""
-    try:
-        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = np.asarray(
-            drift.B, dtype=float
-        ).tolist()
-        c0, c1, source = np.asarray(drift.b, dtype=float).tolist()
-    except (TypeError, ValueError):
-        pass
-    else:
-        w, g = -b10, -b11
-        if (
-            math.isfinite(w)
-            and math.isfinite(g)
-            and math.isfinite(source)
-            and w > 0
-            and g >= 0
-            and (b00, b01, b02, b12, b20, b21, b22, c0, c1)
-            == (0.0, 2.0 * w, 0.0, w, 0.0, -2.0 * w, -2.0 * g, 0.0, 0.0)
-        ):
-            return w, g, source
-    raise ValueError(
-        "make_propagator needs the damped-oscillator drift of build_drift: "
-        "B = [[0, 2w, 0], [-w, -g, w], [0, -2w, -2g]], b = (0, 0, c), w > 0, g >= 0"
-    )
+def make_propagator(params: MechanicalParams, t: float) -> Propagator:
+    """Exact flow of the free-evolution moment equations over duration t.
 
+    With w = omega_m and g = gamma_m, the moments evolve as
 
-def make_propagator(drift: DriftModel, t: float) -> Propagator:
-    """Exact flow of the affine drift over duration t, in closed form.
+        d/dt sigma_q  =  2 w sigma_qp
+        d/dt sigma_qp =  w (sigma_p - sigma_q) - g sigma_qp
+        d/dt sigma_p  = -2 w sigma_qp - 2 g sigma_p + g (2 n_bar + 1)
 
-    The moments are the covariance Sigma of (q, p), and the drift is
+    The moments are the covariance Sigma of (q, p), so this is
     dSigma/dt = G Sigma + Sigma G^T + D with G = [[0, w], [-w, -g]] and
     D = diag(0, c), c = g (2 n_bar + 1).  So M is the symmetric Kronecker
     square of the flight F = e^{G t} = e^{-g t/2} [C I + S (G + g/2 I)],
@@ -312,12 +246,11 @@ def make_propagator(drift: DriftModel, t: float) -> Propagator:
     J = int_0^t F e2 e2^T F^T ds = (I - F F^T)/(2 g).  J is summed from
     terms that do not cancel, so each of its entries keeps its own relative
     accuracy even where I - F F^T is tiny (g t ~ 1e-5 at the presets) and
-    is exactly zero at g = 0 or t = 0.
-
-    drift must have the structure of build_drift; anything else raises
-    ValueError.
+    is exactly zero at g = 0 or t = 0.  Raises ValueError unless t is finite
+    and >= 0.
     """
-    w, g, source = _drift_rates(drift)
+    w, g = params.omega_m, params.gamma_m
+    source = g * (2.0 * params.n_bar + 1.0)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
     u = g * t
@@ -418,15 +351,14 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
     """Affine map of one full period: kick of strength theta, then free decay for tau."""
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
-    drift = build_drift(params)
-    prop = make_propagator(drift, tau)
+    prop = make_propagator(params, tau)
     kick = kick_map(theta)
     A = prop.M @ kick.K
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     return CycleMap(
         tau=tau,
         theta=theta,
-        drift=drift,
+        params=params,
         kick=kick,
         propagator=prop,
         A=A,
@@ -435,12 +367,15 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
 
 
 # The per-period update is written out twice with the same expression
-# structure: on scalars in stroboscopic_evolve and on numpy columns in
-# ensemble._run_block; every other iteration calls one of the two.  The
-# scalar copy stays inlined because a step function called once per kick
-# made 10^6 fig1 kicks 17-47% slower.  A noise-free ensemble is bit-identical
-# to the deterministic iteration; test_ensemble.py's
-# test_zero_variance_matches_deterministic_bitwise ties the copies together.
+# structure: on scalars in stroboscopic_evolve and on a stacked (3, n) state
+# in ensemble._run_block, whose c0*q + c1*qp_k + c2*p_k + b over M's (3, 1)
+# columns sums each row in the scalar order; every other iteration calls one
+# of the two.  The scalar copy stays inlined because a step function called
+# once per kick made 10^6 fig1 kicks 17-47% slower.  A noise-free ensemble is
+# bit-identical to the deterministic iteration.  In test_ensemble.py,
+# test_zero_variance_matches_deterministic_bitwise ties the copies together,
+# and test_noisy_draws_map_to_kicks_bitwise pins the noisy loop to a scalar
+# one over these floats.
 
 
 def _unpack_cycle(cycle: CycleMap):
@@ -564,7 +499,7 @@ def intra_period_trace(
     out = []
     for j in range(n_samples):
         s = cycle.tau * j / (n_samples - 1)
-        prop = make_propagator(cycle.drift, s)
+        prop = make_propagator(cycle.params, s)
         out.append((s, propagate_free(kicked, prop)))
     return out
 

@@ -1,12 +1,9 @@
 """Independent oracles the library must agree with.
 
 Deliberately use different algorithms from the package: componentwise RK4
-instead of a matrix exponential, scaling-and-squaring Taylor series instead
-of scipy, brute-force phase scanning instead of the closed-form minimum.
-Written and frozen before the tests that consume them.
+and the moment equations written out as a matrix instead of the closed-form
+flight, brute-force phase scanning instead of the closed-form minimum.
 """
-
-import math
 
 import numpy as np
 
@@ -41,27 +38,13 @@ def rk4_free(omega_m: float, gamma_m: float, n_bar: float, v0, t_total: float, n
     return np.array([q, c, p])
 
 
-def taylor_expm(B: np.ndarray, t: float) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring a Taylor series.
-
-    Scales Bt down to norm <= 1/2 (keeps the series well conditioned), sums
-    terms until they stop changing the result, then squares back up.
-    """
-    A = np.asarray(B, dtype=float) * t
-    nrm = np.linalg.norm(A, ord=np.inf)
-    scal = max(0, math.ceil(math.log2(nrm / 0.5))) if nrm > 0.5 else 0
-    A = A / (2.0**scal)
-    out = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
-    for k in range(1, 60):
-        term = term @ A / k
-        nxt = out + term
-        if np.array_equal(nxt, out):
-            break
-        out = nxt
-    for _ in range(scal):
-        out = out @ out
-    return out
+def drift_matrix(omega_m: float, gamma_m: float, n_bar: float):
+    """(B, b) of the free-evolution moment equations dv/dt = B v + b, as
+    written out in rk4_free."""
+    w, g = omega_m, gamma_m
+    B = np.array([[0.0, 2.0 * w, 0.0], [-w, -g, w], [0.0, -2.0 * w, -2.0 * g]])
+    b = np.array([0.0, 0.0, g * (2.0 * n_bar + 1.0)])
+    return B, b
 
 
 def phase_scan_min(sigma_q: float, sigma_qp: float, sigma_p: float, n: int = 10_000):

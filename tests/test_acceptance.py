@@ -21,7 +21,6 @@ from springkick import (
     MomentVector,
     advance_cycle,
     apply_kick,
-    build_drift,
     coupling_g2,
     cycle_map,
     kick_map,
@@ -139,7 +138,7 @@ def test_criterion_07_noise_robustness():
 
 
 def test_criterion_08_free_propagator_oracle():
-    drift = make_propagator(build_drift(FIG1), 2 * math.pi / FIG1.omega_m)
+    flight = make_propagator(FIG1, 2 * math.pi / FIG1.omega_m)
     v0 = thermal_state(FIG1)
     ref = rk4_free(
         FIG1.omega_m,
@@ -149,7 +148,7 @@ def test_criterion_08_free_propagator_oracle():
         2 * math.pi / FIG1.omega_m,
         10_000,
     )
-    out = propagate_free(v0, drift).as_array()
+    out = propagate_free(v0, flight).as_array()
     worst = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
 
     rng = np.random.default_rng(20240818)
@@ -159,7 +158,7 @@ def test_criterion_08_free_propagator_oracle():
         nb = rng.uniform(0.0, 200.0)
         c = 0.5 + 10.0 ** rng.uniform(-2.0, 2.5)
         period = 2 * math.pi / w
-        prop = make_propagator(build_drift(MechanicalParams(w, g, nb)), period)
+        prop = make_propagator(MechanicalParams(w, g, nb), period)
         out = propagate_free(MomentVector(c, 0.0, c), prop).as_array()
         ref = rk4_free(w, g, nb, (c, 0.0, c), period, 10_000)
         worst = max(worst, np.max(np.abs(out - ref)) / np.max(np.abs(ref)))
@@ -204,7 +203,7 @@ def test_criterion_09_structural_invariants():
     for params in (FIG1, FIG2, MechanicalParams(1e4, 5.0, 0.3)):
         v = thermal_state(params).as_array()
         out = propagate_free(
-            thermal_state(params), make_propagator(build_drift(params), TAU)
+            thermal_state(params), make_propagator(params, TAU)
         ).as_array()
         worst_thermal = max(worst_thermal, float(np.max(np.abs(out - v) / np.abs(v).max())))
     thermal_ok = worst_thermal <= 1e-10

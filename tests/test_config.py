@@ -1,5 +1,7 @@
 """INI run-file parsing: validation, error aggregation, round trips."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -343,6 +345,12 @@ class TestRoundTrip:
     def test_output_path(self):
         cfg = parse_config(MINIMAL + "\n[output]\npath = results/fig1\n")
         assert parse_config(config_to_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("path", ["out ;v2", " out", ";x", "a\n;b", "a\n#b", "a \n b"])
+    def test_path_that_reads_back_differently_rejected(self, path):
+        cfg = replace(scenario_config("fig1"), output=path)
+        with pytest.raises(ValueError, match=r"\[output\] path"):
+            config_to_text(cfg)
 
 
 class TestDataclassGuards:

@@ -18,6 +18,8 @@ from springkick import (
     thermal_state,
     trajectory_seed,
 )
+from springkick.ensemble import RNG_BLOCK, _run_block
+from springkick.moments import _unpack_cycle
 
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 TAU = 1e-7
@@ -71,9 +73,46 @@ class TestTrajectory:
         ref_arr = np.array([[v.sigma_q, v.sigma_qp, v.sigma_p] for _, v in ref])
         assert np.array_equal(moments_of(traj), ref_arr)
 
+    def test_noisy_draws_map_to_kicks_bitwise(self):
+        # pins which draw drives which kick across an RNG block boundary, at
+        # a stride that divides neither the block nor the run
+        n_kicks, stride = RNG_BLOCK + 5, 7
+        cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
+        v0 = thermal_state(FIG)
+        for seeds in ([11], [11, 12, 13]):
+            cube = _run_block(cyc, v0, NOISE, n_kicks, stride, seeds)
+            for i, seed in enumerate(seeds):
+                ref = scalar_noisy_run(cyc, v0, n_kicks, stride, seed)
+                assert np.array_equal(cube[:, i], ref), (len(seeds), i)
+        solo = run_trajectory(FIG, TAU, NOISE, n_kicks, stride, seed=11)
+        assert np.array_equal(moments_of(solo), scalar_noisy_run(cyc, v0, n_kicks, stride, 11))
+
     def test_sampling_includes_start_and_end(self):
         traj = run_trajectory(FIG, TAU, NOISE, 1050, 500, seed=3)
         assert [n for n, _, _ in traj.samples] == [0, 500, 1000, 1050]
+
+
+def scalar_noisy_run(cyc, v0, n_kicks, stride, seed):
+    """One noisy trajectory, kick by kick on Python floats: kick n uses draw
+    n - 1 of the seed's stream, drawn RNG_BLOCK at a time."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cyc)
+    rng = np.random.default_rng(seed)
+    q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
+    rows = [(q, qp, p)]
+    for n in range(n_kicks):
+        if n % RNG_BLOCK == 0:
+            draws = rng.normal(NOISE.mean_theta, NOISE.std, size=RNG_BLOCK).tolist()
+        th = draws[n % RNG_BLOCK]
+        qp_k = qp - 2.0 * th * q
+        p_k = p - 4.0 * th * qp + 4.0 * th * th * q
+        q, qp, p = (
+            m00 * q + m01 * qp_k + m02 * p_k + b0,
+            m10 * q + m11 * qp_k + m12 * p_k + b1,
+            m20 * q + m21 * qp_k + m22 * p_k + b2,
+        )
+        if (n + 1) % stride == 0 or n + 1 == n_kicks:
+            rows.append((q, qp, p))
+    return np.array(rows)
 
 
 class TestEnsemble:
@@ -248,6 +287,9 @@ class TestNoiseModel:
             run_ensemble(FIG, TAU, NOISE, 10, 5, n_traj=0, base_seed=1)
         with pytest.raises(ValueError, match="n_jobs"):
             run_ensemble(FIG, TAU, NOISE, 10, 5, n_traj=2, base_seed=1, n_jobs=0)
+        for seed in (-1, 2**70):
+            with pytest.raises(ValueError, match="base_seed must fit in u64"):
+                run_ensemble(FIG, TAU, NOISE, 10, 5, n_traj=2, base_seed=seed)
         with pytest.raises(ValueError, match="stride"):
             run_trajectory(FIG, TAU, NOISE, 10, 0, seed=1)
         with pytest.raises(ValueError, match="n_kicks"):

@@ -10,22 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mech_params, moment_vectors, params_and_tau, thetas
-from oracles import rk4_free, taylor_expm
+from oracles import drift_matrix, rk4_free
 from springkick import (
     DivergenceError,
-    DriftModel,
     MechanicalParams,
     MomentVector,
     NoStationaryStateError,
     UnphysicalStateError,
     advance_cycle,
     apply_kick,
-    build_drift,
     cycle_map,
     intra_period_trace,
     kick_map,
     make_propagator,
-    matrix_exponential,
     propagate_free,
     squeezing_onset,
     state_metrics,
@@ -47,35 +44,11 @@ def rel_diff(a, b):
     return np.max(np.abs(a - b)) / scale
 
 
-class TestDrift:
-    def test_matrix_and_inhomogeneity(self):
-        d = build_drift(FIG)
-        w, g = FIG.omega_m, FIG.gamma_m
-        assert np.array_equal(
-            d.B, np.array([[0.0, 2 * w, 0.0], [-w, -g, w], [0.0, -2 * w, -2 * g]])
-        )
-        assert np.array_equal(d.b, np.array([0.0, 0.0, g * (2 * FIG.n_bar + 1)]))
-
-    def test_thermal_state_kills_drift(self):
-        d = build_drift(FIG)
-        v = thermal_state(FIG).as_array()
-        assert np.max(np.abs(d.B @ v + d.b)) == 0.0
-
-
 class TestPropagator:
     def test_identity_at_zero_time(self):
-        prop = make_propagator(build_drift(FIG), 0.0)
+        prop = make_propagator(FIG, 0.0)
         assert np.array_equal(prop.M, np.eye(3))
         assert np.array_equal(prop.v_inh, np.zeros(3))
-
-    def test_expm_against_taylor_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            w = 10.0 ** rng.uniform(3, 7)
-            g = w * 10.0 ** rng.uniform(-6, -1)
-            B = build_drift(MechanicalParams(w, g, 1.0)).B
-            t = (2 * math.pi / w) * 10.0 ** rng.uniform(-2, 0.5)
-            assert rel_diff(matrix_exponential(B, t), taylor_expm(B, t)) < 1e-12
 
     def test_determinant_equals_trace_formula(self):
         # det(e^{Bt}) = e^{tr(B) t}, tr(B) = -3 gamma
@@ -84,7 +57,7 @@ class TestPropagator:
             w = 10.0 ** rng.uniform(3, 7)
             g = w * 10.0 ** rng.uniform(-6, -1)
             t = (2 * math.pi / w) * 10.0 ** rng.uniform(-2, 0.5)
-            M = make_propagator(build_drift(MechanicalParams(w, g, 2.0)), t).M
+            M = make_propagator(MechanicalParams(w, g, 2.0), t).M
             assert abs(np.linalg.det(M) - math.exp(-3 * g * t)) <= 1e-9 * math.exp(
                 -3 * g * t
             )
@@ -93,11 +66,10 @@ class TestPropagator:
     @given(params_and_tau(), st.floats(0.1, 0.9))
     def test_semigroup_composition(self, pt, split):
         params, tau = pt
-        drift = build_drift(params)
         t1, t2 = split * tau, (1.0 - split) * tau
-        p1 = make_propagator(drift, t1)
-        p2 = make_propagator(drift, t2)
-        p12 = make_propagator(drift, t1 + t2)
+        p1 = make_propagator(params, t1)
+        p2 = make_propagator(params, t2)
+        p12 = make_propagator(params, t1 + t2)
         assert rel_diff(p12.M, p2.M @ p1.M) < 1e-12
         assert rel_diff(p12.v_inh, p2.M @ p1.v_inh + p2.v_inh) < 1e-11
 
@@ -109,16 +81,16 @@ class TestPropagator:
             g = w * 10.0 ** rng.uniform(-5, -1)
             params = MechanicalParams(w, g, rng.uniform(0.0, 200.0))
             t = (2 * math.pi / w) * 10.0 ** rng.uniform(-2, 0.5)
-            d = build_drift(params)
-            prop = make_propagator(d, t)
-            ref = np.linalg.solve(d.B, (prop.M - np.eye(3)) @ d.b)
+            prop = make_propagator(params, t)
+            B, b = drift_matrix(w, g, params.n_bar)
+            ref = np.linalg.solve(B, (prop.M - np.eye(3)) @ b)
             assert rel_diff(prop.v_inh, ref) < 1e-9
 
     def test_rk4_oracle_reference_parameters(self):
         v0 = (10.5, 0.0, 10.5)
         ref = rk4_free(FIG.omega_m, FIG.gamma_m, FIG.n_bar, v0, TAU, 10_000)
         out = propagate_free(
-            MomentVector(*v0), make_propagator(build_drift(FIG), TAU)
+            MomentVector(*v0), make_propagator(FIG, TAU)
         ).as_array()
         assert rel_diff(out, ref) < 1e-9
 
@@ -130,7 +102,7 @@ class TestPropagator:
             nb = rng.uniform(0.0, 200.0)
             params = MechanicalParams(w, g, nb)
             t = (2 * math.pi / w) * 10.0 ** rng.uniform(-1.5, 0.3)
-            prop = make_propagator(build_drift(params), t)
+            prop = make_propagator(params, t)
             for _ in range(3):
                 sq = 10.0 ** rng.uniform(-1.0, 1.3)
                 sp = (0.25 / sq) * 10.0 ** rng.uniform(0.0, 1.3)
@@ -144,32 +116,31 @@ class TestPropagator:
     def test_thermal_fixed_point(self, pt):
         params, tau = pt
         v = thermal_state(params)
-        out = propagate_free(v, make_propagator(build_drift(params), tau))
+        out = propagate_free(v, make_propagator(params, tau))
         assert rel_diff(out.as_array(), v.as_array()) < 1e-10
 
     def test_rotation_quarter_period_swaps_variances(self):
         params = MechanicalParams(omega_m=5e5, gamma_m=0.0, n_bar=0.0)
         t = (math.pi / 2) / params.omega_m
         out = propagate_free(
-            MomentVector(2.0, 0.0, 0.5), make_propagator(build_drift(params), t)
+            MomentVector(2.0, 0.0, 0.5), make_propagator(params, t)
         )
         assert rel_diff(out.as_array(), [0.5, 0.0, 2.0]) < 1e-12
 
     def test_rotation_full_period_identity(self):
         params = MechanicalParams(omega_m=5e5, gamma_m=0.0, n_bar=0.0)
         t = 2 * math.pi / params.omega_m
-        M = make_propagator(build_drift(params), t).M
+        M = make_propagator(params, t).M
         assert rel_diff(M, np.eye(3)) < 1e-9
 
     def test_purity_contracts_from_thermal_family_at_zero_occupancy(self):
         # Restriction of the contractivity property that actually holds; the
         # drift is not completely positive on arbitrary states (see below).
         params = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=0.0)
-        drift = build_drift(params)
         for v0 in (0.5, 0.6, 1.0, 5.0, 50.0, 300.5):
             prev = None
             for t in np.linspace(0.0, 5e-2, 101):
-                v = propagate_free(MomentVector(v0, 0.0, v0), make_propagator(drift, float(t)))
+                v = propagate_free(MomentVector(v0, 0.0, v0), make_propagator(params, float(t)))
                 purity = state_metrics(v).purity
                 assert v.det >= 0.25 - 1e-9
                 if prev is not None:
@@ -179,7 +150,7 @@ class TestPropagator:
     def test_vacuum_is_exact_fixed_point_at_zero_occupancy(self):
         params = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=0.0)
         out = propagate_free(
-            thermal_state(params), make_propagator(build_drift(params), 3e-3)
+            thermal_state(params), make_propagator(params, 3e-3)
         )
         assert rel_diff(out.as_array(), [0.5, 0.0, 0.5]) < 1e-10
 
@@ -189,7 +160,7 @@ class TestPropagator:
         # output state fails validation.  d(det)/dt = gamma [(2 n_bar + 1)
         # sigma_q - 2 det] = 100 (0.1 - 0.5) < 0 at det = 1/4.
         params = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=0.0)
-        prop = make_propagator(build_drift(params), 1e-7)
+        prop = make_propagator(params, 1e-7)
         with pytest.raises(UnphysicalStateError):
             propagate_free(MomentVector(0.1, 0.0, 2.5), prop)
 
@@ -235,7 +206,7 @@ class TestPropagatorAgainstMpmath:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_every_entry(self, case):
         w, g, n_bar, t = self.CASES[case]
-        prop = make_propagator(build_drift(MechanicalParams(w, g, n_bar)), t)
+        prop = make_propagator(MechanicalParams(w, g, n_bar), t)
         M, v = mp_flow(w, g, n_bar, t)
         for j in range(3):
             col = [M[i][j] for i in range(3)]
@@ -250,26 +221,16 @@ class TestPropagatorAgainstMpmath:
         # ~1e-12 of the diagonal ones and carry rounding of omega_d tau
         # relative to their size: M is bounded normwise
         w, g, t = 1e3, 1.532e-3, 2 * math.pi / 1e3
-        prop = make_propagator(build_drift(MechanicalParams(w, g, 0.0)), t)
+        prop = make_propagator(MechanicalParams(w, g, 0.0), t)
         M, v = mp_flow(w, g, 0.0, t)
         err = max(abs(prop.M[i, j] - M[i][j]) for i in range(3) for j in range(3))
         assert float(err / max(abs(x) for row in M for x in row)) < 1e-14
         assert max(entry_errors(prop.v_inh, v)) < 1e-14
 
-    def test_foreign_drift_rejected(self):
-        d = build_drift(FIG)
-        B = d.B.copy()
-        B[0, 2] = 1.0
-        for bad in (
-            DriftModel(B=B, b=d.b),
-            DriftModel(B=d.B, b=np.array([1.0, 0.0, d.b[2]])),
-            DriftModel(B=np.eye(2), b=d.b),
-            DriftModel(B=-d.B, b=d.b),
-        ):
-            with pytest.raises(ValueError, match="build_drift"):
-                make_propagator(bad, 1e-7)
-        with pytest.raises(ValueError, match="time"):
-            make_propagator(d, -1e-7)
+    def test_bad_time_rejected(self):
+        for t in (-1e-7, math.inf, math.nan):
+            with pytest.raises(ValueError, match="time"):
+                make_propagator(FIG, t)
 
     def test_needs_no_scipy(self, monkeypatch):
         # None in sys.modules makes any import of scipy raise ImportError
