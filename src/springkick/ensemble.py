@@ -24,6 +24,7 @@ from .moments import (
     MechanicalParams,
     MomentVector,
     StateMetrics,
+    _sample_indices,
     cycle_map,
     metric_arrays,
     # unused here; bound because bench/tracing.py patches it on this module
@@ -116,14 +117,6 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _sample_indices(n_kicks: int, stride: int) -> list[int]:
-    idx = [0]
-    idx.extend(range(stride, n_kicks + 1, stride))
-    if n_kicks > 0 and idx[-1] != n_kicks:
-        idx.append(n_kicks)
-    return idx
-
-
 def run_trajectory(
     params: MechanicalParams,
     tau: float,
@@ -139,13 +132,10 @@ def run_trajectory(
     tau) and computed once.  It is column 0 of a one-seed _run_block.  Raises
     DivergenceError when a sampled state stops being finite.
     """
-    if n_kicks < 0:
-        raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    kicks = _sample_indices(n_kicks, stride)
     cycle = cycle_map(params, tau, noise.mean_theta)
     cube = _run_block(cycle, thermal_state(params), noise, n_kicks, stride, [seed])
-    return _trajectory_result(seed, _sample_indices(n_kicks, stride), cube[:, 0])
+    return _trajectory_result(seed, kicks, cube[:, 0])
 
 
 def _trajectory_result(seed: int, kicks, column: np.ndarray) -> TrajectoryResult:
@@ -168,11 +158,13 @@ def _run_block(
 ) -> np.ndarray:
     """Lockstep evolution of a group of trajectories, one column per seed.
 
-    Returns the sampled cube with shape (n_samples, len(seeds), 3).  The
-    column for seed s depends only on s: its own generator and block-buffered
-    draws, and per-element arithmetic with the expression structure of
+    Returns the sampled cube with shape (n_samples, len(seeds), 3), one row
+    per kick of _sample_indices(n_kicks, stride).  The column for seed s
+    depends only on s: its own generator and block-buffered draws, and
+    per-element arithmetic with the expression structure of
     moments.stroboscopic_evolve.
     """
+    kicks = _sample_indices(n_kicks, stride)
     # M's columns as (3, 1) arrays: row r of c0*q + c1*qp_k + c2*p_k + b is
     # m_r0*q + m_r1*qp_k + m_r2*p_k + b_r, the scalar loop's sum in its order
     c0, c1, c2 = np.hsplit(cycle.propagator.M, 3)
@@ -183,7 +175,7 @@ def _run_block(
     std = noise.std
 
     x = np.repeat(v0.as_array()[:, None], len(seeds), axis=1)
-    cube = np.empty((len(_sample_indices(n_kicks, stride)), len(seeds), 3))
+    cube = np.empty((len(kicks), len(seeds), 3))
     cube[0] = x.T
     row = 1
 
@@ -202,7 +194,7 @@ def _run_block(
                 p_k = p - t4 * qp + t4sq * q
                 x = c0 * q + c1 * qp_k + c2 * p_k + b
                 n += 1
-                if n % stride == 0 or n == n_kicks:
+                if n == kicks[row]:
                     if not np.isfinite(x).all():
                         raise DivergenceError(
                             f"moments diverged (non-finite) at kick {n}"
@@ -232,10 +224,7 @@ def run_ensemble(
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if n_kicks < 0:
-        raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
+    kick_indices = np.array(_sample_indices(n_kicks, stride))
 
     cycle = cycle_map(params, tau, noise.mean_theta)
     v0 = thermal_state(params)
@@ -243,7 +232,6 @@ def run_ensemble(
 
     cube = _run_block(cycle, v0, noise, n_kicks, stride, seeds)
 
-    kick_indices = np.array(_sample_indices(n_kicks, stride))
     sigma_min, phi_min, squeezing_db, purity, entropy, n_eff = metric_arrays(
         cube[:, :, 0], cube[:, :, 1], cube[:, :, 2]
     )

@@ -13,6 +13,7 @@ its fixed point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,7 +104,6 @@ class MomentVector:
 class Propagator:
     """Free evolution over a fixed duration: moments -> M.moments + v_inh."""
 
-    duration: float
     M: np.ndarray
     v_inh: np.ndarray
 
@@ -307,7 +307,6 @@ def make_propagator(params: MechanicalParams, t: float) -> Propagator:
         # (F F^T)_00 can sit near 1 at any g t; see _slow_mode_j00
         j00 = _slow_mode_j00(g, t, z, r1)
     return Propagator(
-        duration=t,
         M=M,
         v_inh=np.array([source * j00, source * j01, source * j11]),
     )
@@ -394,12 +393,21 @@ def _unpack_cycle(cycle: CycleMap):
     )
 
 
-def advance_cycle(v: MomentVector, cycle: CycleMap) -> MomentVector:
-    """One period applied to a state: kick, then free evolution.
+def _sample_indices(n_kicks: int, stride: int) -> list[int]:
+    """Kicks at which a run records its state: 0, every stride-th, and n_kicks.
 
-    Raises DivergenceError if the result is not finite.
+    The one sampling rule of both kick loops.  Raises ValueError unless
+    n_kicks >= 0 and stride >= 1.
     """
-    return stroboscopic_evolve(v, cycle, 1)[-1][1]
+    if n_kicks < 0:
+        raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    idx = [0]
+    idx.extend(range(stride, n_kicks + 1, stride))
+    if n_kicks > 0 and idx[-1] != n_kicks:
+        idx.append(n_kicks)
+    return idx
 
 
 class Samples(list):
@@ -421,37 +429,31 @@ def stroboscopic_evolve(
     """Iterate the cyclic map n_kicks times, recording sampled states.
 
     Entry (n, state) holds the state after n full periods, i.e. just before
-    the (n+1)-th kick.  The initial state (n = 0), every sample_stride-th
-    state, and the final state are always recorded.  Every period is also
-    tested for squeezing, and the result carries the run's squeezing onset
-    as .onset (see squeezing_onset).  Raises DivergenceError if a sampled
-    moment stops being finite.
+    the (n+1)-th kick, for each n of _sample_indices(n_kicks, sample_stride):
+    the initial state, every sample_stride-th state and the final state.
+    Every period is also tested for squeezing, and the result carries the
+    run's squeezing onset as .onset (see squeezing_onset).  Raises
+    DivergenceError if a sampled moment stops being finite.
     """
-    if n_kicks < 0:
-        raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-
+    kicks = _sample_indices(n_kicks, sample_stride)
     theta = cycle.theta
     t2 = 2.0 * theta
     t4 = 4.0 * theta
     t4sq = t4 * theta
     m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cycle)
-    sqrt = math.sqrt
+    hypot = math.hypot
     isfinite = math.isfinite
 
     q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
-    d = p - q
     # 2*sigma_min >= 2*vacuum: the state at this kick is not squeezed.  This
     # keeps the subtraction that metric_arrays replaced with det/(larger
     # eigenvalue): its error is about eps*(p + q), so it can misjudge a kick
     # only when sigma_min is that close to 1/2, and the stable form would add
-    # a division to every kick of the hot loop.
-    last_unsqueezed = 0 if p + q - sqrt(d * d + 4.0 * qp * qp) >= 1.0 else -1
+    # a division to every kick of the hot loop.  hypot, not the square root
+    # of d^2 + 4 qp^2, which overflows to inf from moments of about 1e154.
+    last_unsqueezed = 0 if p + q - hypot(p - q, 2.0 * qp) >= 1.0 else -1
     samples = Samples([(0, v0)])
-    n = 0
-    while n < n_kicks:
-        end = min(n + sample_stride, n_kicks)
+    for n, end in itertools.pairwise(kicks):
         for k in range(n + 1, end + 1):
             qp_k = qp - t2 * q
             p_k = p - t4 * qp + t4sq * q
@@ -459,15 +461,13 @@ def stroboscopic_evolve(
             qp = m10 * q + m11 * qp_k + m12 * p_k + b1
             p = m20 * q + m21 * qp_k + m22 * p_k + b2
             q = q_new
-            d = p - q
-            if p + q - sqrt(d * d + 4.0 * qp * qp) >= 1.0:
+            if p + q - hypot(p - q, 2.0 * qp) >= 1.0:
                 last_unsqueezed = k
-        n = end
         if not (isfinite(q) and isfinite(qp) and isfinite(p)):
             raise DivergenceError(
-                f"moments diverged (non-finite) at kick {n}: ({q}, {qp}, {p})"
+                f"moments diverged (non-finite) at kick {end}: ({q}, {qp}, {p})"
             )
-        samples.append((n, MomentVector(q, qp, p)))
+        samples.append((end, MomentVector(q, qp, p)))
     samples.onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
     return samples
 
@@ -487,11 +487,11 @@ def squeezing_onset(v0: MomentVector, cycle: CycleMap, n_kicks: int) -> int | No
 def intra_period_trace(
     v_at_kick: MomentVector, cycle: CycleMap, n_samples: int
 ) -> list[tuple[float, MomentVector]]:
-    """Fine-grained state within one period, starting just before the kick.
+    """Fine-grained state within one period, starting just after the kick.
 
-    Samples the free flow at offsets j*tau/(n_samples-1) applied to the
-    kicked state; the last entry therefore equals the next stroboscopic
-    state.
+    Kicks v_at_kick, the state just before a kick, then samples the free
+    flow at offsets j*tau/(n_samples-1): entry 0 is the kicked state and
+    the last entry equals the next stroboscopic state.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -525,36 +525,6 @@ def steady_state(cycle: CycleMap) -> MomentVector:
     return MomentVector.from_array(x)
 
 
-_FIXED_POINT_BLOCK = 4096
-
-
-def steady_state_iterative(
-    cycle: CycleMap,
-    v0: MomentVector | None = None,
-    rel_tol: float = 1e-12,
-    max_kicks: int = 20_000_000,
-) -> MomentVector:
-    """Cross-check mode: iterate periods until the relative change per period
-    drops below rel_tol.  The closed-form steady_state is authoritative.
-
-    Tests the last period of each _FIXED_POINT_BLOCK-kick block, so it may
-    run up to one block past the first converged period.  A run that blows
-    up raises DivergenceError (or UnphysicalStateError).
-    """
-    v = MomentVector(VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE) if v0 is None else v0
-    for done in range(0, max_kicks, _FIXED_POINT_BLOCK):
-        m = min(_FIXED_POINT_BLOCK, max_kicks - done)
-        # stride m - 1 samples exactly the states around the block's last period
-        (_, prev), (_, v) = stroboscopic_evolve(v, cycle, m, max(m - 1, 1))[-2:]
-        a, b = prev.as_array(), v.as_array()
-        if np.sum(np.abs(b - a)) <= rel_tol * np.sum(np.abs(b)):
-            return v
-    raise NoStationaryStateError(
-        f"iteration did not converge to relative change {rel_tol} "
-        f"within {max_kicks} kicks"
-    )
-
-
 def metric_arrays(q, qp, p):
     """Vectorized metrics on moment columns.
 
@@ -562,7 +532,9 @@ def metric_arrays(q, qp, p):
     arrays of the broadcast shape of the inputs.  Shared by state_metrics
     and the ensemble aggregation.  Determinants a rounding error below the
     uncertainty floor are treated as exactly at the floor (purity 1, entropy
-    0); anything below the scale-aware tolerance raises.
+    0); anything below the scale-aware tolerance raises.  Raises
+    DivergenceError when the determinant or the eigenvalue spread overflows
+    float64, which starts at moments of about 1e154.
     """
     q = np.asarray(q, dtype=float)
     qp = np.asarray(qp, dtype=float)
@@ -570,6 +542,11 @@ def metric_arrays(q, qp, p):
     d = p - q
     spread = np.sqrt(d * d + 4.0 * qp * qp)
     det = q * p - qp * qp
+    if not (np.isfinite(det).all() and np.isfinite(spread).all()):
+        raise DivergenceError(
+            "moments out of float64 range: sigma_q*sigma_p - sigma_qp^2 or the"
+            " eigenvalue spread is not finite"
+        )
     # the smaller eigenvalue as det / (larger one): (p + q - spread)/2 loses
     # the digits of p + q when sigma_p >> sigma_q
     sigma_min = 2.0 * det / (p + q + spread)

@@ -41,9 +41,7 @@ from .pulses import (
     BathParams,
     CavityParams,
     MembraneParams,
-    PhotonTrace,
     PulseSpec,
-    RegimeReport,
     coupling_g2,
     regime_check,
     temperature_for_occupancy,
@@ -119,9 +117,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def resolve_kick(
-    config: RunConfig,
-) -> tuple[float, PhotonTrace | None, RegimeReport | None, list[str]]:
+def resolve_kick(config: RunConfig) -> tuple[float, list[str]]:
     """Kick strength for a run, with provenance lines for the summary.
 
     Direct theta passes through (no cavity, so no validity report).  The
@@ -135,7 +131,7 @@ def resolve_kick(
             "validity report skipped: direct kick strength carries no pulse or"
             " cavity parameters",
         ]
-        return config.theta, None, None, lines
+        return config.theta, lines
 
     phys = config.physical
     mech = config.mechanical
@@ -180,7 +176,7 @@ def resolve_kick(
     ]
     lines.extend("  " + ln for ln in report.lines())
     lines.append(f"  hard pass: {report.hard_pass}")
-    return theta, trace, report, lines
+    return theta, lines
 
 
 def _csv_row(cells) -> str:
@@ -276,7 +272,7 @@ def output_paths(out: str) -> tuple[str, str, str]:
     return base + ".csv", base + ".summary.txt", base + ".intra.csv"
 
 
-def run_config(config: RunConfig, out: str, quiet: bool = False, echo=print) -> list[str]:
+def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
     """Execute one configured run and write its outputs.
 
     Returns the list of paths written.  Raises ConfigError/ValueError for
@@ -287,7 +283,7 @@ def run_config(config: RunConfig, out: str, quiet: bool = False, echo=print) -> 
     mech = config.mechanical
     sched = config.schedule
 
-    theta, _trace, _report, kick_lines = resolve_kick(config)
+    theta, kick_lines = resolve_kick(config)
     cycle = cycle_map(mech, sched.tau, theta)
 
     summary: list[str] = []
@@ -393,7 +389,7 @@ def run_config(config: RunConfig, out: str, quiet: bool = False, echo=print) -> 
 
     if not quiet:
         for line in summary:
-            echo(line)
+            print(line)
         for path in written:
-            echo(f"wrote {path}")
+            print(f"wrote {path}")
     return written

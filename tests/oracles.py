@@ -2,10 +2,19 @@
 
 Deliberately use different algorithms from the package: componentwise RK4
 and the moment equations written out as a matrix instead of the closed-form
-flight, brute-force phase scanning instead of the closed-form minimum.
+flight, brute-force phase scanning instead of the closed-form minimum,
+iteration to convergence instead of the direct fixed-point solve.
 """
 
 import numpy as np
+
+from springkick import (
+    VACUUM_VARIANCE,
+    CycleMap,
+    MomentVector,
+    NoStationaryStateError,
+    stroboscopic_evolve,
+)
 
 
 def rk4_free(omega_m: float, gamma_m: float, n_bar: float, v0, t_total: float, n_steps: int):
@@ -70,3 +79,33 @@ def phase_scan_min(sigma_q: float, sigma_qp: float, sigma_p: float, n: int = 10_
     var_f = variance(fine)
     j = int(np.argmin(var_f))
     return float(var_f[j]), float(fine[j])
+
+
+_FIXED_POINT_BLOCK = 4096
+
+
+def steady_state_iterative(
+    cycle: CycleMap,
+    v0: MomentVector | None = None,
+    rel_tol: float = 1e-12,
+    max_kicks: int = 20_000_000,
+) -> MomentVector:
+    """Fixed point of the cycle map by iterating periods until the relative
+    change per period drops below rel_tol; cross-checks steady_state.
+
+    Tests the last period of each _FIXED_POINT_BLOCK-kick block, so it may
+    run up to one block past the first converged period.  A run that blows
+    up raises DivergenceError (or UnphysicalStateError).
+    """
+    v = MomentVector(VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE) if v0 is None else v0
+    for done in range(0, max_kicks, _FIXED_POINT_BLOCK):
+        m = min(_FIXED_POINT_BLOCK, max_kicks - done)
+        # stride m - 1 samples exactly the states around the block's last period
+        (_, prev), (_, v) = stroboscopic_evolve(v, cycle, m, max(m - 1, 1))[-2:]
+        a, b = prev.as_array(), v.as_array()
+        if np.sum(np.abs(b - a)) <= rel_tol * np.sum(np.abs(b)):
+            return v
+    raise NoStationaryStateError(
+        f"iteration did not converge to relative change {rel_tol} "
+        f"within {max_kicks} kicks"
+    )

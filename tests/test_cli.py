@@ -110,6 +110,15 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "d"), "--quiet"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_metrics_are_numerical_failure(self, tmp_path, capsys):
+        # at n_bar = 1e200 sigma_q*sigma_p - sigma_qp^2 overflows; the run used
+        # to exit 0 with sigma_min = nan in the summary and the CSV
+        cfg = tmp_path / "hot.ini"
+        cfg.write_text(MINIMAL.replace("n_bar = 10", "n_bar = 1e200"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "hot"), "--quiet"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "hot.summary.txt").exists()
+
     def test_unphysical_fixed_point_is_reported_not_fatal(self, tmp_path):
         # theta = 20: the map fixed point violates the uncertainty bound, but
         # a short run stays physical; summary reports the boundary honestly

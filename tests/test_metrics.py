@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from conftest import moment_vectors
 from oracles import phase_scan_min
 from springkick import (
+    DivergenceError,
     MechanicalParams,
     MomentVector,
     UnphysicalStateError,
@@ -135,6 +136,23 @@ class TestFloorHandling:
         good = np.array([0.5, 0.5])
         with pytest.raises(UnphysicalStateError):
             metric_arrays(good, np.zeros(2), np.array([0.5, 0.5 - 4e-8]))
+
+
+class TestOverflow:
+    def test_non_finite_determinant_raises(self):
+        # q*p overflows to inf and inf - inf leaves det = nan
+        q = np.array([0.5, 1e200])
+        with pytest.raises(DivergenceError, match="float64 range"):
+            metric_arrays(q, np.array([0.0, 1e199]), q)
+
+    def test_non_finite_spread_raises(self):
+        # det = 1e300 is finite, (p - q)^2 is not
+        with pytest.raises(DivergenceError, match="float64 range"):
+            metric_arrays(1e-5, 0.0, 1e305)
+
+    def test_large_finite_rows_untouched(self):
+        sigma_min, *_ = metric_arrays(np.array([0.5, 1e150]), 0.0, np.array([0.5, 1e150]))
+        assert sigma_min.tolist() == [0.5, 1e150]
 
 
 class TestVectorizedConsistency:

@@ -10,14 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mech_params, moment_vectors, params_and_tau, thetas
-from oracles import drift_matrix, rk4_free
+from oracles import drift_matrix, rk4_free, steady_state_iterative
 from springkick import (
     DivergenceError,
     MechanicalParams,
     MomentVector,
     NoStationaryStateError,
     UnphysicalStateError,
-    advance_cycle,
     apply_kick,
     cycle_map,
     intra_period_trace,
@@ -27,7 +26,6 @@ from springkick import (
     squeezing_onset,
     state_metrics,
     steady_state,
-    steady_state_iterative,
     stroboscopic_evolve,
     thermal_state,
 )
@@ -132,6 +130,23 @@ class TestPropagator:
         t = 2 * math.pi / params.omega_m
         M = make_propagator(params, t).M
         assert rel_diff(M, np.eye(3)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "omega_m, gamma_m", [(5e5, 1e2), (1e3, 50.0), (1.0, 0.3)]
+    )
+    def test_gamma_is_energy_damping_rate(self, omega_m, gamma_m):
+        # After one damped period t = 2 pi / omega_d the flight is
+        # F = e^{-gamma t/2} I, so a thermal excess n0 over the vacuum decays
+        # to n0 e^{-gamma t}: gamma_m damps the energy, not the amplitude.
+        params = MechanicalParams(omega_m, gamma_m, 0.0)
+        t = 2.0 * math.pi / math.sqrt(omega_m * omega_m - 0.25 * gamma_m * gamma_m)
+        n0 = 10.0
+        out = propagate_free(
+            MomentVector(n0 + 0.5, 0.0, n0 + 0.5), make_propagator(params, t)
+        )
+        n_eff = state_metrics(out).n_eff
+        assert n_eff == pytest.approx(n0 * math.exp(-gamma_m * t), rel=1e-15, abs=0.0)
+        assert abs(n_eff / (n0 * math.exp(-0.5 * gamma_m * t)) - 1.0) > 1e-4
 
     def test_purity_contracts_from_thermal_family_at_zero_occupancy(self):
         # Restriction of the contractivity property that actually holds; the
@@ -355,7 +370,7 @@ class TestCycle:
     def test_advance_matches_matrix_route(self, v, theta):
         cyc = cycle_map(FIG, TAU, theta)
         direct = cyc.A @ v.as_array() + cyc.propagator.v_inh
-        out = advance_cycle(v, cyc)
+        out = stroboscopic_evolve(v, cyc, 1)[-1][1]
         assert rel_diff(out.as_array(), direct) < 1e-12
 
     def test_closed_form_matches_iteration(self):
@@ -367,7 +382,7 @@ class TestCycle:
         n_done = 0
         for n in (1, 10, 100, 1000):
             for _ in range(n - n_done):
-                v = advance_cycle(v, cyc)
+                v = stroboscopic_evolve(v, cyc, 1)[-1][1]
             n_done = n
             An = np.linalg.matrix_power(cyc.A, n)
             closed = An @ v0.as_array() + (eye - An) @ inv
@@ -400,7 +415,9 @@ class TestCycle:
     def test_advance_overflow_raises_divergence(self):
         # the kick's 4 theta^2 sigma_q term overflows to inf
         with pytest.raises(DivergenceError, match="kick 1"):
-            advance_cycle(MomentVector(1e307, 0.0, 1e307), cycle_map(FIG, TAU, 10.0))
+            stroboscopic_evolve(
+                MomentVector(1e307, 0.0, 1e307), cycle_map(FIG, TAU, 10.0), 1
+            )
 
     def test_uncertainty_preserved_along_scenario_run(self):
         # The universal along-trajectory bound is false for the non-CP drift
@@ -423,7 +440,7 @@ class TestSteadyState:
         for theta in (0.5, 2.0, 5.0, 10.0):
             cyc = cycle_map(FIG, TAU, theta)
             v = steady_state(cyc)
-            out = advance_cycle(v, cyc)
+            out = stroboscopic_evolve(v, cyc, 1)[-1][1]
             assert rel_diff(out.as_array(), v.as_array()) < 1e-10
 
     @settings(max_examples=40, deadline=None)
@@ -537,7 +554,7 @@ class TestIntraPeriod:
         assert np.array_equal(first.as_array(), kicked.as_array())
         s_end, last = trace[-1]
         assert s_end == TAU
-        nxt = advance_cycle(v, cyc)
+        nxt = stroboscopic_evolve(v, cyc, 1)[-1][1]
         assert rel_diff(last.as_array(), nxt.as_array()) < 1e-10
 
     def test_undamped_trace_conserves_energy(self):

@@ -8,6 +8,7 @@ both exactly.
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -176,3 +177,24 @@ class TestDivergence:
         cyc = cycle_map(self.PARAMS, TAU, -10.0)
         with pytest.raises(DivergenceError):
             squeezing_onset(thermal_state(self.PARAMS), cyc, 5000)
+
+
+class TestHugeMoments:
+    def test_overflowing_spread_is_not_squeezing(self):
+        # At n_bar = 1e153 the kicked states reach sigma_p ~ 5e155, where
+        # d^2 + 4 qp^2 overflows to inf and p + q - sqrt(inf) passed for a
+        # squeezed kick (onset 1865).  Every sample is about +1506 dB.
+        params = MechanicalParams(5e5, 1e2, 1e153)
+        cyc = cycle_map(params, TAU, 10.0)
+        v0 = thermal_state(params)
+        samples = stroboscopic_evolve(v0, cyc, 2000, 100)
+        overflowed = 0
+        with mp.workdps(40):
+            for _, v in samples:
+                d, two_qp = v.sigma_p - v.sigma_q, 2.0 * v.sigma_qp
+                overflowed += math.isinf(d * d + two_qp * two_qp)
+                q, c, p = (mp.mpf(x) for x in (v.sigma_q, v.sigma_qp, v.sigma_p))
+                assert q + p - mp.sqrt((p - q) ** 2 + 4 * c * c) > 1e150
+        assert overflowed > 0
+        assert samples.onset is None
+        assert squeezing_onset(v0, cyc, 2000) is None
