@@ -70,30 +70,24 @@ class TrajectoryResult:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
-    """Cross-trajectory mean/std of every state metric at each sampled kick.
+    """Cross-trajectory mean and std of every state metric at each sampled kick.
 
-    squeezing_db_of_mean applies the dB conversion to the linearly averaged
-    minimum variance (variances average; the alternative per-trajectory dB
-    average is kept alongside).  trajectory0 is the first trajectory's result,
-    bit-identical to running it alone.
+    mean and std are StateMetrics of arrays over kick_indices.  Two dB
+    observables: squeezing_db_of_mean is the dB of the mean sigma_min
+    (variances average; the default convention), and mean.squeezing_db is
+    the mean of the per-trajectory dB values.  trajectory0 is the first
+    trajectory's result, bit-identical to running it alone.
     """
 
     n_traj: int
     kick_indices: np.ndarray
-    sigma_min_mean: np.ndarray
-    sigma_min_std: np.ndarray
-    squeezing_db_of_mean: np.ndarray
-    squeezing_db_mean: np.ndarray
-    squeezing_db_std: np.ndarray
-    phi_min_mean: np.ndarray
-    phi_min_std: np.ndarray
-    purity_mean: np.ndarray
-    purity_std: np.ndarray
-    entropy_mean: np.ndarray
-    entropy_std: np.ndarray
-    n_eff_mean: np.ndarray
-    n_eff_std: np.ndarray
+    mean: StateMetrics
+    std: StateMetrics
     trajectory0: TrajectoryResult
+
+    @property
+    def squeezing_db_of_mean(self) -> np.ndarray:
+        return 10.0 * np.log10(2.0 * self.mean.sigma_min)
 
 
 def trajectory_seed(base_seed: int, index: int) -> int:
@@ -232,36 +226,12 @@ def run_ensemble(
 
     cube = _run_block(cycle, v0, noise, n_kicks, stride, seeds)
 
-    sigma_min, phi_min, squeezing_db, purity, entropy, n_eff = metric_arrays(
-        cube[:, :, 0], cube[:, :, 1], cube[:, :, 2]
-    )
-
-    def stats(x):
-        return np.mean(x, axis=1), np.std(x, axis=1)
-
-    sm_mean, sm_std = stats(sigma_min)
-    db_mean, db_std = stats(squeezing_db)
-    phi_mean, phi_std = stats(phi_min)
-    pur_mean, pur_std = stats(purity)
-    ent_mean, ent_std = stats(entropy)
-    neff_mean, neff_std = stats(n_eff)
-
+    metrics = metric_arrays(cube[:, :, 0], cube[:, :, 1], cube[:, :, 2])
     return EnsembleStats(
         n_traj=n_traj,
         kick_indices=kick_indices,
-        sigma_min_mean=sm_mean,
-        sigma_min_std=sm_std,
-        squeezing_db_of_mean=10.0 * np.log10(2.0 * sm_mean),
-        squeezing_db_mean=db_mean,
-        squeezing_db_std=db_std,
-        phi_min_mean=phi_mean,
-        phi_min_std=phi_std,
-        purity_mean=pur_mean,
-        purity_std=pur_std,
-        entropy_mean=ent_mean,
-        entropy_std=ent_std,
-        n_eff_mean=neff_mean,
-        n_eff_std=neff_std,
+        mean=StateMetrics._make(np.mean(x, axis=1) for x in metrics),
+        std=StateMetrics._make(np.std(x, axis=1) for x in metrics),
         trajectory0=_trajectory_result(seeds[0], kick_indices, cube[:, 0]),
     )
 
@@ -276,12 +246,12 @@ def steady_tail_mean(stats: EnsembleStats, fraction: float = 0.1) -> dict[str, f
     mask = stats.kick_indices > cut
     if not np.any(mask):
         mask = stats.kick_indices == n_final
-    sm = float(np.mean(stats.sigma_min_mean[mask]))
+    tail = StateMetrics._make(float(np.mean(x[mask])) for x in stats.mean)
     return {
-        "sigma_min_mean": sm,
-        "squeezing_db_of_mean": 10.0 * math.log10(2.0 * sm),
-        "squeezing_db_mean": float(np.mean(stats.squeezing_db_mean[mask])),
-        "purity_mean": float(np.mean(stats.purity_mean[mask])),
-        "entropy_mean": float(np.mean(stats.entropy_mean[mask])),
-        "n_eff_mean": float(np.mean(stats.n_eff_mean[mask])),
+        "sigma_min_mean": tail.sigma_min,
+        "squeezing_db_of_mean": 10.0 * math.log10(2.0 * tail.sigma_min),
+        "squeezing_db_mean": tail.squeezing_db,
+        "purity_mean": tail.purity,
+        "entropy_mean": tail.entropy,
+        "n_eff_mean": tail.n_eff,
     }

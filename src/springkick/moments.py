@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,9 +135,12 @@ class CycleMap:
     spectral_radius: float
 
 
-@dataclass(frozen=True)
-class StateMetrics:
-    """Derived scalar observables of a Gaussian state."""
+class StateMetrics(NamedTuple):
+    """Derived observables of a Gaussian state, one field per metric.
+
+    Floats from state_metrics; arrays of the same fields from metric_arrays
+    and from the ensemble statistics.
+    """
 
     sigma_min: float
     phi_min: float
@@ -433,7 +437,8 @@ def stroboscopic_evolve(
     the initial state, every sample_stride-th state and the final state.
     Every period is also tested for squeezing, and the result carries the
     run's squeezing onset as .onset (see squeezing_onset).  Raises
-    DivergenceError if a sampled moment stops being finite.
+    DivergenceError if a sampled moment, or the determinant
+    sigma_q*sigma_p - sigma_qp^2 of a sampled state, stops being finite.
     """
     kicks = _sample_indices(n_kicks, sample_stride)
     theta = cycle.theta
@@ -463,9 +468,12 @@ def stroboscopic_evolve(
             q = q_new
             if p + q - hypot(p - q, 2.0 * qp) >= 1.0:
                 last_unsqueezed = k
-        if not (isfinite(q) and isfinite(qp) and isfinite(p)):
+        # the determinant is finite only if q, qp and p are, and it leaves
+        # float64 from moments of about 1e154, long before they do
+        if not isfinite(q * p - qp * qp):
             raise DivergenceError(
-                f"moments diverged (non-finite) at kick {end}: ({q}, {qp}, {p})"
+                f"moments diverged (out of float64 range) at kick {end}:"
+                f" ({q}, {qp}, {p})"
             )
         samples.append((end, MomentVector(q, qp, p)))
     samples.onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
@@ -525,23 +533,24 @@ def steady_state(cycle: CycleMap) -> MomentVector:
     return MomentVector.from_array(x)
 
 
-def metric_arrays(q, qp, p):
+def metric_arrays(q, qp, p) -> StateMetrics:
     """Vectorized metrics on moment columns.
 
-    Returns (sigma_min, phi_min, squeezing_db, purity, entropy, n_eff) as
-    arrays of the broadcast shape of the inputs.  Shared by state_metrics
-    and the ensemble aggregation.  Determinants a rounding error below the
-    uncertainty floor are treated as exactly at the floor (purity 1, entropy
-    0); anything below the scale-aware tolerance raises.  Raises
-    DivergenceError when the determinant or the eigenvalue spread overflows
-    float64, which starts at moments of about 1e154.
+    Returns a StateMetrics of arrays of the broadcast shape of the inputs.
+    Shared by state_metrics and the ensemble aggregation.  Determinants a
+    rounding error below the uncertainty floor are treated as exactly at the
+    floor (purity 1, entropy 0); anything below the scale-aware tolerance
+    raises.  Raises DivergenceError when the determinant or the eigenvalue
+    spread overflows float64, which starts at moments of about 1e154.
     """
     q = np.asarray(q, dtype=float)
     qp = np.asarray(qp, dtype=float)
     p = np.asarray(p, dtype=float)
     d = p - q
-    spread = np.sqrt(d * d + 4.0 * qp * qp)
-    det = q * p - qp * qp
+    # overflow here is reported by the DivergenceError below, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.sqrt(d * d + 4.0 * qp * qp)
+        det = q * p - qp * qp
     if not (np.isfinite(det).all() and np.isfinite(spread).all()):
         raise DivergenceError(
             "moments out of float64 range: sigma_q*sigma_p - sigma_qp^2 or the"
@@ -572,7 +581,7 @@ def metric_arrays(q, qp, p):
     y = np.where(y == 0.0, 0.0, y)
     phi_min = 0.5 * np.arctan2(y, d)
     n_eff = 0.5 * (p + q - 1.0)
-    return sigma_min, phi_min, squeezing_db, purity, entropy, n_eff
+    return StateMetrics(sigma_min, phi_min, squeezing_db, purity, entropy, n_eff)
 
 
 def state_metrics(v: MomentVector) -> StateMetrics:
@@ -584,14 +593,4 @@ def state_metrics(v: MomentVector) -> StateMetrics:
     a pure state; a determinant a rounding error below the uncertainty
     floor is treated as exactly at the floor.
     """
-    sigma_min, phi_min, squeezing_db, purity, entropy, n_eff = (
-        float(x) for x in metric_arrays(v.sigma_q, v.sigma_qp, v.sigma_p)
-    )
-    return StateMetrics(
-        sigma_min=sigma_min,
-        phi_min=phi_min,
-        squeezing_db=squeezing_db,
-        purity=purity,
-        entropy=entropy,
-        n_eff=n_eff,
-    )
+    return StateMetrics._make(map(float, metric_arrays(v.sigma_q, v.sigma_qp, v.sigma_p)))

@@ -25,6 +25,7 @@ from .moments import (
     CycleMap,
     MechanicalParams,
     NoStationaryStateError,
+    StateMetrics,
     UnphysicalStateError,
     cycle_map,
     intra_period_trace,
@@ -76,6 +77,11 @@ ENSEMBLE_COLUMNS = (
     "entropy_nats_std",
     "n_eff_mean",
     "n_eff_std",
+)
+
+# The OUTPUT_COLUMNS name of each StateMetrics field: the field and its unit.
+_METRIC_COLUMNS = StateMetrics(
+    "sigma_min", "phi_min_rad", "squeezing_db", "purity", "entropy_nats", "n_eff"
 )
 
 # Cross-trajectory averages settle over the last this-fraction of kicks.
@@ -189,9 +195,9 @@ def _state_columns(states) -> dict[str, list[float]]:
     q = np.array([v.sigma_q for v in states], dtype=float)
     qp = np.array([v.sigma_qp for v in states], dtype=float)
     p = np.array([v.sigma_p for v in states], dtype=float)
-    sigma_min, phi_min, squeezing_db, purity, entropy, n_eff = metric_arrays(q, qp, p)
-    columns = (q, qp, p, sigma_min, squeezing_db, phi_min, purity, entropy, n_eff)
-    return {name: x.tolist() for name, x in zip(OUTPUT_COLUMNS[2:], columns)}
+    columns = {"sigma_q": q, "sigma_qp": qp, "sigma_p": p}
+    columns.update(zip(_METRIC_COLUMNS, metric_arrays(q, qp, p)))
+    return {name: x.tolist() for name, x in columns.items()}
 
 
 def _sampled_columns(tau: float, kicks, states) -> dict[str, list]:
@@ -220,10 +226,10 @@ def write_ensemble_csv(path: str, tau: float, stats: EnsembleStats) -> None:
     """Ensemble run: base columns are trajectory 0, then the mean/std block."""
     traj0 = stats.trajectory0.samples
     columns = _sampled_columns(tau, (n for n, _, _ in traj0), (v for _, v, _ in traj0))
-    for name in ENSEMBLE_COLUMNS:
-        # EnsembleStats fields are the column names without their unit
-        field = name.replace("_rad", "").replace("_nats", "")
-        columns[name] = getattr(stats, field).tolist()
+    for name, mean, std in zip(_METRIC_COLUMNS, stats.mean, stats.std):
+        columns[name + "_mean"] = mean.tolist()
+        columns[name + "_std"] = std.tolist()
+    columns["squeezing_db_of_mean"] = stats.squeezing_db_of_mean.tolist()
     _write_table(path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS, columns)
 
 
@@ -256,12 +262,7 @@ def _steady_lines(cycle: CycleMap) -> tuple[list[str], object | None]:
     )
     lines.append(
         "stationary metrics: "
-        f"sigma_min = {_fmt(m.sigma_min)}, "
-        f"phi_min_rad = {_fmt(m.phi_min)}, "
-        f"squeezing_db = {_fmt(m.squeezing_db)}, "
-        f"purity = {_fmt(m.purity)}, "
-        f"entropy_nats = {_fmt(m.entropy)}, "
-        f"n_eff = {_fmt(m.n_eff)}"
+        + ", ".join(f"{name} = {_fmt(x)}" for name, x in zip(_METRIC_COLUMNS, m))
     )
     return lines, v_inf
 
@@ -340,8 +341,8 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
         last = stats.trajectory0.samples[-1]
         summary.append(
             f"final row (kick {last[0]}): sigma_min_mean ="
-            f" {_fmt(stats.sigma_min_mean[-1])}, sigma_min_std ="
-            f" {_fmt(stats.sigma_min_std[-1])}"
+            f" {_fmt(stats.mean.sigma_min[-1])}, sigma_min_std ="
+            f" {_fmt(stats.std.sigma_min[-1])}"
         )
     else:
         v0 = thermal_state(mech)

@@ -260,18 +260,8 @@ def test_criterion_10_determinism(tmp_path):
     a = run_ensemble(FIG1, TAU, noise, n_jobs=1, **kw)
     b = run_ensemble(FIG1, TAU, noise, n_jobs=1, **kw)
     c = run_ensemble(FIG1, TAU, noise, n_jobs=4, **kw)
-    arrays_equal = all(
-        np.array_equal(getattr(a, f), getattr(b, f)) and np.array_equal(getattr(a, f), getattr(c, f))
-        for f in (
-            "sigma_min_mean",
-            "sigma_min_std",
-            "squeezing_db_of_mean",
-            "squeezing_db_mean",
-            "phi_min_mean",
-            "purity_mean",
-            "entropy_mean",
-            "n_eff_mean",
-        )
+    arrays_equal = np.array_equal(a.mean + a.std, b.mean + b.std) and np.array_equal(
+        a.mean + a.std, c.mean + c.std
     )
 
     from springkick.cli import main

@@ -1,10 +1,14 @@
 """End-to-end command-line behavior: exit codes, CSV schema, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import springkick
 from conftest import readme_physical_example
 from springkick import MechanicalParams, cycle_map, state_metrics, steady_state
 from springkick.cli import main
@@ -118,6 +122,23 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "hot"), "--quiet"]) == 2
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "hot.summary.txt").exists()
+
+    def test_overflow_warns_nothing_before_the_typed_error(self, tmp_path):
+        # a numpy RuntimeWarning raised as an error under -W escaped main and
+        # turned exit 2 into 1; the overflow is reported by the error alone
+        cfg = tmp_path / "hot.ini"
+        cfg.write_text(MINIMAL.replace("n_bar = 10", "n_bar = 1e200"))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(springkick.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "springkick",
+             "--config", str(cfg), "--out", str(tmp_path / "hot"), "--quiet"],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        [line] = run.stderr.splitlines()
+        assert line.startswith("numerical failure: ")
 
     def test_unphysical_fixed_point_is_reported_not_fatal(self, tmp_path):
         # theta = 20: the map fixed point violates the uncertainty bound, but

@@ -10,6 +10,7 @@ from springkick import (
     EnsembleStats,
     KickNoiseModel,
     MechanicalParams,
+    StateMetrics,
     cycle_map,
     run_ensemble,
     run_trajectory,
@@ -127,18 +128,7 @@ class TestEnsemble:
         kw = dict(n_kicks=800, stride=200, n_traj=7, base_seed=31)
         a = run_ensemble(FIG, TAU, NOISE, n_jobs=1, **kw)
         b = run_ensemble(FIG, TAU, NOISE, n_jobs=3, **kw)
-        for name in (
-            "sigma_min_mean",
-            "sigma_min_std",
-            "squeezing_db_of_mean",
-            "squeezing_db_mean",
-            "squeezing_db_std",
-            "phi_min_mean",
-            "purity_mean",
-            "entropy_mean",
-            "n_eff_mean",
-        ):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(a.mean + a.std, b.mean + b.std)
 
     def test_runs_without_threads(self, monkeypatch):
         # n_jobs is accepted and ignored: no thread is started for any value
@@ -150,30 +140,14 @@ class TestEnsemble:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         b = run_ensemble(FIG, TAU, NOISE, n_jobs=4, **kw)
         assert np.array_equal(a.kick_indices, b.kick_indices)
-        for name in (
-            "sigma_min_mean",
-            "sigma_min_std",
-            "squeezing_db_of_mean",
-            "squeezing_db_mean",
-            "squeezing_db_std",
-            "phi_min_mean",
-            "phi_min_std",
-            "purity_mean",
-            "purity_std",
-            "entropy_mean",
-            "entropy_std",
-            "n_eff_mean",
-            "n_eff_std",
-        ):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(a.mean + a.std, b.mean + b.std)
         assert np.array_equal(moments_of(a.trajectory0), moments_of(b.trajectory0))
 
     def test_repeat_invocation_bitwise(self):
         kw = dict(n_kicks=600, stride=150, n_traj=4, base_seed=5)
         a = run_ensemble(FIG, TAU, NOISE, **kw)
         b = run_ensemble(FIG, TAU, NOISE, **kw)
-        assert np.array_equal(a.sigma_min_mean, b.sigma_min_mean)
-        assert np.array_equal(a.squeezing_db_mean, b.squeezing_db_mean)
+        assert np.array_equal(a.mean + a.std, b.mean + b.std)
 
     def test_zero_variance_mean_equals_deterministic(self):
         # power-of-two trajectory count: pairwise summation of identical
@@ -184,13 +158,13 @@ class TestEnsemble:
         from springkick import state_metrics
 
         ref_sm = np.array([state_metrics(v).sigma_min for _, v in ref])
-        assert np.array_equal(stats.sigma_min_mean, ref_sm)
-        assert np.all(stats.sigma_min_std == 0.0)
+        assert np.array_equal(stats.mean.sigma_min, ref_sm)
+        assert np.all(stats.std.sigma_min == 0.0)
 
     def test_single_trajectory_has_zero_std(self):
         stats = run_ensemble(FIG, TAU, NOISE, 400, 100, n_traj=1, base_seed=88)
-        assert np.all(stats.sigma_min_std == 0.0)
-        assert np.all(stats.squeezing_db_std == 0.0)
+        assert np.all(stats.std.sigma_min == 0.0)
+        assert np.all(stats.std.squeezing_db == 0.0)
 
     def test_noise_effect_shrinks_with_variance(self):
         # common base seed: smaller theta variance pulls every trajectory
@@ -207,7 +181,7 @@ class TestEnsemble:
     def test_small_run_reaches_squeezing(self):
         stats = run_ensemble(FIG, TAU, NOISE, 400_000, 4000, n_traj=8, base_seed=12345)
         assert stats.squeezing_db_of_mean[-1] < 0.0
-        assert stats.squeezing_db_mean[-1] < 0.0
+        assert stats.mean.squeezing_db[-1] < 0.0
 
     def test_sampler_moments(self):
         # one trajectory's theta stream, recovered via the public seed path
@@ -225,19 +199,8 @@ class TestTailMean:
         return EnsembleStats(
             n_traj=2,
             kick_indices=np.asarray(kick_indices),
-            sigma_min_mean=sm,
-            sigma_min_std=z,
-            squeezing_db_of_mean=10 * np.log10(2 * sm),
-            squeezing_db_mean=10 * np.log10(2 * sm),
-            squeezing_db_std=z,
-            phi_min_mean=z,
-            phi_min_std=z,
-            purity_mean=np.ones(n),
-            purity_std=z,
-            entropy_mean=z,
-            entropy_std=z,
-            n_eff_mean=z,
-            n_eff_std=z,
+            mean=StateMetrics(sm, z, 10 * np.log10(2 * sm), np.ones(n), z, z),
+            std=StateMetrics(z, z, z, z, z, z),
             trajectory0=TrajectoryResult_stub(),
         )
 
@@ -258,6 +221,19 @@ class TestTailMean:
         assert out["squeezing_db_of_mean"] == pytest.approx(
             10 * math.log10(0.5), rel=1e-12
         )
+
+    def test_keys_in_order_and_by_field(self):
+        # bench/worker.py writes the tail out one key per line, in this order
+        mean = StateMetrics(*(np.full(3, float(k)) for k in range(1, 7)))
+        stats = EnsembleStats(2, np.array([0, 10, 20]), mean, mean, TrajectoryResult_stub())
+        assert list(steady_tail_mean(stats).items()) == [
+            ("sigma_min_mean", 1.0),
+            ("squeezing_db_of_mean", 10.0 * math.log10(2.0)),
+            ("squeezing_db_mean", 3.0),
+            ("purity_mean", 4.0),
+            ("entropy_mean", 5.0),
+            ("n_eff_mean", 6.0),
+        ]
 
     def test_bad_fraction_rejected(self):
         stats = self._stats([0, 10], [0.5, 0.4])

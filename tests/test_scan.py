@@ -48,9 +48,15 @@ def reference_evolve(v0, cycle, n_kicks, sample_stride=1):
         p = m20 * q + m21 * qp_k + m22 * p_k + b2
         q = q_new
         if n % sample_stride == 0 or n == n_kicks:
-            if not (math.isfinite(q) and math.isfinite(qp) and math.isfinite(p)):
+            # a sampled state must also have a finite determinant
+            if not (
+                math.isfinite(q)
+                and math.isfinite(qp)
+                and math.isfinite(p)
+                and math.isfinite(q * p - qp * qp)
+            ):
                 raise DivergenceError(
-                    f"moments diverged (non-finite) at kick {n}: "
+                    f"moments diverged (out of float64 range) at kick {n}: "
                     f"({q}, {qp}, {p})"
                 )
             samples.append((n, MomentVector(q, qp, p)))
@@ -181,10 +187,11 @@ class TestDivergence:
 
 class TestHugeMoments:
     def test_overflowing_spread_is_not_squeezing(self):
-        # At n_bar = 1e153 the kicked states reach sigma_p ~ 5e155, where
-        # d^2 + 4 qp^2 overflows to inf and p + q - sqrt(inf) passed for a
-        # squeezed kick (onset 1865).  Every sample is about +1506 dB.
-        params = MechanicalParams(5e5, 1e2, 1e153)
+        # At n_bar = 3e152 the kicked states reach sigma_p ~ 1.6e155, where
+        # d^2 + 4 qp^2 overflows to inf (16 of the 21 samples) and
+        # p + q - sqrt(inf) passed for a squeezed kick (onset 1982), while
+        # every determinant stays finite.  Every sample is above +1500 dB.
+        params = MechanicalParams(5e5, 1e2, 3e152)
         cyc = cycle_map(params, TAU, 10.0)
         v0 = thermal_state(params)
         samples = stroboscopic_evolve(v0, cyc, 2000, 100)
@@ -196,5 +203,15 @@ class TestHugeMoments:
                 q, c, p = (mp.mpf(x) for x in (v.sigma_q, v.sigma_qp, v.sigma_p))
                 assert q + p - mp.sqrt((p - q) ** 2 + 4 * c * c) > 1e150
         assert overflowed > 0
+        assert reference_onset(v0, cyc, 2000) == 1982
         assert samples.onset is None
         assert squeezing_onset(v0, cyc, 2000) is None
+
+    def test_overflowing_determinant_raises(self):
+        # At n_bar = 1e153 the moments stay finite, but sigma_q*sigma_p -
+        # sigma_qp^2 of the sample at kick 200 is not; such a state passed
+        # MomentVector's validation, whose tolerance was then inf as well.
+        params = MechanicalParams(5e5, 1e2, 1e153)
+        cyc = cycle_map(params, TAU, 10.0)
+        with pytest.raises(DivergenceError, match="at kick 200:"):
+            stroboscopic_evolve(thermal_state(params), cyc, 2000, 100)

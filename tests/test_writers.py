@@ -90,20 +90,21 @@ def reference_intra_csv(trace):
 
 
 def reference_ensemble_csv(tau, stats):
+    mean, std = stats.mean, stats.std
     blocks = [
-        stats.sigma_min_mean,
-        stats.sigma_min_std,
+        mean.sigma_min,
+        std.sigma_min,
         stats.squeezing_db_of_mean,
-        stats.squeezing_db_mean,
-        stats.squeezing_db_std,
-        stats.phi_min_mean,
-        stats.phi_min_std,
-        stats.purity_mean,
-        stats.purity_std,
-        stats.entropy_mean,
-        stats.entropy_std,
-        stats.n_eff_mean,
-        stats.n_eff_std,
+        mean.squeezing_db,
+        std.squeezing_db,
+        mean.phi_min,
+        std.phi_min,
+        mean.purity,
+        std.purity,
+        mean.entropy,
+        std.entropy,
+        mean.n_eff,
+        std.n_eff,
     ]
     out = _csv_row(OUTPUT_COLUMNS + ENSEMBLE_COLUMNS)
     for row, (n, v, m) in enumerate(stats.trajectory0.samples):
