@@ -13,9 +13,11 @@ its fixed point.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -103,10 +105,15 @@ class MomentVector:
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
-    """Free evolution over a fixed duration: moments -> M.moments + v_inh."""
+    """Free evolution over a fixed duration: moments -> M.moments + v_inh.
+
+    F is the 2x2 flight of the amplitudes (q, p), of which M is the
+    symmetric Kronecker square.
+    """
 
     M: np.ndarray
     v_inh: np.ndarray
+    F: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +130,9 @@ class CycleMap:
 
     The affine map is moments -> A.moments + v_inh with A = M(tau).K.  The
     spectral radius of A decides whether repeated cycles converge to a
-    stationary state.
+    stationary state.  On the covariance matrix Sigma the same period is
+    Sigma -> T Sigma T^T + N, with T = F S(theta) the flight after the
+    shear S(theta) = [[1, 0], [-2 theta, 1]] and N = v_inh as a 2x2.
     """
 
     tau: float
@@ -133,6 +142,8 @@ class CycleMap:
     propagator: Propagator
     A: np.ndarray
     spectral_radius: float
+    T: np.ndarray
+    N: np.ndarray
 
 
 class StateMetrics(NamedTuple):
@@ -313,6 +324,7 @@ def make_propagator(params: MechanicalParams, t: float) -> Propagator:
     return Propagator(
         M=M,
         v_inh=np.array([source * j00, source * j01, source * j11]),
+        F=np.array([[f00, f01], [-f01, f11]]),
     )
 
 
@@ -358,6 +370,7 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
     kick = kick_map(theta)
     A = prop.M @ kick.K
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+    b0, b1, b2 = prop.v_inh
     return CycleMap(
         tau=tau,
         theta=theta,
@@ -366,6 +379,8 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
         propagator=prop,
         A=A,
         spectral_radius=rho,
+        T=prop.F @ np.array([[1.0, 0.0], [-2.0 * theta, 1.0]]),
+        N=np.array([[b0, b1], [b1, b2]]),
     )
 
 
@@ -373,12 +388,14 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
 # structure: on scalars in stroboscopic_evolve and on a stacked (3, n) state
 # in ensemble._run_block, whose c0*q + c1*qp_k + c2*p_k + b over M's (3, 1)
 # columns sums each row in the scalar order; every other iteration calls one
-# of the two.  The scalar copy stays inlined because a step function called
-# once per kick made 10^6 fig1 kicks 17-47% slower.  A noise-free ensemble is
-# bit-identical to the deterministic iteration.  In test_ensemble.py,
-# test_zero_variance_matches_deterministic_bitwise ties the copies together,
-# and test_noisy_draws_map_to_kicks_bitwise pins the noisy loop to a scalar
-# one over these floats.
+# of the two.  closed_form_evolve, which the CLI's deterministic runs use,
+# does not iterate: it evaluates the power of T directly and calls the scalar
+# loop only where its closed form is not certified.  The scalar copy stays
+# inlined because a step function called once per kick made 10^6 fig1 kicks
+# 17-47% slower.  A noise-free ensemble is bit-identical to the deterministic
+# iteration.  In test_ensemble.py, test_zero_variance_matches_deterministic_bitwise
+# ties the copies together, and test_noisy_draws_map_to_kicks_bitwise pins
+# the noisy loop to a scalar one over these floats.
 
 
 def _unpack_cycle(cycle: CycleMap):
@@ -418,7 +435,7 @@ class Samples(list):
     """Sampled (kick index, state) pairs of one run, plus its squeezing onset.
 
     A plain list of the samples; onset is the squeezing_onset of the whole
-    run, found by the same pass over the kicks.
+    run, found by testing every kick of it.
     """
 
     onset: int | None = None
@@ -483,13 +500,223 @@ def stroboscopic_evolve(
 def squeezing_onset(v0: MomentVector, cycle: CycleMap, n_kicks: int) -> int | None:
     """First kick index after which the minimum variance stays below vacuum.
 
-    Scans every period of an n_kicks-long run and returns one past the last
-    index at which the state was not squeezed.  Returns None when the run
-    ends unsqueezed, so no permanent onset can be certified within n_kicks.
-    The same as stroboscopic_evolve(...).onset, which a caller that also
-    wants the samples should read instead of scanning the kicks twice.
+    Iterates every period of an n_kicks-long run and returns one past the
+    last index at which the state was not squeezed.  Returns None when the
+    run ends unsqueezed, so no permanent onset can be certified within
+    n_kicks.  The same as stroboscopic_evolve(...).onset, which a caller that
+    also wants the samples should read instead of scanning the kicks twice;
+    closed_form_evolve(...).onset tests the same kicks without iterating, on
+    states computed from the closed-form power of the period map.
     """
     return stroboscopic_evolve(v0, cycle, n_kicks, max(n_kicks, 1)).onset
+
+
+# Kicks per block of closed_form_evolve's onset scan: its float64
+# temporaries of this length peak near 3 MB (tracemalloc, fig1), where a
+# whole 10^6-kick scan at once would take about 200 MB.
+_ONSET_CHUNK = 1 << 14
+# sin(phi) below which closed_form_evolve iterates instead.  Near sin(phi) = 0
+# T is close to delta times a Jordan block, the pair turns real, and the
+# closed form's terms grow like 1/sin^3(phi) while their sum does not, so
+# their rounding does: at sin(phi) = 0.01 the first row of one run strayed
+# 1.1e-10 from 40 digits; at 0.1, 9000 random runs of up to 2000 kicks kept
+# every row within 1e-10 (tests/test_closed_form.py).  The
+# sweep's resonance points tau = k pi/omega_m sit at |cos(phi)| - 1 ~ 2e-12 to
+# 6e-12 (a real pair) and its other points at sin(phi) >= 0.34.
+_MIN_SIN_PHI = 0.1
+
+# Decimal digits of the phase computation, and pi to 60 digits, enough to
+# reduce flight phases up to 1e15 rad to [-pi, pi] without losing any of them
+_PHASE_DIGITS = 50
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _split(x: Decimal, parts: int) -> tuple[float, ...]:
+    """x as a sum of floats, all but the last rounded to 24 significant bits,
+    so that their products with whole numbers below 2^29 are exact."""
+    out = []
+    for _ in range(parts - 1):
+        out.append(float(np.float32(x)))
+        x -= Decimal(out[-1])
+    return (*out, float(x))
+
+
+with localcontext() as _ctx:
+    _ctx.prec = _PHASE_DIGITS
+    _TWO_PI = _split(2 * _PI, 3)
+
+
+def _cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x at the context's precision: x reduced to [-pi, pi],
+    then the Taylor series."""
+    x -= 2 * _PI * (x / (2 * _PI)).to_integral_value()
+    x2 = x * x
+    c = term_c = Decimal(1)
+    s = term_s = x
+    k = 0
+    while True:
+        k += 2
+        term_c *= -x2 / (k * (k - 1))
+        term_s *= -x2 / (k * (k + 1))
+        if c + term_c == c and s + term_s == s:
+            return c, s
+        c += term_c
+        s += term_s
+
+
+def _eigenphase(cycle: CycleMap) -> tuple[float, float, float]:
+    """phi of T's eigenvalues e^{-gamma tau/2 +- i phi}, from the physics,
+    as a _split sum of three floats.
+
+    cos(phi) = tr T e^{gamma tau/2}/2 = C - theta omega_m S, with C and S of
+    make_propagator, here at _PHASE_DIGITS digits from the float inputs;
+    phi is then math.acos's value after one Newton step.  The caller has
+    checked that |cos(phi)| < 1 and sin(phi) >= _MIN_SIN_PHI.
+    """
+    params = cycle.params
+    w, g, t, theta = map(Decimal, (params.omega_m, params.gamma_m, cycle.tau, cycle.theta))
+    with localcontext() as ctx:
+        ctx.prec = _PHASE_DIGITS
+        wd2 = w * w - g * g / 4
+        if wd2 >= 0:
+            wd = wd2.sqrt()
+            c, s = _cos_sin(wd * t)
+            s = s / wd if wd else t
+        else:
+            k = (-wd2).sqrt()
+            e = (k * t).exp()
+            c = (e + 1 / e) / 2
+            s = (e - 1 / e) / (2 * k)
+        cos_phi = c - theta * w * s
+        phi = Decimal(math.acos(float(cos_phi)))
+        c, s = _cos_sin(phi)
+        return _split(phi + (c - cos_phi) / s, 3)
+
+
+def closed_form_evolve(
+    v0: MomentVector,
+    cycle: CycleMap,
+    n_kicks: int,
+    sample_stride: int = 1,
+) -> Samples:
+    """stroboscopic_evolve's samples and onset from the closed-form power of T.
+
+    The state after n kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T, and
+    T^n = a_n T - b_n I by Cayley-Hamilton: T's eigenvalues are
+    delta e^{+-i phi} with delta^2 = det T = e^{-gamma tau}, so
+    a_n = delta^{n-1} sin(n phi)/sin(phi) and
+    b_n = delta^n sin((n-1) phi)/sin(phi).  So T^n X T^n^T is
+    a_n^2 T X T^T - a_n b_n (T X + X T^T) + b_n^2 X, and the sum over k is a
+    geometric series in delta^2 and delta^2 e^{2 i phi}, also in closed form.
+    Every sampled state is evaluated at once; the onset scans every kick
+    the same way, backward from the last in blocks of _ONSET_CHUNK kicks
+    down to the last unsqueezed one, with the loop's own test.  Only the
+    phase n phi builds up along the run, so phi comes from the physics to 50
+    digits (_eigenphase) and n phi is reduced by 2 pi in double-double,
+    exactly for n below 2^29.
+
+    Where the form is not certified it returns stroboscopic_evolve's result:
+    no stationary state (or an unphysical one), a real eigenvalue pair of T,
+    or sin(phi) < _MIN_SIN_PHI.  Raises what stroboscopic_evolve raises, at
+    the same sampled kick.
+    """
+    kicks = _sample_indices(n_kicks, sample_stride)
+    try:
+        steady_state(cycle)
+    except (NoStationaryStateError, UnphysicalStateError):
+        return stroboscopic_evolve(v0, cycle, n_kicks, sample_stride)
+    T = cycle.T
+    decay = cycle.params.gamma_m * cycle.tau  # -log det T
+    # the gate reads T's float trace: _eigenphase's decimal cosh would
+    # overflow for the strongly overdamped flights that fail it
+    cos_phi = 0.5 * (T[0, 0] + T[1, 1]) * math.exp(0.5 * decay)
+    if not (abs(cos_phi) < 1.0 and (1.0 - cos_phi) * (1.0 + cos_phi) >= _MIN_SIN_PHI**2):
+        return stroboscopic_evolve(v0, cycle, n_kicks, sample_stride)
+    phi_a, phi_b, phi_c = _eigenphase(cycle)
+    phi = phi_a + phi_b + phi_c  # the first sum is exact, so this rounds once
+    turns = phi / (2.0 * math.pi)
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    delta = math.exp(-0.5 * decay)
+    r = delta * delta
+    expm1_r = math.expm1(-decay)
+
+    def basis(X):
+        """(q, qp, p) of T X T^T, delta (T X + X T^T) and delta^2 X over
+        sin^2(phi), as the columns of a (3, 3) matrix."""
+        TX = T @ X
+        terms = np.array([TX @ T.T, delta * (TX + TX.T), r * X])
+        return terms[:, [0, 0, 1], [0, 1, 1]].T / (sin_phi * sin_phi)
+
+    # sum_{k<n} T^k N T^k^T = alpha T N T^T - beta (T N + N T^T) + gamma N,
+    # with s = sin(phi), G = sum_{k<n} r^k and H = sum_{k<n} (r e^{2 i phi})^k:
+    #   2 s^2 r alpha = G - Re H,
+    #   2 s^2 delta beta = cos(phi) G - Re(e^{-i phi} H),
+    #   2 s^2 gamma = G - Re(e^{-2 i phi} H),
+    # and Re(e^{-i psi} H) = x - r^n (x cos 2n phi - y sin 2n phi) for
+    # x + i y = e^{-i psi}/(1 - r e^{2 i phi}).  1 - r cos(2 phi) is formed as
+    # 2 r s^2 - expm1(-gamma tau) so that it does not cancel.  No float
+    # stationary state enters: its rounding would leak into every row.
+    w = 1.0 / complex(2.0 * r * sin_phi * sin_phi - expm1_r, -r * math.sin(2.0 * phi))
+    w = np.array([w, w * cmath.exp(-1j * phi), w * cmath.exp(-2j * phi)])
+    noise = basis(cycle.N) * np.array([1.0, -1.0, 1.0]) / (2.0 * r)
+    # state after n kicks = const + weights @ (r^{n-1} sin^2(n phi),
+    # -r^{n-1} sin(n phi) sin((n-1) phi), r^{n-1} sin^2((n-1) phi), G,
+    # r^n cos(2n phi), r^n sin(2n phi))
+    const = -noise @ w.real
+    weights = np.column_stack([
+        basis(np.array([[v0.sigma_q, v0.sigma_qp], [v0.sigma_qp, v0.sigma_p]])),
+        noise @ np.array([1.0, cos_phi, 1.0]),
+        noise @ w.real,
+        -noise @ w.imag,
+    ])
+
+    def states(n):
+        """(3, len(n)) moments after n >= 1 kicks, n a float array."""
+        k = np.rint(n * turns)
+        # n phi - 2 pi k: the first two products are exact, so is their
+        # difference, and the rest is below 2 pi in size
+        a = (n * phi_a - k * _TWO_PI[0]) - k * _TWO_PI[1]
+        a += (n * phi_b - k * _TWO_PI[2]) + n * phi_c
+        s_n, c_n = np.sin(a), np.cos(a)
+        s_m = s_n * cos_phi - c_n * sin_phi
+        e = np.exp((n - 1.0) * -decay)
+        r_n = e * r
+        terms = np.array([
+            e * s_n * s_n,
+            -e * s_n * s_m,
+            e * s_m * s_m,
+            np.expm1(n * -decay) / expm1_r,
+            r_n * (1.0 - 2.0 * s_n * s_n),
+            r_n * (2.0 * s_n * c_n),
+        ])
+        return const[:, None] + weights @ terms
+
+    samples = Samples([(0, v0)])
+    # overflow here is reported by the DivergenceError below, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = states(np.array(kicks[1:], dtype=float)).tolist()
+    for end, q, qp, p in zip(kicks[1:], *columns):
+        if not math.isfinite(q * p - qp * qp):
+            raise DivergenceError(
+                f"moments diverged (out of float64 range) at kick {end}:"
+                f" ({q}, {qp}, {p})"
+            )
+        samples.append((end, MomentVector(q, qp, p)))
+
+    q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
+    last_unsqueezed = 0 if p + q - math.hypot(p - q, 2.0 * qp) >= 1.0 else -1
+    hi = n_kicks
+    while hi >= 1:
+        lo = max(hi - _ONSET_CHUNK + 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, qp, p = states(np.arange(lo, hi + 1, dtype=float))
+            hit = np.flatnonzero(p + q - np.hypot(p - q, 2.0 * qp) >= 1.0)
+        if hit.size:
+            last_unsqueezed = lo + int(hit[-1])
+            break
+        hi = lo - 1
+    samples.onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
+    return samples
 
 
 def intra_period_trace(

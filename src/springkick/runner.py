@@ -1,8 +1,9 @@
 """Run orchestration: named presets, trajectory/ensemble CSVs, summary report.
 
 A run resolves the kick strength (direct theta, or the pulse -> intracavity
-field -> theta chain plus a validity report), iterates the stroboscopic map
-(one noisy ensemble when configured), and writes:
+field -> theta chain plus a validity report), evolves the stroboscopic map
+(in closed form where it is certified, else by iterating it; one noisy
+ensemble when configured), and writes:
 
   <base>.csv           sampled trajectory, columns in OUTPUT_COLUMNS order
   <base>.summary.txt   parameters, rho(A), stationary-state metrics, onset,
@@ -27,6 +28,7 @@ from .moments import (
     NoStationaryStateError,
     StateMetrics,
     UnphysicalStateError,
+    closed_form_evolve,
     cycle_map,
     intra_period_trace,
     metric_arrays,
@@ -86,6 +88,13 @@ _METRIC_COLUMNS = StateMetrics(
 
 # Cross-trajectory averages settle over the last this-fraction of kicks.
 TAIL_FRACTION = 0.1
+
+# Runs shorter than this iterate: the closed form's fixed cost (stationary
+# check, 50-digit phase, vectorized set-up; about 0.25 ms at fig1 physics)
+# exceeds the scalar loop's 0.4 us per kick below about 800 kicks.  The
+# traced 300-kick fig1 run of tests/test_harness.py relies on this to record
+# the stroboscopic_evolve span.
+CLOSED_FORM_MIN_KICKS = 1000
 
 SCENARIO_NAMES = ("fig1", "fig2", "fig3")
 
@@ -346,7 +355,10 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
         )
     else:
         v0 = thermal_state(mech)
-        samples = stroboscopic_evolve(v0, cycle, sched.n_kicks, sched.stride)
+        if sched.n_kicks < CLOSED_FORM_MIN_KICKS:
+            samples = stroboscopic_evolve(v0, cycle, sched.n_kicks, sched.stride)
+        else:
+            samples = closed_form_evolve(v0, cycle, sched.n_kicks, sched.stride)
         write_trajectory_csv(csv_path, sched.tau, samples)
         written.append(csv_path)
         onset = samples.onset

@@ -3,9 +3,12 @@
 Deliberately use different algorithms from the package: componentwise RK4
 and the moment equations written out as a matrix instead of the closed-form
 flight, brute-force phase scanning instead of the closed-form minimum,
-iteration to convergence instead of the direct fixed-point solve.
+iteration to convergence instead of the direct fixed-point solve, and
+high-precision matrix powers of the period map instead of its closed-form
+power.
 """
 
+import mpmath as mp
 import numpy as np
 
 from springkick import (
@@ -109,3 +112,36 @@ def steady_state_iterative(
         f"iteration did not converge to relative change {rel_tol} "
         f"within {max_kicks} kicks"
     )
+
+
+def mp_period_states(omega_m, gamma_m, n_bar, tau, theta, v0, kicks, dps=40):
+    """States after each of kicks periods, at dps digits: A^n (v0 - v_inf) + v_inf.
+
+    The flight is mpmath's expm of the augmented 4x4 drift (the moment
+    equations of rk4_free), the kick its 3x3 shear, v_inf the fixed point of
+    an mpmath linear solve, and A^n mpmath's integer matrix power.
+    """
+    with mp.workdps(dps):
+        w, g = mp.mpf(omega_m), mp.mpf(gamma_m)
+        B = mp.matrix(4, 4)
+        B[0, 1] = 2 * w
+        B[1, 0], B[1, 1], B[1, 2] = -w, -g, w
+        B[2, 1], B[2, 2] = -2 * w, -2 * g
+        B[2, 3] = g * (2 * mp.mpf(n_bar) + 1)
+        E = mp.expm(B * mp.mpf(tau))
+        M = mp.matrix([[E[i, j] for j in range(3)] for i in range(3)])
+        c = mp.matrix([E[i, 3] for i in range(3)])
+        th = mp.mpf(theta)
+        A = M * mp.matrix([[1, 0, 0], [-2 * th, 1, 0], [4 * th * th, -4 * th, 1]])
+        v_inf = mp.lu_solve(mp.eye(3) - A, c)
+        d = mp.matrix([mp.mpf(x) for x in v0]) - v_inf
+        return [A ** int(n) * d + v_inf for n in kicks]
+
+
+def row_error(got, ref) -> float:
+    """Largest relative error of a moment vector's entries against a
+    high-precision one; sigma_qp is measured against sqrt(sigma_q sigma_p),
+    its natural scale, as bench/check.py measures rows."""
+    q, qp, p = ref
+    scales = (abs(q), mp.sqrt(abs(q * p)), abs(p))
+    return max(float(abs(mp.mpf(float(x)) - r) / s) for x, r, s in zip(got, ref, scales))
