@@ -13,7 +13,6 @@ its fixed point.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -143,7 +142,6 @@ class CycleMap:
     A: np.ndarray
     spectral_radius: float
     T: np.ndarray
-    N: np.ndarray
 
 
 class StateMetrics(NamedTuple):
@@ -370,7 +368,6 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
     kick = kick_map(theta)
     A = prop.M @ kick.K
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
-    b0, b1, b2 = prop.v_inh
     return CycleMap(
         tau=tau,
         theta=theta,
@@ -380,7 +377,6 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
         A=A,
         spectral_radius=rho,
         T=prop.F @ np.array([[1.0, 0.0], [-2.0 * theta, 1.0]]),
-        N=np.array([[b0, b1], [b1, b2]]),
     )
 
 
@@ -524,6 +520,13 @@ _ONSET_CHUNK = 1 << 14
 # sweep's resonance points tau = k pi/omega_m sit at |cos(phi)| - 1 ~ 2e-12 to
 # 6e-12 (a real pair) and its other points at sin(phi) >= 0.34.
 _MIN_SIN_PHI = 0.1
+# gamma_m tau above which closed_form_evolve iterates instead.  The form
+# works with T/delta, delta = e^{-gamma_m tau/2}; up to here delta >= 1e-152,
+# so T's entries, of order delta, stay far above the subnormal range where
+# dividing by delta would bring back lost digits as noise.  Such a flight
+# damps the transient by e^{-700} per kick: the loop is at its fixed point
+# after the first kick.
+_MAX_DECAY = 700.0
 
 # Decimal digits of the phase computation, and pi to 60 digits, enough to
 # reduce flight phases up to 1e15 rad to [-pi, pi] without losing any of them
@@ -571,7 +574,8 @@ def _eigenphase(cycle: CycleMap) -> tuple[float, float, float]:
     cos(phi) = tr T e^{gamma tau/2}/2 = C - theta omega_m S, with C and S of
     make_propagator, here at _PHASE_DIGITS digits from the float inputs;
     phi is then math.acos's value after one Newton step.  The caller has
-    checked that |cos(phi)| < 1 and sin(phi) >= _MIN_SIN_PHI.
+    checked that |cos(phi)| < 1, sin(phi) >= _MIN_SIN_PHI and
+    gamma_m tau <= _MAX_DECAY.
     """
     params = cycle.params
     w, g, t, theta = map(Decimal, (params.omega_m, params.gamma_m, cycle.tau, cycle.theta))
@@ -601,66 +605,72 @@ def closed_form_evolve(
 ) -> Samples:
     """stroboscopic_evolve's samples and onset from the closed-form power of T.
 
-    The state after n kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T, and
-    T^n = a_n T - b_n I by Cayley-Hamilton: T's eigenvalues are
-    delta e^{+-i phi} with delta^2 = det T = e^{-gamma tau}, so
-    a_n = delta^{n-1} sin(n phi)/sin(phi) and
-    b_n = delta^n sin((n-1) phi)/sin(phi).  So T^n X T^n^T is
-    a_n^2 T X T^T - a_n b_n (T X + X T^T) + b_n^2 X, and the sum over k is a
-    geometric series in delta^2 and delta^2 e^{2 i phi}, also in closed form.
-    Every sampled state is evaluated at once; the onset scans every kick
-    the same way, backward from the last in blocks of _ONSET_CHUNK kicks
-    down to the last unsqueezed one, with the loop's own test.  Only the
-    phase n phi builds up along the run, so phi comes from the physics to 50
+    The state after n kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T,
+    with N = v_inh as a 2x2.  With delta^2 = det T = e^{-gamma tau} and
+    U = T/delta, whose eigenvalues are e^{+-i phi}, Cayley-Hamilton gives
+    T^n = delta^n (sin(n phi) U - sin((n-1) phi) I)/sin(phi).  So
+    T^n X T^n^T is delta^{2n}/sin^2(phi) times
+    sin^2(n phi) U X U^T - sin(n phi) sin((n-1) phi) (U X + X U^T)
+    + sin^2((n-1) phi) X, and the sum over k is a geometric series in
+    delta^2 and delta^2 e^{2 i phi}, also in closed form.  Every sampled
+    state is evaluated at once; the onset scans every kick the same way,
+    backward from the last in blocks of _ONSET_CHUNK kicks down to the last
+    unsqueezed one, with the loop's own test.  Only the phase n phi builds
+    up along the run, and U's entries, up to 2 theta in size, multiply its
+    error into the rows: at fig1, a correctly rounded float phi times n
+    strays 1.2e-10 by kick 51400.  So phi comes from the physics to 50
     digits (_eigenphase) and n phi is reduced by 2 pi in double-double,
     exactly for n below 2^29.
 
     Where the form is not certified it returns stroboscopic_evolve's result:
-    no stationary state (or an unphysical one), a real eigenvalue pair of T,
-    or sin(phi) < _MIN_SIN_PHI.  Raises what stroboscopic_evolve raises, at
-    the same sampled kick.
+    no stationary state (or an unphysical one), gamma tau > _MAX_DECAY, a
+    real eigenvalue pair of T, or sin(phi) < _MIN_SIN_PHI.  Raises what
+    stroboscopic_evolve raises, at the same sampled kick.
     """
     kicks = _sample_indices(n_kicks, sample_stride)
     try:
         steady_state(cycle)
     except (NoStationaryStateError, UnphysicalStateError):
         return stroboscopic_evolve(v0, cycle, n_kicks, sample_stride)
-    T = cycle.T
     decay = cycle.params.gamma_m * cycle.tau  # -log det T
-    # the gate reads T's float trace: _eigenphase's decimal cosh would
-    # overflow for the strongly overdamped flights that fail it
-    cos_phi = 0.5 * (T[0, 0] + T[1, 1]) * math.exp(0.5 * decay)
+    if not decay <= _MAX_DECAY:
+        return stroboscopic_evolve(v0, cycle, n_kicks, sample_stride)
+    # T's entries are below 1e154, since A, whose corners are their squares,
+    # is finite; so U's entries are finite
+    U = cycle.T / math.exp(-0.5 * decay)
+    cos_phi = 0.5 * float(U[0, 0] + U[1, 1])
     if not (abs(cos_phi) < 1.0 and (1.0 - cos_phi) * (1.0 + cos_phi) >= _MIN_SIN_PHI**2):
         return stroboscopic_evolve(v0, cycle, n_kicks, sample_stride)
     phi_a, phi_b, phi_c = _eigenphase(cycle)
     phi = phi_a + phi_b + phi_c  # the first sum is exact, so this rounds once
     turns = phi / (2.0 * math.pi)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    delta = math.exp(-0.5 * decay)
-    r = delta * delta
+    r = math.exp(-decay)
     expm1_r = math.expm1(-decay)
 
     def basis(X):
-        """(q, qp, p) of T X T^T, delta (T X + X T^T) and delta^2 X over
-        sin^2(phi), as the columns of a (3, 3) matrix."""
-        TX = T @ X
-        terms = np.array([TX @ T.T, delta * (TX + TX.T), r * X])
+        """(q, qp, p) of U X U^T, U X + X U^T and X over sin^2(phi), as the
+        columns of a (3, 3) matrix."""
+        UX = U @ X
+        terms = np.array([UX @ U.T, UX + UX.T, X])
         return terms[:, [0, 0, 1], [0, 1, 1]].T / (sin_phi * sin_phi)
 
-    # sum_{k<n} T^k N T^k^T = alpha T N T^T - beta (T N + N T^T) + gamma N,
-    # with s = sin(phi), G = sum_{k<n} r^k and H = sum_{k<n} (r e^{2 i phi})^k:
-    #   2 s^2 r alpha = G - Re H,
-    #   2 s^2 delta beta = cos(phi) G - Re(e^{-i phi} H),
-    #   2 s^2 gamma = G - Re(e^{-2 i phi} H),
+    # sum_{k<n} T^k N T^k^T = (alpha U N U^T - beta (U N + N U^T) + gamma N)
+    # / (2 s^2), with s = sin(phi), G = sum_{k<n} r^k and
+    # H = sum_{k<n} (r e^{2 i phi})^k:
+    #   alpha = G - Re H,  beta = cos(phi) G - Re(e^{-i phi} H),
+    #   gamma = G - Re(e^{-2 i phi} H),
     # and Re(e^{-i psi} H) = x - r^n (x cos 2n phi - y sin 2n phi) for
     # x + i y = e^{-i psi}/(1 - r e^{2 i phi}).  1 - r cos(2 phi) is formed as
     # 2 r s^2 - expm1(-gamma tau) so that it does not cancel.  No float
     # stationary state enters: its rounding would leak into every row.
     w = 1.0 / complex(2.0 * r * sin_phi * sin_phi - expm1_r, -r * math.sin(2.0 * phi))
-    w = np.array([w, w * cmath.exp(-1j * phi), w * cmath.exp(-2j * phi)])
-    noise = basis(cycle.N) * np.array([1.0, -1.0, 1.0]) / (2.0 * r)
-    # state after n kicks = const + weights @ (r^{n-1} sin^2(n phi),
-    # -r^{n-1} sin(n phi) sin((n-1) phi), r^{n-1} sin^2((n-1) phi), G,
+    turn = complex(cos_phi, -sin_phi)
+    w = np.array([w, w * turn, w * turn * turn])
+    b0, b1, b2 = cycle.propagator.v_inh
+    noise = basis(np.array([[b0, b1], [b1, b2]])) * np.array([0.5, -0.5, 0.5])
+    # state after n kicks = const + weights @ (r^n sin^2(n phi),
+    # -r^n sin(n phi) sin((n-1) phi), r^n sin^2((n-1) phi), G,
     # r^n cos(2n phi), r^n sin(2n phi))
     const = -noise @ w.real
     weights = np.column_stack([
@@ -679,12 +689,11 @@ def closed_form_evolve(
         a += (n * phi_b - k * _TWO_PI[2]) + n * phi_c
         s_n, c_n = np.sin(a), np.cos(a)
         s_m = s_n * cos_phi - c_n * sin_phi
-        e = np.exp((n - 1.0) * -decay)
-        r_n = e * r
+        r_n = np.exp(n * -decay)
         terms = np.array([
-            e * s_n * s_n,
-            -e * s_n * s_m,
-            e * s_m * s_m,
+            r_n * s_n * s_n,
+            -r_n * s_n * s_m,
+            r_n * s_m * s_m,
             np.expm1(n * -decay) / expm1_r,
             r_n * (1.0 - 2.0 * s_n * s_n),
             r_n * (2.0 * s_n * c_n),

@@ -32,13 +32,15 @@ from .moments import (
     cycle_map,
     intra_period_trace,
     metric_arrays,
-    # unused since run_config reads samples.onset, but bench/tracing.py
-    # patches every name of its PATCHES list on this module
-    squeezing_onset,  # noqa: F401
     state_metrics,
     steady_state,
-    stroboscopic_evolve,
     thermal_state,
+)
+from .moments import (  # noqa: F401
+    # unused since run_config calls closed_form_evolve, but bench/tracing.py
+    # patches every name of its PATCHES list on this module
+    squeezing_onset,
+    stroboscopic_evolve,
 )
 from .pulses import (
     BathParams,
@@ -88,13 +90,6 @@ _METRIC_COLUMNS = StateMetrics(
 
 # Cross-trajectory averages settle over the last this-fraction of kicks.
 TAIL_FRACTION = 0.1
-
-# Runs shorter than this iterate: the closed form's fixed cost (stationary
-# check, 50-digit phase, vectorized set-up; about 0.25 ms at fig1 physics)
-# exceeds the scalar loop's 0.4 us per kick below about 800 kicks.  The
-# traced 300-kick fig1 run of tests/test_harness.py relies on this to record
-# the stroboscopic_evolve span.
-CLOSED_FORM_MIN_KICKS = 1000
 
 SCENARIO_NAMES = ("fig1", "fig2", "fig3")
 
@@ -355,10 +350,7 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
         )
     else:
         v0 = thermal_state(mech)
-        if sched.n_kicks < CLOSED_FORM_MIN_KICKS:
-            samples = stroboscopic_evolve(v0, cycle, sched.n_kicks, sched.stride)
-        else:
-            samples = closed_form_evolve(v0, cycle, sched.n_kicks, sched.stride)
+        samples = closed_form_evolve(v0, cycle, sched.n_kicks, sched.stride)
         write_trajectory_csv(csv_path, sched.tau, samples)
         written.append(csv_path)
         onset = samples.onset

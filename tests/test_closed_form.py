@@ -27,8 +27,7 @@ from springkick import (
     thermal_state,
 )
 from springkick.cli import main
-from springkick.moments import _MIN_SIN_PHI
-from springkick.runner import CLOSED_FORM_MIN_KICKS
+from springkick.moments import _MAX_DECAY, _MIN_SIN_PHI
 
 FIG1 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 FIG2 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=200.0)
@@ -57,7 +56,7 @@ def bits(samples):
 def cos_phi(cycle):
     """Half the trace of T over sqrt(det T): cos(phi) for a complex pair."""
     T = cycle.T
-    return 0.5 * (T[0, 0] + T[1, 1]) * math.exp(0.5 * cycle.params.gamma_m * cycle.tau)
+    return 0.5 * (T[0, 0] + T[1, 1]) / math.exp(-0.5 * cycle.params.gamma_m * cycle.tau)
 
 
 def assert_falls_back(v0, cycle, n_kicks, stride):
@@ -125,6 +124,24 @@ class TestFallback:
             steady_state(cyc)
         assert_falls_back(thermal_state(params), cyc, 2_000, 100)
 
+    @pytest.mark.parametrize(
+        "params, tau, theta",
+        [
+            # a complex pair with sin(phi) >= 0.1: certified but for the decay
+            (MechanicalParams(1e3, 1e3, 1.0), 0.8, 0.3),
+            (MechanicalParams(1e3, 1e3, 1.0), 1.0, 0.3),
+            # overdamped: delta = e^{-1000} underflows to 0, while the slow
+            # mode keeps rho(A) = 0.62 and a stationary state
+            (MechanicalParams(1e3, 1e5, 1.0), 0.02, 2.0),
+        ],
+        ids=["decay800", "decay1000", "overdamped2000"],
+    )
+    def test_strong_damping(self, params, tau, theta):
+        cyc = cycle_map(params, tau, theta)
+        assert params.gamma_m * tau > _MAX_DECAY
+        steady_state(cyc)
+        assert_falls_back(thermal_state(params), cyc, 2_000, 100)
+
     def test_certified_run_does_not_iterate(self):
         cyc = cycle_map(FIG1, TAU, THETA)
         v0 = thermal_state(FIG1)
@@ -184,6 +201,16 @@ class TestAgainstLoop:
         omega_m=1000.0, damping=-2.625, n_bar=33.0, periods=0.0, theta=-12.0,
         v0=MomentVector(0.1, 0.0, 2.5), n_kicks=1, stride=1,
     )
+    # gamma tau = 300 and 690, the latter just below _MAX_DECAY: stationary
+    # from the first kick, where the loop lands exactly
+    @example(
+        omega_m=1000.0, damping=0.0, n_bar=1.0, periods=1.6789413863615474,
+        theta=0.3, v0=MomentVector(1.0, 0.0, 0.25), n_kicks=50, stride=1,
+    )
+    @example(
+        omega_m=1000.0, damping=0.0, n_bar=1.0, periods=2.0406692223791403,
+        theta=0.3, v0=MomentVector(1.0, 0.0, 0.25), n_kicks=50, stride=1,
+    )
     def test_onset_and_rows(
         self, omega_m, damping, n_bar, periods, theta, v0, n_kicks, stride
     ):
@@ -236,16 +263,12 @@ class TestErrors:
 
 
 class TestRunner:
-    @pytest.mark.parametrize(
-        "n_kicks", [CLOSED_FORM_MIN_KICKS - 1, CLOSED_FORM_MIN_KICKS], ids=["loop", "closed"]
-    )
-    def test_trajectory_csv_rows(self, tmp_path, n_kicks):
+    def test_trajectory_csv_rows(self, tmp_path):
         out = tmp_path / "fig1"
-        argv = ["--scenario", "fig1", "--kicks", str(n_kicks), "--stride", "7"]
+        argv = ["--scenario", "fig1", "--kicks", "999", "--stride", "7"]
         assert main([*argv, "--out", str(out), "--quiet"]) == 0
         rows = (tmp_path / "fig1.csv").read_text().splitlines()[1:]
-        evolve = closed_form_evolve if n_kicks >= CLOSED_FORM_MIN_KICKS else stroboscopic_evolve
-        samples = evolve(thermal_state(FIG1), cycle_map(FIG1, TAU, THETA), n_kicks, 7)
+        samples = closed_form_evolve(thermal_state(FIG1), cycle_map(FIG1, TAU, THETA), 999, 7)
         assert [r.split(",")[2:5] for r in rows] == [
             [repr(v.sigma_q), repr(v.sigma_qp), repr(v.sigma_p)] for _, v in samples
         ]
