@@ -380,18 +380,17 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
     )
 
 
-# The per-period update is written out twice with the same expression
-# structure: on scalars in stroboscopic_evolve and on a stacked (3, n) state
-# in ensemble._run_block, whose c0*q + c1*qp_k + c2*p_k + b over M's (3, 1)
-# columns sums each row in the scalar order; every other iteration calls one
-# of the two.  closed_form_evolve, which the CLI's deterministic runs use,
-# does not iterate: it evaluates the power of T directly and calls the scalar
-# loop only where its closed form is not certified.  The scalar copy stays
-# inlined because a step function called once per kick made 10^6 fig1 kicks
-# 17-47% slower.  A noise-free ensemble is bit-identical to the deterministic
-# iteration.  In test_ensemble.py, test_zero_variance_matches_deterministic_bitwise
-# ties the copies together, and test_noisy_draws_map_to_kicks_bitwise pins
-# the noisy loop to a scalar one over these floats.
+# The per-period update is written out once, on scalars in
+# stroboscopic_evolve; every other iteration calls it.  closed_form_evolve,
+# which the CLI's deterministic runs use, does not iterate: it evaluates the
+# power of T directly and calls the scalar loop only where its closed form is
+# not certified.  The noisy ensemble does not step kick by kick either:
+# ensemble._run_block composes segments of kicks into 2x2 maps
+# Sigma -> P Sigma P^T + Q and chains those.  The scalar copy stays inlined
+# because a step function called once per kick made 10^6 fig1 kicks 17-47%
+# slower.  tests/oracles.lockstep_run_block steps a noisy ensemble kick by
+# kick with this loop's expression structure: test_ensemble.py ties the two
+# bitwise and holds the composed path to both within stated bounds.
 
 
 def _unpack_cycle(cycle: CycleMap):

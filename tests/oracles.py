@@ -3,9 +3,10 @@
 Deliberately use different algorithms from the package: componentwise RK4
 and the moment equations written out as a matrix instead of the closed-form
 flight, brute-force phase scanning instead of the closed-form minimum,
-iteration to convergence instead of the direct fixed-point solve, and
+iteration to convergence instead of the direct fixed-point solve,
 high-precision matrix powers of the period map instead of its closed-form
-power.
+power, and a noisy ensemble stepped kick by kick instead of composed from
+segment maps.
 """
 
 import mpmath as mp
@@ -14,10 +15,14 @@ import numpy as np
 from springkick import (
     VACUUM_VARIANCE,
     CycleMap,
+    DivergenceError,
+    KickNoiseModel,
     MomentVector,
     NoStationaryStateError,
     stroboscopic_evolve,
 )
+from springkick.ensemble import RNG_BLOCK, _generator
+from springkick.moments import _sample_indices
 
 
 def rk4_free(omega_m: float, gamma_m: float, n_bar: float, v0, t_total: float, n_steps: int):
@@ -145,3 +150,98 @@ def row_error(got, ref) -> float:
     q, qp, p = ref
     scales = (abs(q), mp.sqrt(abs(q * p)), abs(p))
     return max(float(abs(mp.mpf(float(x)) - r) / s) for x, r, s in zip(got, ref, scales))
+
+
+# Kicks whose 2 theta, 4 theta and 4 theta^2 lockstep_run_block forms together.
+THETA_ROWS = 64
+
+
+def lockstep_run_block(
+    cycle: CycleMap,
+    v0: MomentVector,
+    noise: KickNoiseModel,
+    n_kicks: int,
+    stride: int,
+    seeds: list[int],
+) -> np.ndarray:
+    """The noisy ensemble stepped one kick at a time, all trajectories in lockstep.
+
+    Same draws and the same sampled cube as ensemble._run_block, which
+    composes segment maps instead.  The update has the expression structure
+    of the scalar loop in moments.stroboscopic_evolve, so a zero-variance
+    block is bit-identical to the deterministic iteration.
+    """
+    kicks = _sample_indices(n_kicks, stride)
+    # M's columns as (3, 1) arrays: row r of c0*q + c1*qp_k + c2*p_k + b is
+    # m_r0*q + m_r1*qp_k + m_r2*p_k + b_r, the scalar loop's sum in its order
+    c0, c1, c2 = np.hsplit(cycle.propagator.M, 3)
+    b = cycle.propagator.v_inh[:, None]
+
+    gens = [_generator(s) for s in seeds]
+    mean = noise.mean_theta
+    std = noise.std
+
+    x = np.repeat(v0.as_array()[:, None], len(seeds), axis=1)
+    cube = np.empty((len(kicks), len(seeds), 3))
+    cube[0] = x.T
+    row = 1
+
+    blk = np.empty((RNG_BLOCK, len(seeds)))
+    n = 0
+    while n < n_kicks:
+        for i, g in enumerate(gens):
+            blk[:, i] = g.normal(mean, std, size=RNG_BLOCK)
+        used = blk[: n_kicks - n]
+        for j in range(0, len(used), THETA_ROWS):
+            th = used[j : j + THETA_ROWS]
+            t4s = 4.0 * th
+            for t2, t4, t4sq in zip(2.0 * th, t4s, t4s * th):
+                q, qp, p = x
+                qp_k = qp - t2 * q
+                p_k = p - t4 * qp + t4sq * q
+                x = c0 * q + c1 * qp_k + c2 * p_k + b
+                n += 1
+                if n == kicks[row]:
+                    if not np.isfinite(x).all():
+                        raise DivergenceError(
+                            f"moments diverged (non-finite) at kick {n}"
+                        )
+                    cube[row] = x.T
+                    row += 1
+    return cube
+
+
+def mp_noisy_states(omega_m, gamma_m, n_bar, tau, thetas, v0, kicks, dps=30):
+    """States after each of kicks periods of a noisy run, at dps digits.
+
+    Kick n has strength thetas[n - 1], taken exactly as the float it is;
+    the flight is mpmath's expm of the augmented 4x4 drift, as in
+    mp_period_states, and every period is applied in turn.
+    """
+    with mp.workdps(dps):
+        w, g = mp.mpf(omega_m), mp.mpf(gamma_m)
+        B = mp.matrix(4, 4)
+        B[0, 1] = 2 * w
+        B[1, 0], B[1, 1], B[1, 2] = -w, -g, w
+        B[2, 1], B[2, 2] = -2 * w, -2 * g
+        B[2, 3] = g * (2 * mp.mpf(n_bar) + 1)
+        E = mp.expm(B * mp.mpf(tau))
+        (m00, m01, m02, c0), (m10, m11, m12, c1), (m20, m21, m22, c2) = (
+            [E[i, j] for j in range(4)] for i in range(3)
+        )
+        q, qp, p = (mp.mpf(float(x)) for x in v0)
+        out, want = [], set(kicks)
+        if 0 in want:
+            out.append((q, qp, p))
+        for n, th in enumerate(thetas[: max(kicks)], start=1):
+            t2 = 2 * mp.mpf(float(th))
+            qp_k = qp - t2 * q
+            p_k = p - 2 * t2 * qp + t2 * t2 * q
+            q, qp, p = (
+                m00 * q + m01 * qp_k + m02 * p_k + c0,
+                m10 * q + m11 * qp_k + m12 * p_k + c1,
+                m20 * q + m21 * qp_k + m22 * p_k + c2,
+            )
+            if n in want:
+                out.append((q, qp, p))
+        return out

@@ -1,17 +1,23 @@
-"""Noisy-kick Monte Carlo: seeding, lockstep/scalar agreement, aggregation."""
+"""Noisy-kick Monte Carlo: seeding, the composed path against the lockstep
+oracle, the scalar loop and a 30-digit replay, aggregation."""
 
 import math
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import lockstep_run_block, mp_noisy_states, row_error
 from springkick import (
+    DivergenceError,
     EnsembleStats,
     KickNoiseModel,
     MechanicalParams,
     StateMetrics,
     cycle_map,
+    metric_arrays,
     run_ensemble,
     run_trajectory,
     steady_tail_mean,
@@ -19,6 +25,7 @@ from springkick import (
     thermal_state,
     trajectory_seed,
 )
+from springkick import ensemble
 from springkick.ensemble import RNG_BLOCK, _run_block
 from springkick.moments import _unpack_cycle
 
@@ -62,48 +69,55 @@ class TestTrajectory:
         assert not np.array_equal(moments_of(a), moments_of(b))
 
     def test_zero_variance_matches_deterministic_bitwise(self):
-        # ties the two copies of the per-kick update together: with no noise
-        # every float operation of the lockstep loop in ensemble._run_block
-        # must land on the same bits as the scalar loop in
-        # moments.stroboscopic_evolve
+        # ties the lockstep oracle to the scalar loop: with no noise every
+        # float operation of oracles.lockstep_run_block must land on the same
+        # bits as moments.stroboscopic_evolve
         quiet = KickNoiseModel(mean_theta=10.0, variance=0.0)
         traj = run_trajectory(FIG, TAU, quiet, 3000, 250, seed=99)
         cyc = cycle_map(FIG, TAU, 10.0)
         ref = stroboscopic_evolve(thermal_state(FIG), cyc, 3000, 250)
         assert [n for n, _, _ in traj.samples] == [n for n, _ in ref]
         ref_arr = np.array([[v.sigma_q, v.sigma_qp, v.sigma_p] for _, v in ref])
-        assert np.array_equal(moments_of(traj), ref_arr)
+        cube = lockstep_run_block(cyc, thermal_state(FIG), quiet, 3000, 250, [99])
+        assert np.array_equal(cube[:, 0], ref_arr)
 
     def test_noisy_draws_map_to_kicks_bitwise(self):
-        # pins which draw drives which kick across an RNG block boundary, at
-        # a stride that divides neither the block nor the run
+        # pins which draw drives which kick in the lockstep oracle across an
+        # RNG block boundary, at a stride that divides neither the block nor
+        # the run
         n_kicks, stride = RNG_BLOCK + 5, 7
         cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
         v0 = thermal_state(FIG)
         for seeds in ([11], [11, 12, 13]):
-            cube = _run_block(cyc, v0, NOISE, n_kicks, stride, seeds)
+            cube = lockstep_run_block(cyc, v0, NOISE, n_kicks, stride, seeds)
             for i, seed in enumerate(seeds):
                 ref = scalar_noisy_run(cyc, v0, n_kicks, stride, seed)
                 assert np.array_equal(cube[:, i], ref), (len(seeds), i)
-        solo = run_trajectory(FIG, TAU, NOISE, n_kicks, stride, seed=11)
-        assert np.array_equal(moments_of(solo), scalar_noisy_run(cyc, v0, n_kicks, stride, 11))
 
     def test_sampling_includes_start_and_end(self):
         traj = run_trajectory(FIG, TAU, NOISE, 1050, 500, seed=3)
         assert [n for n, _, _ in traj.samples] == [0, 500, 1000, 1050]
 
 
-def scalar_noisy_run(cyc, v0, n_kicks, stride, seed):
-    """One noisy trajectory, kick by kick on Python floats: kick n uses draw
-    n - 1 of the seed's stream, drawn RNG_BLOCK at a time."""
-    m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cyc)
+def seed_draws(seed, n):
+    """The first n draws of a trajectory's stream, drawn RNG_BLOCK at a time."""
     rng = np.random.default_rng(seed)
+    blocks = range(0, n, RNG_BLOCK)
+    draws = [rng.normal(NOISE.mean_theta, NOISE.std, size=RNG_BLOCK) for _ in blocks]
+    return np.concatenate(draws)[:n]
+
+
+def scalar_noisy_run(cyc, v0, n_kicks, stride, seed, skip_from=None):
+    """One noisy trajectory, kick by kick on Python floats: kick n uses draw
+    n - 1 of the seed's stream, drawn RNG_BLOCK at a time.  With skip_from,
+    kicks from that one on use the draw after their own: a one-draw
+    misalignment."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cyc)
+    draws = seed_draws(seed, n_kicks + 1).tolist()
     q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
     rows = [(q, qp, p)]
     for n in range(n_kicks):
-        if n % RNG_BLOCK == 0:
-            draws = rng.normal(NOISE.mean_theta, NOISE.std, size=RNG_BLOCK).tolist()
-        th = draws[n % RNG_BLOCK]
+        th = draws[n + 1 if skip_from is not None and n + 1 >= skip_from else n]
         qp_k = qp - 2.0 * th * q
         p_k = p - 4.0 * th * qp + 4.0 * th * th * q
         q, qp, p = (
@@ -114,6 +128,121 @@ def scalar_noisy_run(cyc, v0, n_kicks, stride, seed):
         if (n + 1) % stride == 0 or n + 1 == n_kicks:
             rows.append((q, qp, p))
     return np.array(rows)
+
+
+def rel_diff(a, b) -> float:
+    """Largest relative difference of two sampled (rows, 3) arrays against b,
+    sigma_qp measured against sqrt(sigma_q sigma_p) as row_error does."""
+    q, p = b[:, 0], b[:, 2]
+    scale = np.stack([np.abs(q), np.sqrt(q * p), np.abs(p)], axis=-1)
+    return float(np.max(np.abs(a - b) / scale))
+
+
+# The composed path against a kick-by-kick loop over the same draws.  Both
+# round differently, by up to 8.2e-11 at RNG_BLOCK + 5 kicks (seeds 11-13).
+# A one-draw misalignment moves the rows by 6.1e-5 (seed 11, last kick
+# alone) to 2.4e-2 (seed 12, from the second block on); the test measures it.
+DRAW_MAP_BOUND = 1e-9
+# Property bound against the lockstep oracle, up to 3 RNG blocks of kicks:
+# the examples below differ by at most 1.1e-10.  The oracle alone drifts
+# from 30 digits by 8.7e-11 over 4101 kicks (base seed 12345).
+ORACLE_BOUND = 1e-9
+
+
+class TestComposed:
+    """ensemble._run_block composes segment maps; kick-by-kick loops over the
+    same draws and a 30-digit replay of them pin it."""
+
+    def test_rows_no_further_from_mpmath_than_lockstep(self):
+        # trajectory 0's own draws replayed at 30 digits: 2e4 kicks measured
+        # 1.3e-11 composed against 4.7e-10 lockstep (base seed 12345), and
+        # 6.6e-12 against 1.2e-10 (base seed 7)
+        n_kicks, stride = 20_000, 1000
+        cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
+        v0 = thermal_state(FIG)
+        for base in (12345, 7):
+            seed = trajectory_seed(base, 0)
+            ref = mp_noisy_states(
+                FIG.omega_m, FIG.gamma_m, FIG.n_bar, TAU, seed_draws(seed, n_kicks),
+                v0.as_array(), list(range(0, n_kicks + 1, stride)),
+            )
+            composed = _run_block(cyc, v0, NOISE, n_kicks, stride, [seed])[:, 0]
+            lockstep = lockstep_run_block(cyc, v0, NOISE, n_kicks, stride, [seed])[:, 0]
+            worst = max(row_error(r, x) for r, x in zip(composed, ref))
+            worst_lockstep = max(row_error(r, x) for r, x in zip(lockstep, ref))
+            assert worst <= worst_lockstep, (base, worst, worst_lockstep)
+
+    def test_draws_map_to_kicks(self):
+        # which draw drives which kick across an RNG block boundary, at a
+        # stride that divides neither the block nor the run
+        n_kicks, stride = RNG_BLOCK + 5, 7
+        cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
+        v0 = thermal_state(FIG)
+        for seeds in ([11], [11, 12, 13]):
+            cube = _run_block(cyc, v0, NOISE, n_kicks, stride, seeds)
+            for i, seed in enumerate(seeds):
+                ref = scalar_noisy_run(cyc, v0, n_kicks, stride, seed)
+                assert rel_diff(cube[:, i], ref) <= DRAW_MAP_BOUND, (len(seeds), i)
+        solo = run_trajectory(FIG, TAU, NOISE, n_kicks, stride, seed=11)
+        ref = scalar_noisy_run(cyc, v0, n_kicks, stride, 11)
+        assert rel_diff(moments_of(solo), ref) <= DRAW_MAP_BOUND
+        # a one-draw misalignment from the first kick of the second block, or
+        # at the last kick alone, moves the rows far beyond the bound
+        for skip_from in (RNG_BLOCK + 1, n_kicks):
+            shifted = scalar_noisy_run(cyc, v0, n_kicks, stride, 11, skip_from)
+            assert rel_diff(shifted, ref) > 10 * DRAW_MAP_BOUND, skip_from
+
+    @pytest.mark.parametrize("stride", [1, 7, 100, 5000])
+    def test_columns_independent_of_width(self, stride, monkeypatch):
+        # column i of a block is bitwise the one-seed run of seed i, also when
+        # the segment maps are built a few segments at a time
+        n_kicks = RNG_BLOCK + 77
+        cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
+        v0 = thermal_state(FIG)
+        seeds = [21, 22, 23, 24, 25]
+        wide = _run_block(cyc, v0, NOISE, n_kicks, stride, seeds)
+        monkeypatch.setattr(ensemble, "_CHUNK", 7)
+        assert np.array_equal(_run_block(cyc, v0, NOISE, n_kicks, stride, seeds), wide)
+        for i, seed in enumerate(seeds):
+            solo = _run_block(cyc, v0, NOISE, n_kicks, stride, [seed])
+            assert np.array_equal(solo[:, 0], wide[:, i]), seed
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n_kicks=st.integers(0, 3 * RNG_BLOCK),
+        stride=st.integers(1, 3 * RNG_BLOCK + 10),
+        width=st.integers(1, 3),
+        variance=st.sampled_from([0.0, 1e-6, 1e-3]),
+        base=st.integers(0, 2**32 - 1),
+    )
+    @example(n_kicks=0, stride=1, width=2, variance=1e-3, base=1)
+    @example(n_kicks=1, stride=1, width=2, variance=1e-3, base=1)
+    @example(n_kicks=RNG_BLOCK - 1, stride=1, width=2, variance=1e-3, base=1)
+    @example(n_kicks=RNG_BLOCK, stride=1, width=2, variance=1e-3, base=1)
+    @example(n_kicks=RNG_BLOCK + 1, stride=1, width=2, variance=1e-3, base=1)
+    @example(n_kicks=RNG_BLOCK + 1, stride=RNG_BLOCK + 2, width=2, variance=1e-3, base=1)
+    @example(n_kicks=50, stride=51, width=1, variance=1e-3, base=2)
+    def test_matches_lockstep_oracle(self, n_kicks, stride, width, variance, base):
+        noise = KickNoiseModel(mean_theta=10.0, variance=variance)
+        cyc = cycle_map(FIG, TAU, noise.mean_theta)
+        v0 = thermal_state(FIG)
+        seeds = [trajectory_seed(base, i) for i in range(width)]
+        composed = _run_block(cyc, v0, noise, n_kicks, stride, seeds)
+        lockstep = lockstep_run_block(cyc, v0, noise, n_kicks, stride, seeds)
+        assert composed.shape == lockstep.shape
+        for i in range(width):
+            assert rel_diff(composed[:, i], lockstep[:, i]) <= ORACLE_BOUND
+
+    def test_divergence_names_the_kick(self):
+        # the scalar loop's per-sample determinant test: at n_bar = 1e153 the
+        # moments stay finite while sigma_q*sigma_p overflows from kick 200
+        hot = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=1e153)
+        with pytest.raises(DivergenceError, match="out of float64 range\\) at kick 200:"):
+            stroboscopic_evolve(thermal_state(hot), cycle_map(hot, TAU, 10.0), 2000, 100)
+        with pytest.raises(DivergenceError, match="out of float64 range\\) at kick 200:"):
+            run_trajectory(hot, TAU, NOISE, 2000, 100, seed=3)
+        with pytest.raises(DivergenceError, match="out of float64 range\\) at kick 200:"):
+            run_ensemble(hot, TAU, NOISE, 2000, 100, n_traj=4, base_seed=3)
 
 
 class TestEnsemble:
@@ -151,14 +280,21 @@ class TestEnsemble:
 
     def test_zero_variance_mean_equals_deterministic(self):
         # power-of-two trajectory count: pairwise summation of identical
-        # columns is exact, so the mean is bitwise the deterministic value
+        # columns is exact, so the lockstep oracle's mean, aggregated as
+        # run_ensemble aggregates, is bitwise the deterministic value
         quiet = KickNoiseModel(mean_theta=10.0, variance=0.0)
-        stats = run_ensemble(FIG, TAU, quiet, 1000, 250, n_traj=4, base_seed=9)
-        ref = stroboscopic_evolve(thermal_state(FIG), cycle_map(FIG, TAU, 10.0), 1000, 250)
+        cyc = cycle_map(FIG, TAU, 10.0)
+        seeds = [trajectory_seed(9, i) for i in range(4)]
+        cube = lockstep_run_block(cyc, thermal_state(FIG), quiet, 1000, 250, seeds)
+        sigma_min = metric_arrays(cube[:, :, 0], cube[:, :, 1], cube[:, :, 2]).sigma_min
+        ref = stroboscopic_evolve(thermal_state(FIG), cyc, 1000, 250)
         from springkick import state_metrics
 
         ref_sm = np.array([state_metrics(v).sigma_min for _, v in ref])
-        assert np.array_equal(stats.mean.sigma_min, ref_sm)
+        assert np.array_equal(np.mean(sigma_min, axis=1), ref_sm)
+        assert np.all(np.std(sigma_min, axis=1) == 0.0)
+        # the composed path's columns are identical too
+        stats = run_ensemble(FIG, TAU, quiet, 1000, 250, n_traj=4, base_seed=9)
         assert np.all(stats.std.sigma_min == 0.0)
 
     def test_single_trajectory_has_zero_std(self):
