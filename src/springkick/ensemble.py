@@ -28,10 +28,10 @@ import numpy as np
 
 from .moments import (
     CycleMap,
-    DivergenceError,
     MechanicalParams,
     MomentVector,
     StateMetrics,
+    _check_finite,
     _sample_indices,
     cycle_map,
     metric_arrays,
@@ -205,7 +205,7 @@ def _run_block(
                     if n0 + end == kicks[row]:
                         cube[row] = x.T
                         row += 1
-                _check_finite(cube, kicks, first, row)
+                _check_finite(kicks[first:row], *cube[first:row].transpose(2, 0, 1))
     return cube
 
 
@@ -292,19 +292,6 @@ def _segment_maps(
     mul(q, q, out=x2), mul(q, s, out=y2), mul(s, s, out=z2)
     maps = (work[7:10], work[10:13], work[13:16], work[4:7])
     return maps, np.argsort(order).tolist()
-
-
-def _check_finite(cube: np.ndarray, kicks: list[int], first: int, stop: int) -> None:
-    """Raise DivergenceError at the first of rows first..stop-1 whose
-    determinant is not finite, as moments.stroboscopic_evolve does."""
-    q, qp, p = cube[first:stop].transpose(2, 0, 1)
-    bad = ~np.isfinite(q * p - qp * qp)
-    if bad.any():
-        r, i = np.argwhere(bad)[0]
-        raise DivergenceError(
-            f"moments diverged (out of float64 range) at kick {kicks[first + r]}:"
-            f" ({q[r, i]}, {qp[r, i]}, {p[r, i]})"
-        )
 
 
 def run_ensemble(

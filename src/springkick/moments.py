@@ -380,12 +380,11 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
     )
 
 
-# The per-period update is written out once, on scalars in
-# stroboscopic_evolve; every other iteration calls it.  closed_form_evolve,
-# which the CLI's deterministic runs use, does not iterate: it evaluates the
-# power of T directly and calls the scalar loop only where its closed form is
-# not certified.  The noisy ensemble does not step kick by kick either:
-# ensemble._run_block composes segments of kicks into 2x2 maps
+# The per-period update is written out once, on scalars in _iterate, the
+# kick-by-kick fallback of stroboscopic_evolve.  stroboscopic_evolve itself
+# does not iterate: it evaluates the power of T directly wherever that
+# closed form is certified.  The noisy ensemble does not step kick by kick
+# either: ensemble._run_block composes segments of kicks into 2x2 maps
 # Sigma -> P Sigma P^T + Q and chains those.  The scalar copy stays inlined
 # because a step function called once per kick made 10^6 fig1 kicks 17-47%
 # slower.  tests/oracles.lockstep_run_block steps a noisy ensemble kick by
@@ -412,7 +411,7 @@ def _unpack_cycle(cycle: CycleMap):
 def _sample_indices(n_kicks: int, stride: int) -> list[int]:
     """Kicks at which a run records its state: 0, every stride-th, and n_kicks.
 
-    The one sampling rule of both kick loops.  Raises ValueError unless
+    The one sampling rule of every evolve.  Raises ValueError unless
     n_kicks >= 0 and stride >= 1.
     """
     if n_kicks < 0:
@@ -426,31 +425,48 @@ def _sample_indices(n_kicks: int, stride: int) -> list[int]:
     return idx
 
 
+def _check_finite(kicks, q, qp, p) -> None:
+    """Raise DivergenceError at the first state sampled at kicks whose
+    determinant sigma_q*sigma_p - sigma_qp^2 is not finite; it leaves
+    float64 from moments of about 1e154, long before the moments do.
+
+    q, qp and p are arrays with a row per kick (and a column per trajectory)
+    under the caller's np.errstate, or floats for one kick, which the scalar
+    loop passes at every sample and which take no numpy call.
+    """
+    det = q * p - qp * qp
+    if math.isfinite(det) if isinstance(det, float) else np.isfinite(det).all():
+        return
+    q, qp, p, det = np.atleast_1d(q, qp, p, det)
+    at = tuple(np.argwhere(~np.isfinite(det))[0])
+    raise DivergenceError(
+        f"moments diverged (out of float64 range) at kick {kicks[at[0]]}:"
+        f" ({float(q[at])}, {float(qp[at])}, {float(p[at])})"
+    )
+
+
 class Samples(list):
     """Sampled (kick index, state) pairs of one run, plus its squeezing onset.
 
-    A plain list of the samples; onset is the squeezing_onset of the whole
-    run, found by testing every kick of it.
+    A plain list of the samples; onset is the run's squeezing onset (see
+    squeezing_onset), from a test of every kick of the run.
     """
 
     onset: int | None = None
 
 
-def stroboscopic_evolve(
+def _iterate(
     v0: MomentVector,
     cycle: CycleMap,
     n_kicks: int,
     sample_stride: int = 1,
 ) -> Samples:
-    """Iterate the cyclic map n_kicks times, recording sampled states.
+    """stroboscopic_evolve's samples and onset, iterating the map kick by kick.
 
-    Entry (n, state) holds the state after n full periods, i.e. just before
-    the (n+1)-th kick, for each n of _sample_indices(n_kicks, sample_stride):
-    the initial state, every sample_stride-th state and the final state.
-    Every period is also tested for squeezing, and the result carries the
-    run's squeezing onset as .onset (see squeezing_onset).  Raises
-    DivergenceError if a sampled moment, or the determinant
-    sigma_q*sigma_p - sigma_qp^2 of a sampled state, stops being finite.
+    The fallback of stroboscopic_evolve where its closed form is not
+    certified.  Every period is tested for squeezing in the same pass.
+    Raises DivergenceError at the first sampled state whose determinant is
+    not finite (_check_finite), without iterating past it.
     """
     kicks = _sample_indices(n_kicks, sample_stride)
     theta = cycle.theta
@@ -459,7 +475,6 @@ def stroboscopic_evolve(
     t4sq = t4 * theta
     m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cycle)
     hypot = math.hypot
-    isfinite = math.isfinite
 
     q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
     # 2*sigma_min >= 2*vacuum: the state at this kick is not squeezed.  This
@@ -480,46 +495,26 @@ def stroboscopic_evolve(
             q = q_new
             if p + q - hypot(p - q, 2.0 * qp) >= 1.0:
                 last_unsqueezed = k
-        # the determinant is finite only if q, qp and p are, and it leaves
-        # float64 from moments of about 1e154, long before they do
-        if not isfinite(q * p - qp * qp):
-            raise DivergenceError(
-                f"moments diverged (out of float64 range) at kick {end}:"
-                f" ({q}, {qp}, {p})"
-            )
+        _check_finite((end,), q, qp, p)
         samples.append((end, MomentVector(q, qp, p)))
     samples.onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
     return samples
 
 
-def squeezing_onset(v0: MomentVector, cycle: CycleMap, n_kicks: int) -> int | None:
-    """First kick index after which the minimum variance stays below vacuum.
-
-    Iterates every period of an n_kicks-long run and returns one past the
-    last index at which the state was not squeezed.  Returns None when the
-    run ends unsqueezed, so no permanent onset can be certified within
-    n_kicks.  The same as stroboscopic_evolve(...).onset, which a caller that
-    also wants the samples should read instead of scanning the kicks twice;
-    closed_form_evolve(...).onset tests the same kicks without iterating, on
-    states computed from the closed-form power of the period map.
-    """
-    return stroboscopic_evolve(v0, cycle, n_kicks, max(n_kicks, 1)).onset
-
-
-# Kicks per block of closed_form_evolve's onset scan: its float64
+# Kicks per block of stroboscopic_evolve's onset scan: its float64
 # temporaries of this length peak near 3 MB (tracemalloc, fig1), where a
 # whole 10^6-kick scan at once would take about 200 MB.
 _ONSET_CHUNK = 1 << 14
-# sin(phi) below which closed_form_evolve iterates instead.  Near sin(phi) = 0
-# T is close to delta times a Jordan block, the pair turns real, and the
-# closed form's terms grow like 1/sin^3(phi) while their sum does not, so
-# their rounding does: at sin(phi) = 0.01 the first row of one run strayed
-# 1.1e-10 from 40 digits; at 0.1, 9000 random runs of up to 2000 kicks kept
-# every row within 1e-10 (tests/test_closed_form.py).  The
+# sin(phi) below which stroboscopic_evolve iterates instead.  Near
+# sin(phi) = 0 T is close to delta times a Jordan block, the pair turns real,
+# and the closed form's terms grow like 1/sin^3(phi) while their sum does
+# not, so their rounding does: at sin(phi) = 0.01 the first row of one run
+# strayed 1.1e-10 from 40 digits; at 0.1, 9000 random runs of up to 2000
+# kicks kept every row within 1e-10 (tests/test_closed_form.py).  The
 # sweep's resonance points tau = k pi/omega_m sit at |cos(phi)| - 1 ~ 2e-12 to
 # 6e-12 (a real pair) and its other points at sin(phi) >= 0.34.
 _MIN_SIN_PHI = 0.1
-# gamma_m tau above which closed_form_evolve iterates instead.  The form
+# gamma_m tau above which stroboscopic_evolve iterates instead.  The form
 # works with T/delta, delta = e^{-gamma_m tau/2}; up to here delta >= 1e-152,
 # so T's entries, of order delta, stay far above the subnormal range where
 # dividing by delta would bring back lost digits as noise.  Such a flight
@@ -531,6 +526,9 @@ _MAX_DECAY = 700.0
 # reduce flight phases up to 1e15 rad to [-pi, pi] without losing any of them
 _PHASE_DIGITS = 50
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+# The phase of kick n is taken as that of n_hi * _PHASE_STEP + n_lo kicks,
+# both parts below 2^29, so that _reduce_phase is exact for n below 2^53
+_PHASE_STEP = 2**29
 
 
 def _split(x: Decimal, parts: int) -> tuple[float, ...]:
@@ -566,9 +564,10 @@ def _cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
         s += term_s
 
 
-def _eigenphase(cycle: CycleMap) -> tuple[float, float, float]:
+def _eigenphase(cycle: CycleMap) -> tuple[tuple[float, float, float], ...]:
     """phi of T's eigenvalues e^{-gamma tau/2 +- i phi}, from the physics,
-    as a _split sum of three floats.
+    and _PHASE_STEP phi reduced to [-pi, pi], each as a _split sum of three
+    floats.
 
     cos(phi) = tr T e^{gamma tau/2}/2 = C - theta omega_m S, with C and S of
     make_propagator, here at _PHASE_DIGITS digits from the float inputs;
@@ -593,20 +592,45 @@ def _eigenphase(cycle: CycleMap) -> tuple[float, float, float]:
         cos_phi = c - theta * w * s
         phi = Decimal(math.acos(float(cos_phi)))
         c, s = _cos_sin(phi)
-        return _split(phi + (c - cos_phi) / s, 3)
+        phi += (c - cos_phi) / s
+        step = _PHASE_STEP * phi
+        step -= 2 * _PI * (step / (2 * _PI)).to_integral_value()
+        return _split(phi, 3), _split(step, 3)
 
 
-def closed_form_evolve(
+def _reduce_phase(n: np.ndarray, x: tuple[float, float, float], turns: float) -> np.ndarray:
+    """n x - 2 pi k with k = rint(n turns), turns = x/(2 pi), for the _split
+    sum x and whole n below 2^29 as floats.
+
+    n x_0 and k 2 pi_0 are exact, so is their difference, and the rest is
+    below 2 pi in size: the result is off by about its own rounding.
+    """
+    k = np.rint(n * turns)
+    a = (n * x[0] - k * _TWO_PI[0]) - k * _TWO_PI[1]
+    a += (n * x[1] - k * _TWO_PI[2]) + n * x[2]
+    return a
+
+
+def stroboscopic_evolve(
     v0: MomentVector,
     cycle: CycleMap,
     n_kicks: int,
     sample_stride: int = 1,
 ) -> Samples:
-    """stroboscopic_evolve's samples and onset from the closed-form power of T.
+    """Sampled states of n_kicks periods of the cyclic map, with the onset.
 
-    The state after n kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T,
-    with N = v_inh as a 2x2.  With delta^2 = det T = e^{-gamma tau} and
-    U = T/delta, whose eigenvalues are e^{+-i phi}, Cayley-Hamilton gives
+    Entry (n, state) holds the state after n full periods, i.e. just before
+    the (n+1)-th kick, for each n of _sample_indices(n_kicks, sample_stride):
+    the initial state, every sample_stride-th state and the final state.
+    Every period is also tested for squeezing, and the result carries the
+    run's squeezing onset as .onset (see squeezing_onset).  Raises
+    DivergenceError at the first sampled state whose moments, or whose
+    determinant sigma_q*sigma_p - sigma_qp^2, are not finite.
+
+    The states come from the closed-form power of T.  The state after n
+    kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T, with N = v_inh as a
+    2x2.  With delta^2 = det T = e^{-gamma tau} and U = T/delta, whose
+    eigenvalues are e^{+-i phi}, Cayley-Hamilton gives
     T^n = delta^n (sin(n phi) U - sin((n-1) phi) I)/sin(phi).  So
     T^n X T^n^T is delta^{2n}/sin^2(phi) times
     sin^2(n phi) U X U^T - sin(n phi) sin((n-1) phi) (U X + X U^T)
@@ -619,30 +643,32 @@ def closed_form_evolve(
     error into the rows: at fig1, a correctly rounded float phi times n
     strays 1.2e-10 by kick 51400.  So phi comes from the physics to 50
     digits (_eigenphase) and n phi is reduced by 2 pi in double-double,
-    exactly for n below 2^29.
+    exactly for n below 2^53.
 
-    Where the form is not certified it returns stroboscopic_evolve's result:
-    no stationary state (or an unphysical one), gamma tau > _MAX_DECAY, a
-    real eigenvalue pair of T, or sin(phi) < _MIN_SIN_PHI.  Raises what
-    stroboscopic_evolve raises, at the same sampled kick.
+    Where the form is not certified it iterates the map kick by kick
+    (_iterate): no stationary state (or an unphysical one),
+    gamma tau > _MAX_DECAY, a real eigenvalue pair of T, or
+    sin(phi) < _MIN_SIN_PHI.
     """
     kicks = _sample_indices(n_kicks, sample_stride)
     try:
         steady_state(cycle)
     except (NoStationaryStateError, UnphysicalStateError):
-        return stroboscopic_evolve(v0, cycle, n_kicks, sample_stride)
+        return _iterate(v0, cycle, n_kicks, sample_stride)
     decay = cycle.params.gamma_m * cycle.tau  # -log det T
     if not decay <= _MAX_DECAY:
-        return stroboscopic_evolve(v0, cycle, n_kicks, sample_stride)
+        return _iterate(v0, cycle, n_kicks, sample_stride)
     # T's entries are below 1e154, since A, whose corners are their squares,
     # is finite; so U's entries are finite
     U = cycle.T / math.exp(-0.5 * decay)
     cos_phi = 0.5 * float(U[0, 0] + U[1, 1])
     if not (abs(cos_phi) < 1.0 and (1.0 - cos_phi) * (1.0 + cos_phi) >= _MIN_SIN_PHI**2):
-        return stroboscopic_evolve(v0, cycle, n_kicks, sample_stride)
-    phi_a, phi_b, phi_c = _eigenphase(cycle)
-    phi = phi_a + phi_b + phi_c  # the first sum is exact, so this rounds once
-    turns = phi / (2.0 * math.pi)
+        return _iterate(v0, cycle, n_kicks, sample_stride)
+    phi_parts, step_parts = _eigenphase(cycle)
+    # the first sum is exact, so each of these rounds once
+    phi = phi_parts[0] + phi_parts[1] + phi_parts[2]
+    step = step_parts[0] + step_parts[1] + step_parts[2]
+    turns, step_turns = phi / (2.0 * math.pi), step / (2.0 * math.pi)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     r = math.exp(-decay)
     expm1_r = math.expm1(-decay)
@@ -653,6 +679,27 @@ def closed_form_evolve(
         UX = U @ X
         terms = np.array([UX @ U.T, UX + UX.T, X])
         return terms[:, [0, 0, 1], [0, 1, 1]].T / (sin_phi * sin_phi)
+
+    def states(n):
+        """(3, len(n)) moments after n >= 1 kicks, n a float array."""
+        if n_kicks < _PHASE_STEP:
+            a = _reduce_phase(n, phi_parts, turns)
+        else:
+            n_hi = np.floor(n / _PHASE_STEP)
+            a = _reduce_phase(n - n_hi * _PHASE_STEP, phi_parts, turns)
+            a += _reduce_phase(n_hi, step_parts, step_turns)
+        s_n, c_n = np.sin(a), np.cos(a)
+        s_m = s_n * cos_phi - c_n * sin_phi
+        r_n = np.exp(n * -decay)
+        terms = np.array([
+            r_n * s_n * s_n,
+            -r_n * s_n * s_m,
+            r_n * s_m * s_m,
+            np.expm1(n * -decay) / expm1_r,
+            r_n * (1.0 - 2.0 * s_n * s_n),
+            r_n * (2.0 * s_n * c_n),
+        ])
+        return const[:, None] + weights @ terms
 
     # sum_{k<n} T^k N T^k^T = (alpha U N U^T - beta (U N + N U^T) + gamma N)
     # / (2 s^2), with s = sin(phi), G = sum_{k<n} r^k and
@@ -667,64 +714,48 @@ def closed_form_evolve(
     turn = complex(cos_phi, -sin_phi)
     w = np.array([w, w * turn, w * turn * turn])
     b0, b1, b2 = cycle.propagator.v_inh
-    noise = basis(np.array([[b0, b1], [b1, b2]])) * np.array([0.5, -0.5, 0.5])
-    # state after n kicks = const + weights @ (r^n sin^2(n phi),
-    # -r^n sin(n phi) sin((n-1) phi), r^n sin^2((n-1) phi), G,
-    # r^n cos(2n phi), r^n sin(2n phi))
-    const = -noise @ w.real
-    weights = np.column_stack([
-        basis(np.array([[v0.sigma_q, v0.sigma_qp], [v0.sigma_qp, v0.sigma_p]])),
-        noise @ np.array([1.0, cos_phi, 1.0]),
-        noise @ w.real,
-        -noise @ w.imag,
-    ])
-
-    def states(n):
-        """(3, len(n)) moments after n >= 1 kicks, n a float array."""
-        k = np.rint(n * turns)
-        # n phi - 2 pi k: the first two products are exact, so is their
-        # difference, and the rest is below 2 pi in size
-        a = (n * phi_a - k * _TWO_PI[0]) - k * _TWO_PI[1]
-        a += (n * phi_b - k * _TWO_PI[2]) + n * phi_c
-        s_n, c_n = np.sin(a), np.cos(a)
-        s_m = s_n * cos_phi - c_n * sin_phi
-        r_n = np.exp(n * -decay)
-        terms = np.array([
-            r_n * s_n * s_n,
-            -r_n * s_n * s_m,
-            r_n * s_m * s_m,
-            np.expm1(n * -decay) / expm1_r,
-            r_n * (1.0 - 2.0 * s_n * s_n),
-            r_n * (2.0 * s_n * c_n),
-        ])
-        return const[:, None] + weights @ terms
-
-    samples = Samples([(0, v0)])
     # overflow here is reported by the DivergenceError below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = states(np.array(kicks[1:], dtype=float)).tolist()
-    for end, q, qp, p in zip(kicks[1:], *columns):
-        if not math.isfinite(q * p - qp * qp):
-            raise DivergenceError(
-                f"moments diverged (out of float64 range) at kick {end}:"
-                f" ({q}, {qp}, {p})"
-            )
-        samples.append((end, MomentVector(q, qp, p)))
+        noise = basis(np.array([[b0, b1], [b1, b2]])) * np.array([0.5, -0.5, 0.5])
+        # state after n kicks = const + weights @ (r^n sin^2(n phi),
+        # -r^n sin(n phi) sin((n-1) phi), r^n sin^2((n-1) phi), G,
+        # r^n cos(2n phi), r^n sin(2n phi))
+        const = -noise @ w.real
+        weights = np.column_stack([
+            basis(np.array([[v0.sigma_q, v0.sigma_qp], [v0.sigma_qp, v0.sigma_p]])),
+            noise @ np.array([1.0, cos_phi, 1.0]),
+            noise @ w.real,
+            -noise @ w.imag,
+        ])
+        columns = states(np.array(kicks[1:], dtype=float))
+        _check_finite(kicks[1:], *columns)
+        samples = Samples([(0, v0)])
+        samples.extend(
+            (end, MomentVector(q, qp, p)) for end, q, qp, p in zip(kicks[1:], *columns.tolist())
+        )
 
-    q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
-    last_unsqueezed = 0 if p + q - math.hypot(p - q, 2.0 * qp) >= 1.0 else -1
-    hi = n_kicks
-    while hi >= 1:
-        lo = max(hi - _ONSET_CHUNK + 1, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
+        last_unsqueezed = 0 if p + q - math.hypot(p - q, 2.0 * qp) >= 1.0 else -1
+        hi = n_kicks
+        while hi >= 1:
+            lo = max(hi - _ONSET_CHUNK + 1, 1)
             q, qp, p = states(np.arange(lo, hi + 1, dtype=float))
             hit = np.flatnonzero(p + q - np.hypot(p - q, 2.0 * qp) >= 1.0)
-        if hit.size:
-            last_unsqueezed = lo + int(hit[-1])
-            break
-        hi = lo - 1
+            if hit.size:
+                last_unsqueezed = lo + int(hit[-1])
+                break
+            hi = lo - 1
     samples.onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
     return samples
+
+
+def squeezing_onset(v0: MomentVector, cycle: CycleMap, n_kicks: int) -> int | None:
+    """First kick index after which the minimum variance stays below vacuum:
+    one past the last unsqueezed kick of an n_kicks-long run, or None when
+    the run ends unsqueezed.  The same as stroboscopic_evolve(...).onset,
+    which a caller that also wants the samples should read instead.
+    """
+    return stroboscopic_evolve(v0, cycle, n_kicks, max(n_kicks, 1)).onset
 
 
 def intra_period_trace(

@@ -28,20 +28,17 @@ from .moments import (
     NoStationaryStateError,
     StateMetrics,
     UnphysicalStateError,
-    closed_form_evolve,
     cycle_map,
     intra_period_trace,
     metric_arrays,
     state_metrics,
     steady_state,
+    stroboscopic_evolve,
     thermal_state,
 )
-from .moments import (  # noqa: F401
-    # unused since run_config calls closed_form_evolve, but bench/tracing.py
-    # patches every name of its PATCHES list on this module
-    squeezing_onset,
-    stroboscopic_evolve,
-)
+# bound only because bench/tracing.py patches every name of its PATCHES list
+# on this module; run_config reads stroboscopic_evolve's onset instead
+from .moments import squeezing_onset  # noqa: F401
 from .pulses import (
     BathParams,
     CavityParams,
@@ -350,7 +347,7 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
         )
     else:
         v0 = thermal_state(mech)
-        samples = closed_form_evolve(v0, cycle, sched.n_kicks, sched.stride)
+        samples = stroboscopic_evolve(v0, cycle, sched.n_kicks, sched.stride)
         write_trajectory_csv(csv_path, sched.tau, samples)
         written.append(csv_path)
         onset = samples.onset

@@ -1,6 +1,7 @@
 """Shared strategies: physical moment vectors and underdamped parameter sets.
 
-Also the README's INI example, as documented and in its physical kick form.
+Also the README's INI example, as documented and in its physical kick form,
+and its library quick start.
 """
 
 import math
@@ -65,10 +66,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+def _readme_block(language: str) -> str:
+    """The first ```language block of README.md, verbatim."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_ini_example() -> str:
     """The ```ini block of README.md, verbatim."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+    return _readme_block("ini")
+
+
+def readme_quick_start() -> str:
+    """The first ```python block of README.md, the library quick start."""
+    return _readme_block("python")
 
 
 def readme_physical_example() -> str:

@@ -19,10 +19,9 @@ from springkick import (
     KickNoiseModel,
     MomentVector,
     NoStationaryStateError,
-    stroboscopic_evolve,
 )
 from springkick.ensemble import RNG_BLOCK, _generator
-from springkick.moments import _sample_indices
+from springkick.moments import _iterate, _sample_indices
 
 
 def rk4_free(omega_m: float, gamma_m: float, n_bar: float, v0, t_total: float, n_steps: int):
@@ -109,7 +108,7 @@ def steady_state_iterative(
     for done in range(0, max_kicks, _FIXED_POINT_BLOCK):
         m = min(_FIXED_POINT_BLOCK, max_kicks - done)
         # stride m - 1 samples exactly the states around the block's last period
-        (_, prev), (_, v) = stroboscopic_evolve(v, cycle, m, max(m - 1, 1))[-2:]
+        (_, prev), (_, v) = _iterate(v, cycle, m, max(m - 1, 1))[-2:]
         a, b = prev.as_array(), v.as_array()
         if np.sum(np.abs(b - a)) <= rel_tol * np.sum(np.abs(b)):
             return v
@@ -168,8 +167,8 @@ def lockstep_run_block(
 
     Same draws and the same sampled cube as ensemble._run_block, which
     composes segment maps instead.  The update has the expression structure
-    of the scalar loop in moments.stroboscopic_evolve, so a zero-variance
-    block is bit-identical to the deterministic iteration.
+    of the scalar loop moments._iterate, so a zero-variance block is
+    bit-identical to the deterministic iteration.
     """
     kicks = _sample_indices(n_kicks, stride)
     # M's columns as (3, 1) arrays: row r of c0*q + c1*qp_k + c2*p_k + b is

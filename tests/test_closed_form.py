@@ -1,8 +1,8 @@
-"""closed_form_evolve: the closed-form power of the period map.
+"""stroboscopic_evolve: the closed-form power of the period map.
 
 Its rows are checked against a 40-digit matrix power of the period map, and
-against the loop it replaces; where the form is not certified it must hand
-back stroboscopic_evolve's result bit for bit.
+against the kick-by-kick loop moments._iterate; where the form is not
+certified it must hand back _iterate's result bit for bit.
 """
 
 import math
@@ -20,14 +20,13 @@ from springkick import (
     MomentVector,
     NoStationaryStateError,
     UnphysicalStateError,
-    closed_form_evolve,
     cycle_map,
     steady_state,
     stroboscopic_evolve,
     thermal_state,
 )
 from springkick.cli import main
-from springkick.moments import _MAX_DECAY, _MIN_SIN_PHI
+from springkick.moments import _MAX_DECAY, _MIN_SIN_PHI, _iterate
 
 FIG1 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 FIG2 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=200.0)
@@ -60,8 +59,8 @@ def cos_phi(cycle):
 
 
 def assert_falls_back(v0, cycle, n_kicks, stride):
-    got = closed_form_evolve(v0, cycle, n_kicks, stride)
-    ref = stroboscopic_evolve(v0, cycle, n_kicks, stride)
+    got = stroboscopic_evolve(v0, cycle, n_kicks, stride)
+    ref = _iterate(v0, cycle, n_kicks, stride)
     assert bits(got) == bits(ref)
     assert got.onset == ref.onset
 
@@ -71,8 +70,8 @@ class TestAgainstMpmath:
     def test_rows(self, params):
         cyc = cycle_map(params, TAU, THETA)
         v0 = thermal_state(params)
-        closed = dict(closed_form_evolve(v0, cyc, ORACLE_KICKS[-1], 100))
-        loop = dict(stroboscopic_evolve(v0, cyc, ORACLE_KICKS[-1], 100))
+        closed = dict(stroboscopic_evolve(v0, cyc, ORACLE_KICKS[-1], 100))
+        loop = dict(_iterate(v0, cyc, ORACLE_KICKS[-1], 100))
         refs = mp_period_states(
             params.omega_m, params.gamma_m, params.n_bar, TAU, THETA,
             v0.as_array().tolist(), ORACLE_KICKS,
@@ -87,6 +86,22 @@ class TestAgainstMpmath:
         worst_loop = max(e for _, e in errors.values())
         assert worst_closed <= ROW_BOUND, errors
         assert worst_closed <= worst_loop, errors
+
+    @pytest.mark.parametrize("n_kicks", [2**29 - 3, 2**31 + 7])
+    def test_row_past_2_29_kicks(self, n_kicks):
+        # n phi was reduced exactly only below 2^29 kicks: at 2^31 + 7 this
+        # row strayed 1.6e-7 from 40 digits.  It ends unsqueezed, so the
+        # onset scan stops at the last kick.
+        params = MechanicalParams(omega_m=1e3, gamma_m=1e-6, n_bar=1.0)
+        tau, theta = 1e-3, 0.2
+        v0 = MomentVector(3.0, 0.0, 40.0)
+        samples = stroboscopic_evolve(v0, cycle_map(params, tau, theta), n_kicks, n_kicks)
+        [ref] = mp_period_states(
+            params.omega_m, params.gamma_m, params.n_bar, tau, theta,
+            v0.as_array().tolist(), [n_kicks],
+        )
+        assert samples[-1][0] == n_kicks
+        assert row_error(samples[-1][1].as_array(), ref) <= ROW_BOUND
 
 
 class TestFallback:
@@ -145,8 +160,8 @@ class TestFallback:
     def test_certified_run_does_not_iterate(self):
         cyc = cycle_map(FIG1, TAU, THETA)
         v0 = thermal_state(FIG1)
-        got = closed_form_evolve(v0, cyc, 2_000, 100)
-        assert bits(got) != bits(stroboscopic_evolve(v0, cyc, 2_000, 100))
+        got = stroboscopic_evolve(v0, cyc, 2_000, 100)
+        assert bits(got) != bits(_iterate(v0, cyc, 2_000, 100))
 
 
 def _stable_complex_pair(params, tau, theta):
@@ -219,12 +234,12 @@ class TestAgainstLoop:
         cyc = _stable_complex_pair(params, tau, theta)
         assume(cyc is not None)
         try:
-            ref = stroboscopic_evolve(v0, cyc, n_kicks, stride)
+            ref = _iterate(v0, cyc, n_kicks, stride)
         except (DivergenceError, UnphysicalStateError) as exc:
             with pytest.raises(type(exc)):
-                closed_form_evolve(v0, cyc, n_kicks, stride)
+                stroboscopic_evolve(v0, cyc, n_kicks, stride)
             return
-        got = closed_form_evolve(v0, cyc, n_kicks, stride)
+        got = stroboscopic_evolve(v0, cyc, n_kicks, stride)
         if got.onset != ref.onset:
             # only a kick whose state lies within rounding of the vacuum line,
             # which float64 cannot place on either side, may be judged apart
@@ -257,9 +272,9 @@ class TestErrors:
         cyc = cycle_map(params, TAU, THETA)
         v0 = thermal_state(params)
         with pytest.raises(DivergenceError, match="at kick 200:"):
-            stroboscopic_evolve(v0, cyc, 2000, 100)
+            _iterate(v0, cyc, 2000, 100)
         with pytest.raises(DivergenceError, match="at kick 200:"):
-            closed_form_evolve(v0, cyc, 2000, 100)
+            stroboscopic_evolve(v0, cyc, 2000, 100)
 
 
 class TestRunner:
@@ -268,7 +283,7 @@ class TestRunner:
         argv = ["--scenario", "fig1", "--kicks", "999", "--stride", "7"]
         assert main([*argv, "--out", str(out), "--quiet"]) == 0
         rows = (tmp_path / "fig1.csv").read_text().splitlines()[1:]
-        samples = closed_form_evolve(thermal_state(FIG1), cycle_map(FIG1, TAU, THETA), 999, 7)
+        samples = stroboscopic_evolve(thermal_state(FIG1), cycle_map(FIG1, TAU, THETA), 999, 7)
         assert [r.split(",")[2:5] for r in rows] == [
             [repr(v.sigma_q), repr(v.sigma_qp), repr(v.sigma_p)] for _, v in samples
         ]

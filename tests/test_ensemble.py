@@ -27,7 +27,7 @@ from springkick import (
 )
 from springkick import ensemble
 from springkick.ensemble import RNG_BLOCK, _run_block
-from springkick.moments import _unpack_cycle
+from springkick.moments import _iterate, _unpack_cycle
 
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 TAU = 1e-7
@@ -71,11 +71,11 @@ class TestTrajectory:
     def test_zero_variance_matches_deterministic_bitwise(self):
         # ties the lockstep oracle to the scalar loop: with no noise every
         # float operation of oracles.lockstep_run_block must land on the same
-        # bits as moments.stroboscopic_evolve
+        # bits as moments._iterate
         quiet = KickNoiseModel(mean_theta=10.0, variance=0.0)
         traj = run_trajectory(FIG, TAU, quiet, 3000, 250, seed=99)
         cyc = cycle_map(FIG, TAU, 10.0)
-        ref = stroboscopic_evolve(thermal_state(FIG), cyc, 3000, 250)
+        ref = _iterate(thermal_state(FIG), cyc, 3000, 250)
         assert [n for n, _, _ in traj.samples] == [n for n, _ in ref]
         ref_arr = np.array([[v.sigma_q, v.sigma_qp, v.sigma_p] for _, v in ref])
         cube = lockstep_run_block(cyc, thermal_state(FIG), quiet, 3000, 250, [99])
@@ -287,7 +287,7 @@ class TestEnsemble:
         seeds = [trajectory_seed(9, i) for i in range(4)]
         cube = lockstep_run_block(cyc, thermal_state(FIG), quiet, 1000, 250, seeds)
         sigma_min = metric_arrays(cube[:, :, 0], cube[:, :, 1], cube[:, :, 2]).sigma_min
-        ref = stroboscopic_evolve(thermal_state(FIG), cyc, 1000, 250)
+        ref = _iterate(thermal_state(FIG), cyc, 1000, 250)
         from springkick import state_metrics
 
         ref_sm = np.array([state_metrics(v).sigma_min for _, v in ref])

@@ -49,9 +49,8 @@ def test_traced_cli_runs_record_every_layer(tracing, tmp_path):
         tracer.uninstall()
     assert codes == [0, 0, 0]
     spans = Counter(name for _, name, *_ in tracer.spans)
-    # run_config calls closed_form_evolve, which PATCHES does not wrap, so
-    # no run here records moments.stroboscopic_evolve
     for name in (
+        "moments.stroboscopic_evolve",
         "ensemble.run_ensemble",
         "pulses.theta_from_physical",
         "moments.intra_period_trace",

@@ -1,9 +1,10 @@
-"""The fused kick scan: stroboscopic_evolve samples and onset in one pass.
+"""The fused kick scan: moments._iterate samples and onset in one pass.
 
-The reference below is the earlier two-pass code, copied with its one helper
-inlined: one loop that samples the states and a second loop over the same
-kicks that tracks the last unsqueezed one.  The fused scan must reproduce
-both exactly.
+_iterate is the kick-by-kick loop that stroboscopic_evolve falls back on
+where its closed form is not certified.  The reference below is the earlier
+two-pass code, copied with its one helper inlined: one loop that samples
+the states and a second loop over the same kicks that tracks the last
+unsqueezed one.  The fused scan must reproduce both exactly.
 """
 
 import math
@@ -19,12 +20,10 @@ from springkick import (
     MechanicalParams,
     MomentVector,
     cycle_map,
-    squeezing_onset,
     steady_state,
-    stroboscopic_evolve,
     thermal_state,
 )
-from springkick.moments import VACUUM_VARIANCE, _unpack_cycle
+from springkick.moments import VACUUM_VARIANCE, _iterate, _unpack_cycle
 
 FIG1 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 FIG2 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=200.0)
@@ -100,12 +99,12 @@ def bits(samples):
 
 
 def assert_matches_reference(v0, cycle, n_kicks, stride):
-    samples = stroboscopic_evolve(v0, cycle, n_kicks, stride)
+    samples = _iterate(v0, cycle, n_kicks, stride)
     assert isinstance(samples, list)
     assert bits(samples) == bits(reference_evolve(v0, cycle, n_kicks, stride))
     expected = reference_onset(v0, cycle, n_kicks)
     assert samples.onset == expected
-    assert squeezing_onset(v0, cycle, n_kicks) == expected
+    assert _iterate(v0, cycle, n_kicks, max(n_kicks, 1)).onset == expected
     return samples
 
 
@@ -146,7 +145,7 @@ class TestOnsetBoundaries:
         # unsqueezed and certifies none.
         cyc = cycle_map(FIG1, TAU, 10.0)
         v0 = MomentVector(0.5, 0.0, 0.5)
-        o = stroboscopic_evolve(v0, cyc, 2000, 2000).onset
+        o = _iterate(v0, cyc, 2000, 2000).onset
         assert 0 < o < 2000
         at_end = assert_matches_reference(v0, cyc, o, 3)
         assert at_end.onset == o
@@ -176,13 +175,13 @@ class TestDivergence:
         with pytest.raises(DivergenceError) as ref:
             reference_evolve(v0, cyc, 5000, stride)
         with pytest.raises(DivergenceError, match=f"at kick {sampled}:") as got:
-            stroboscopic_evolve(v0, cyc, 5000, stride)
+            _iterate(v0, cyc, 5000, stride)
         assert str(got.value) == str(ref.value)
 
     def test_onset_of_divergent_run_raises(self):
         cyc = cycle_map(self.PARAMS, TAU, -10.0)
         with pytest.raises(DivergenceError):
-            squeezing_onset(thermal_state(self.PARAMS), cyc, 5000)
+            _iterate(thermal_state(self.PARAMS), cyc, 5000, 5000).onset
 
 
 class TestHugeMoments:
@@ -194,7 +193,7 @@ class TestHugeMoments:
         params = MechanicalParams(5e5, 1e2, 3e152)
         cyc = cycle_map(params, TAU, 10.0)
         v0 = thermal_state(params)
-        samples = stroboscopic_evolve(v0, cyc, 2000, 100)
+        samples = _iterate(v0, cyc, 2000, 100)
         overflowed = 0
         with mp.workdps(40):
             for _, v in samples:
@@ -205,7 +204,7 @@ class TestHugeMoments:
         assert overflowed > 0
         assert reference_onset(v0, cyc, 2000) == 1982
         assert samples.onset is None
-        assert squeezing_onset(v0, cyc, 2000) is None
+        assert _iterate(v0, cyc, 2000, 2000).onset is None
 
     def test_overflowing_determinant_raises(self):
         # At n_bar = 1e153 the moments stay finite, but sigma_q*sigma_p -
@@ -214,4 +213,4 @@ class TestHugeMoments:
         params = MechanicalParams(5e5, 1e2, 1e153)
         cyc = cycle_map(params, TAU, 10.0)
         with pytest.raises(DivergenceError, match="at kick 200:"):
-            stroboscopic_evolve(thermal_state(params), cyc, 2000, 100)
+            _iterate(thermal_state(params), cyc, 2000, 100)
