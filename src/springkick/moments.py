@@ -648,8 +648,11 @@ def stroboscopic_evolve(
     Where the form is not certified it iterates the map kick by kick
     (_iterate): no stationary state (or an unphysical one),
     gamma tau > _MAX_DECAY, a real eigenvalue pair of T, or
-    sin(phi) < _MIN_SIN_PHI.
+    sin(phi) < _MIN_SIN_PHI.  Raises ValueError for n_kicks >= 2^53, where
+    a float no longer holds every kick index.
     """
+    if n_kicks >= 2**53:
+        raise ValueError(f"n_kicks must be below 2^53, got {n_kicks}")
     kicks = _sample_indices(n_kicks, sample_stride)
     try:
         steady_state(cycle)
@@ -682,12 +685,9 @@ def stroboscopic_evolve(
 
     def states(n):
         """(3, len(n)) moments after n >= 1 kicks, n a float array."""
-        if n_kicks < _PHASE_STEP:
-            a = _reduce_phase(n, phi_parts, turns)
-        else:
-            n_hi = np.floor(n / _PHASE_STEP)
-            a = _reduce_phase(n - n_hi * _PHASE_STEP, phi_parts, turns)
-            a += _reduce_phase(n_hi, step_parts, step_turns)
+        n_hi = np.floor(n / _PHASE_STEP)
+        a = _reduce_phase(n - n_hi * _PHASE_STEP, phi_parts, turns)
+        a += _reduce_phase(n_hi, step_parts, step_turns)
         s_n, c_n = np.sin(a), np.cos(a)
         s_m = s_n * cos_phi - c_n * sin_phi
         r_n = np.exp(n * -decay)

@@ -276,6 +276,11 @@ class TestErrors:
         with pytest.raises(DivergenceError, match="at kick 200:"):
             stroboscopic_evolve(v0, cyc, 2000, 100)
 
+    def test_kick_count_past_float_resolution(self):
+        # from 2^53 on a float no longer holds every kick index
+        with pytest.raises(ValueError, match="below 2\\^53"):
+            stroboscopic_evolve(thermal_state(FIG1), cycle_map(FIG1, TAU, THETA), 2**53, 2**53)
+
 
 class TestRunner:
     def test_trajectory_csv_rows(self, tmp_path):
