@@ -32,6 +32,7 @@ from .moments import (
     MomentVector,
     StateMetrics,
     _check_finite,
+    _check_physical,
     _sample_indices,
     cycle_map,
     metric_arrays,
@@ -76,10 +77,21 @@ class KickNoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryResult:
-    """One noisy run: its seed and the sampled states with their metrics."""
+    """One noisy run: its seed and its sampled states, as the columns of
+    moments.Samples; samples builds the (kick, MomentVector, StateMetrics)
+    triples."""
 
     seed: int
-    samples: list[tuple[int, MomentVector, StateMetrics]]
+    kicks: np.ndarray
+    moments: np.ndarray
+
+    @property
+    def samples(self) -> list[tuple[int, MomentVector, StateMetrics]]:
+        metrics = zip(*(m.tolist() for m in metric_arrays(*self.moments.T)))
+        return [
+            (n, MomentVector(*v), StateMetrics(*m))
+            for n, v, m in zip(self.kicks.tolist(), self.moments.tolist(), metrics)
+        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,22 +151,13 @@ def run_trajectory(
     negative draws are legal kicks.  The free propagator is fixed by (params,
     tau) and computed once.  It is column 0 of a one-seed _run_block.  Raises
     DivergenceError, naming the kick, when the determinant of a sampled
-    state stops being finite.
+    state stops being finite, then _check_physical's errors.
     """
-    kicks = _sample_indices(n_kicks, stride)
+    kicks = np.array(_sample_indices(n_kicks, stride))
     cycle = cycle_map(params, tau, noise.mean_theta)
-    cube = _run_block(cycle, thermal_state(params), noise, n_kicks, stride, [seed])
-    return _trajectory_result(seed, kicks, cube[:, 0])
-
-
-def _trajectory_result(seed: int, kicks, column: np.ndarray) -> TrajectoryResult:
-    """TrajectoryResult from one (n_samples, 3) column of a sampled cube."""
-    metrics = zip(*(m.tolist() for m in metric_arrays(*column.T)))
-    samples = [
-        (int(n), MomentVector(*v), StateMetrics(*m))
-        for n, v, m in zip(kicks, column.tolist(), metrics)
-    ]
-    return TrajectoryResult(seed=seed, samples=samples)
+    moments = _run_block(cycle, thermal_state(params), noise, n_kicks, stride, [seed])[:, 0]
+    _check_physical(*moments.T)
+    return TrajectoryResult(seed, kicks, moments)
 
 
 def _run_block(
@@ -328,7 +331,7 @@ def run_ensemble(
         kick_indices=kick_indices,
         mean=StateMetrics._make(np.mean(x, axis=1) for x in metrics),
         std=StateMetrics._make(np.std(x, axis=1) for x in metrics),
-        trajectory0=_trajectory_result(seeds[0], kick_indices, cube[:, 0]),
+        trajectory0=TrajectoryResult(seeds[0], kick_indices, cube[:, 0].copy()),
     )
 
 

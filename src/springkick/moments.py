@@ -62,6 +62,24 @@ class MechanicalParams:
             raise ValueError(f"n_bar must be finite and >= 0, got {self.n_bar}")
 
 
+def _check_physical(q, qp, p) -> None:
+    """The one physicality rule: raise unless every state (q, qp, p), floats
+    or arrays, has positive variances and det = q*p - qp^2 >= 1/4, up to
+    rounding at the operands' scale, not det's (after strong kicks sigma_p ~
+    theta^2 sigma_q while det, a cancellation of products, stays near 1/4)."""
+    any_of = np.any if isinstance(q, np.ndarray) else bool
+    for name, x in (("sigma_q", q), ("sigma_p", p)):
+        if any_of(x <= 0):
+            raise ValueError(f"{name} must be > 0, got {np.min(x)}")
+    det = q * p - qp * qp
+    # det < 1/4 - max(UNCERTAINTY_ATOL, tol), with no numpy call on floats
+    tol = 1e-12 * (q * p + qp * qp)
+    if any_of((det < UNCERTAINTY_FLOOR - tol) & (det < UNCERTAINTY_FLOOR - UNCERTAINTY_ATOL)):
+        raise UnphysicalStateError(
+            f"uncertainty relation violated: sigma_q*sigma_p - sigma_qp^2 = {np.min(det)} < 1/4"
+        )
+
+
 @dataclass(frozen=True)
 class MomentVector:
     """Second moments (var q, sym cov qp, var p) of a zero-mean Gaussian state."""
@@ -74,20 +92,7 @@ class MomentVector:
         for name in ("sigma_q", "sigma_qp", "sigma_p"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sigma_q <= 0:
-            raise ValueError(f"sigma_q must be > 0, got {self.sigma_q}")
-        if self.sigma_p <= 0:
-            raise ValueError(f"sigma_p must be > 0, got {self.sigma_p}")
-        # det comes from a cancellation of products; tolerate rounding at the
-        # scale of the operands, not of det itself (matters after strong kicks
-        # where sigma_p ~ theta^2 sigma_q while det stays near the floor)
-        scale = self.sigma_q * self.sigma_p + self.sigma_qp * self.sigma_qp
-        tol = max(UNCERTAINTY_ATOL, 1e-12 * scale)
-        if self.det < UNCERTAINTY_FLOOR - tol:
-            raise UnphysicalStateError(
-                "uncertainty relation violated: "
-                f"sigma_q*sigma_p - sigma_qp^2 = {self.det} < 1/4"
-            )
+        _check_physical(self.sigma_q, self.sigma_qp, self.sigma_p)
 
     @property
     def det(self) -> float:
@@ -428,11 +433,12 @@ def _sample_indices(n_kicks: int, stride: int) -> list[int]:
 def _check_finite(kicks, q, qp, p) -> None:
     """Raise DivergenceError at the first state sampled at kicks whose
     determinant sigma_q*sigma_p - sigma_qp^2 is not finite; it leaves
-    float64 from moments of about 1e154, long before the moments do.
+    float64 from moments of about 1e154, long before the moments do.  It
+    runs before _check_physical, which takes finite moments.
 
     q, qp and p are arrays with a row per kick (and a column per trajectory)
-    under the caller's np.errstate, or floats for one kick, which the scalar
-    loop passes at every sample and which take no numpy call.
+    under the caller's np.errstate, or floats for one kick, which _iterate
+    passes at every sample and which take no numpy call.
     """
     det = q * p - qp * qp
     if math.isfinite(det) if isinstance(det, float) else np.isfinite(det).all():
@@ -445,14 +451,21 @@ def _check_finite(kicks, q, qp, p) -> None:
     )
 
 
-class Samples(list):
-    """Sampled (kick index, state) pairs of one run, plus its squeezing onset.
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Sampled states of one run as columns, and its squeezing onset: row i
+    of the (n, 3) moments is (sigma_q, sigma_qp, sigma_p) after kicks[i]
+    kicks, and samples[i] builds the pair (kick, MomentVector)."""
 
-    A plain list of the samples; onset is the run's squeezing onset (see
-    squeezing_onset), from a test of every kick of the run.
-    """
-
+    kicks: np.ndarray
+    moments: np.ndarray
     onset: int | None = None
+
+    def __len__(self) -> int:
+        return len(self.kicks)
+
+    def __getitem__(self, i: int) -> tuple[int, MomentVector]:
+        return int(self.kicks[i]), MomentVector(*self.moments[i].tolist())
 
 
 def _iterate(
@@ -466,7 +479,8 @@ def _iterate(
     The fallback of stroboscopic_evolve where its closed form is not
     certified.  Every period is tested for squeezing in the same pass.
     Raises DivergenceError at the first sampled state whose determinant is
-    not finite (_check_finite), without iterating past it.
+    not finite (_check_finite), without iterating past it; the sampled rows
+    meet _check_physical after the loop.
     """
     kicks = _sample_indices(n_kicks, sample_stride)
     theta = cycle.theta
@@ -484,7 +498,7 @@ def _iterate(
     # a division to every kick of the hot loop.  hypot, not the square root
     # of d^2 + 4 qp^2, which overflows to inf from moments of about 1e154.
     last_unsqueezed = 0 if p + q - hypot(p - q, 2.0 * qp) >= 1.0 else -1
-    samples = Samples([(0, v0)])
+    rows = [(q, qp, p)]
     for n, end in itertools.pairwise(kicks):
         for k in range(n + 1, end + 1):
             qp_k = qp - t2 * q
@@ -496,9 +510,11 @@ def _iterate(
             if p + q - hypot(p - q, 2.0 * qp) >= 1.0:
                 last_unsqueezed = k
         _check_finite((end,), q, qp, p)
-        samples.append((end, MomentVector(q, qp, p)))
-    samples.onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
-    return samples
+        rows.append((q, qp, p))
+    moments = np.array(rows, dtype=float)
+    _check_physical(*moments.T)
+    onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
+    return Samples(np.array(kicks), moments, onset)
 
 
 # Kicks per block of stroboscopic_evolve's onset scan: its float64
@@ -619,13 +635,13 @@ def stroboscopic_evolve(
 ) -> Samples:
     """Sampled states of n_kicks periods of the cyclic map, with the onset.
 
-    Entry (n, state) holds the state after n full periods, i.e. just before
+    Row (n, state) holds the state after n full periods, i.e. just before
     the (n+1)-th kick, for each n of _sample_indices(n_kicks, sample_stride):
     the initial state, every sample_stride-th state and the final state.
     Every period is also tested for squeezing, and the result carries the
     run's squeezing onset as .onset (see squeezing_onset).  Raises
-    DivergenceError at the first sampled state whose moments, or whose
-    determinant sigma_q*sigma_p - sigma_qp^2, are not finite.
+    DivergenceError at the first sampled state whose determinant is not
+    finite, then _check_physical's errors.
 
     The states come from the closed-form power of T.  The state after n
     kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T, with N = v_inh as a
@@ -729,10 +745,7 @@ def stroboscopic_evolve(
         ])
         columns = states(np.array(kicks[1:], dtype=float))
         _check_finite(kicks[1:], *columns)
-        samples = Samples([(0, v0)])
-        samples.extend(
-            (end, MomentVector(q, qp, p)) for end, q, qp, p in zip(kicks[1:], *columns.tolist())
-        )
+        _check_physical(*columns)
 
         q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
         last_unsqueezed = 0 if p + q - math.hypot(p - q, 2.0 * qp) >= 1.0 else -1
@@ -745,8 +758,8 @@ def stroboscopic_evolve(
                 last_unsqueezed = lo + int(hit[-1])
                 break
             hi = lo - 1
-    samples.onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
-    return samples
+    onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
+    return Samples(np.array(kicks), np.vstack([v0.as_array(), columns.T]), onset)
 
 
 def squeezing_onset(v0: MomentVector, cycle: CycleMap, n_kicks: int) -> int | None:
@@ -803,11 +816,11 @@ def metric_arrays(q, qp, p) -> StateMetrics:
     """Vectorized metrics on moment columns.
 
     Returns a StateMetrics of arrays of the broadcast shape of the inputs.
-    Shared by state_metrics and the ensemble aggregation.  Determinants a
-    rounding error below the uncertainty floor are treated as exactly at the
-    floor (purity 1, entropy 0); anything below the scale-aware tolerance
-    raises.  Raises DivergenceError when the determinant or the eigenvalue
-    spread overflows float64, which starts at moments of about 1e154.
+    Shared by state_metrics and the ensemble aggregation.  Raises
+    DivergenceError when the determinant or the eigenvalue spread overflows
+    float64, from moments of about 1e154, then _check_physical's errors.
+    Determinants a rounding error below the floor, which that rule passes,
+    are treated as exactly at the floor (purity 1, entropy 0).
     """
     q = np.asarray(q, dtype=float)
     qp = np.asarray(qp, dtype=float)
@@ -822,17 +835,11 @@ def metric_arrays(q, qp, p) -> StateMetrics:
             "moments out of float64 range: sigma_q*sigma_p - sigma_qp^2 or the"
             " eigenvalue spread is not finite"
         )
+    _check_physical(q, qp, p)
     # the smaller eigenvalue as det / (larger one): (p + q - spread)/2 loses
     # the digits of p + q when sigma_p >> sigma_q
     sigma_min = 2.0 * det / (p + q + spread)
     squeezing_db = 10.0 * np.log10(2.0 * sigma_min)
-    # same operand-scale rounding allowance as MomentVector validation
-    tol = np.maximum(UNCERTAINTY_ATOL, 1e-12 * (q * p + qp * qp))
-    if np.any(det < UNCERTAINTY_FLOOR - tol):
-        raise UnphysicalStateError(
-            "uncertainty relation violated: min(sigma_q*sigma_p - sigma_qp^2) = "
-            f"{np.min(det)} < 1/4"
-        )
     # rounding below the floor survived the check above; treat it as exactly
     # at the floor so purity <= 1 and entropy >= 0 by construction
     nu = np.sqrt(np.maximum(det, UNCERTAINTY_FLOOR))  # symplectic eigenvalue

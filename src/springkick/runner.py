@@ -190,22 +190,19 @@ def _csv_row(cells) -> str:
     return ",".join(cells) + "\n"
 
 
-def _state_columns(states) -> dict[str, list[float]]:
-    """Moment and metric columns of OUTPUT_COLUMNS, by name, one row per state."""
-    states = list(states)
-    q = np.array([v.sigma_q for v in states], dtype=float)
-    qp = np.array([v.sigma_qp for v in states], dtype=float)
-    p = np.array([v.sigma_p for v in states], dtype=float)
+def _state_columns(moments) -> dict[str, list[float]]:
+    """Moment and metric columns of OUTPUT_COLUMNS, by name, from (n, 3) moments."""
+    q, qp, p = np.ascontiguousarray(np.transpose(moments), dtype=float)
     columns = {"sigma_q": q, "sigma_qp": qp, "sigma_p": p}
     columns.update(zip(_METRIC_COLUMNS, metric_arrays(q, qp, p)))
     return {name: x.tolist() for name, x in columns.items()}
 
 
-def _sampled_columns(tau: float, kicks, states) -> dict[str, list]:
-    """All OUTPUT_COLUMNS for states sampled at the given kick indices."""
-    columns = _state_columns(states)
-    columns["kick_index"] = [int(n) for n in kicks]
-    columns["time_s"] = (np.array(columns["kick_index"], dtype=float) * tau).tolist()
+def _sampled_columns(tau: float, kicks: np.ndarray, moments) -> dict[str, list]:
+    """All OUTPUT_COLUMNS for moments sampled at the given kick indices."""
+    columns = _state_columns(moments)
+    columns["kick_index"] = kicks.tolist()
+    columns["time_s"] = (kicks * tau).tolist()
     return columns
 
 
@@ -219,14 +216,14 @@ def _write_table(path: str, header, columns: dict[str, list]) -> None:
 
 def write_trajectory_csv(path: str, tau: float, samples) -> None:
     """Deterministic run: one row per sampled kick, OUTPUT_COLUMNS order."""
-    columns = _sampled_columns(tau, (n for n, _ in samples), (v for _, v in samples))
+    columns = _sampled_columns(tau, samples.kicks, samples.moments)
     _write_table(path, OUTPUT_COLUMNS, columns)
 
 
 def write_ensemble_csv(path: str, tau: float, stats: EnsembleStats) -> None:
     """Ensemble run: base columns are trajectory 0, then the mean/std block."""
-    traj0 = stats.trajectory0.samples
-    columns = _sampled_columns(tau, (n for n, _, _ in traj0), (v for _, v, _ in traj0))
+    traj0 = stats.trajectory0
+    columns = _sampled_columns(tau, traj0.kicks, traj0.moments)
     for name, mean, std in zip(_METRIC_COLUMNS, stats.mean, stats.std):
         columns[name + "_mean"] = mean.tolist()
         columns[name + "_std"] = std.tolist()
@@ -236,7 +233,7 @@ def write_ensemble_csv(path: str, tau: float, stats: EnsembleStats) -> None:
 
 def write_intra_csv(path: str, trace) -> None:
     """Fine-grained single-period trace at the stationary state."""
-    columns = _state_columns(v for _, v in trace)
+    columns = _state_columns([v.as_array() for _, v in trace])
     columns["offset_s"] = [float(s) for s, _ in trace]
     _write_table(path, ("offset_s",) + OUTPUT_COLUMNS[2:], columns)
 
@@ -339,9 +336,8 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
         summary.append(f"  purity_mean = {_fmt(tail['purity_mean'])}")
         summary.append(f"  entropy_nats_mean = {_fmt(tail['entropy_mean'])}")
         summary.append(f"  n_eff_mean = {_fmt(tail['n_eff_mean'])}")
-        last = stats.trajectory0.samples[-1]
         summary.append(
-            f"final row (kick {last[0]}): sigma_min_mean ="
+            f"final row (kick {stats.kick_indices[-1]}): sigma_min_mean ="
             f" {_fmt(stats.mean.sigma_min[-1])}, sigma_min_std ="
             f" {_fmt(stats.std.sigma_min[-1])}"
         )

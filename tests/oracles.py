@@ -108,8 +108,9 @@ def steady_state_iterative(
     for done in range(0, max_kicks, _FIXED_POINT_BLOCK):
         m = min(_FIXED_POINT_BLOCK, max_kicks - done)
         # stride m - 1 samples exactly the states around the block's last period
-        (_, prev), (_, v) = _iterate(v, cycle, m, max(m - 1, 1))[-2:]
-        a, b = prev.as_array(), v.as_array()
+        samples = _iterate(v, cycle, m, max(m - 1, 1))
+        a, b = samples.moments[-2:]
+        v = samples[-1][1]
         if np.sum(np.abs(b - a)) <= rel_tol * np.sum(np.abs(b)):
             return v
     raise NoStationaryStateError(

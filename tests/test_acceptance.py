@@ -194,7 +194,8 @@ def test_criterion_09_structural_invariants():
         min_det = min(min_det, v.det)
         for _ in range(10):
             chunk = stroboscopic_evolve(v, cyc, 100_000, 1)
-            min_det = min(min_det, min(x.det for _, x in chunk[1:]))
+            q, qp, p = chunk.moments[1:].T
+            min_det = min(min_det, float(np.min(q * p - qp * qp)))
             v = chunk[-1][1]
     bound_ok = min_det >= 0.25 - 1e-9
 

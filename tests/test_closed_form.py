@@ -226,6 +226,14 @@ class TestAgainstLoop:
         omega_m=1000.0, damping=0.0, n_bar=1.0, periods=2.0406692223791403,
         theta=0.3, v0=MomentVector(1.0, 0.0, 0.25), n_kicks=50, stride=1,
     )
+    # certified (sin(phi) = 0.118), but kick 1's det is 0.24856: both paths
+    # must reject the run as they evolve it
+    @example(
+        omega_m=1000.0, damping=math.log10(16.219135194997772 / 1e3), n_bar=0.0,
+        periods=math.log10(2.711015560113297e-4 * 1e3 / (2 * math.pi)),
+        theta=-0.11017023637837131,
+        v0=MomentVector(0.11618189354986656, 0.0, 2.15179829112268), n_kicks=200, stride=1,
+    )
     def test_onset_and_rows(
         self, omega_m, damping, n_bar, periods, theta, v0, n_kicks, stride
     ):

@@ -16,6 +16,7 @@ from springkick import (
     KickNoiseModel,
     MechanicalParams,
     StateMetrics,
+    UnphysicalStateError,
     cycle_map,
     metric_arrays,
     run_ensemble,
@@ -97,6 +98,13 @@ class TestTrajectory:
     def test_sampling_includes_start_and_end(self):
         traj = run_trajectory(FIG, TAU, NOISE, 1050, 500, seed=3)
         assert [n for n, _, _ in traj.samples] == [0, 500, 1000, 1050]
+
+    def test_unphysical_samples_raise_when_run(self):
+        # kicks of theta ~ 20 push the sampled determinant down to 0.218;
+        # the run itself must say so, not only a later read of its samples
+        noise = KickNoiseModel(20.0, 1e-3)
+        with pytest.raises(UnphysicalStateError):
+            run_trajectory(FIG, TAU, noise, 1_000_000, 100_000, trajectory_seed(1, 0))
 
 
 def seed_draws(seed, n):
@@ -378,10 +386,9 @@ class TestTailMean:
 
 
 def TrajectoryResult_stub():
-    from springkick import MomentVector, TrajectoryResult, state_metrics
+    from springkick import TrajectoryResult
 
-    v = MomentVector(0.5, 0.0, 0.5)
-    return TrajectoryResult(seed=0, samples=[(0, v, state_metrics(v))])
+    return TrajectoryResult(seed=0, kicks=np.array([0]), moments=np.array([[0.5, 0.0, 0.5]]))
 
 
 class TestNoiseModel:

@@ -1,11 +1,13 @@
-"""The benchmark harness's tracer still binds every name it patches.
+"""The benchmark harness still reads what the package gives it.
 
 bench/tracing.py wraps names on springkick.cli, springkick.runner and
-springkick.ensemble and reads argument names of the wrapped functions.  A
-rename or a changed signature there breaks the traced benchmark run; these
-runs catch it in the test suite.  The harness file is imported as it is.
+springkick.ensemble and reads argument names of the wrapped functions, and
+bench/check.py reads a single trajectory's samples.  A rename or a changed
+signature or result there breaks the benchmark run; these runs catch it in
+the test suite.  The harness files are imported as they are.
 """
 
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -15,17 +17,33 @@ import pytest
 from conftest import readme_physical_example
 from springkick.cli import main
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load(path, name):
+    # compiled from source, so no bytecode cache is written next to it
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    # compiled from source, so no bytecode cache is written next to it
-    module = types.ModuleType("bench_tracing")
-    module.__file__ = str(TRACING)
-    code = compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec")
-    exec(code, module.__dict__)
-    return module
+    return load(BENCH / "tracing.py", "bench_tracing")
+
+
+@pytest.fixture(scope="module")
+def check():
+    # check.py puts bench/ on sys.path to import workloads: undo that, and
+    # write no bytecode there
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return load(BENCH / "check.py", "bench_check")
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
 
 
 def test_traced_cli_runs_record_every_layer(tracing, tmp_path):
@@ -49,6 +67,11 @@ def test_traced_cli_runs_record_every_layer(tracing, tmp_path):
         tracer.uninstall()
     assert codes == [0, 0, 0]
     spans = Counter(name for _, name, *_ in tracer.spans)
+    # fig1 at 300 kicks writes kicks 0, 100, 200 and 300
+    rows = [info["rows"] for _, name, *_, info in tracer.spans
+            if name == "runner.write_trajectory_csv"]
+    data_rows = len((tmp_path / "run0.csv").read_text().splitlines()) - 1
+    assert rows == [data_rows] == [4]
     for name in (
         "moments.stroboscopic_evolve",
         "ensemble.run_ensemble",
@@ -60,3 +83,11 @@ def test_traced_cli_runs_record_every_layer(tracing, tmp_path):
     ):
         assert spans[name] >= 1, name
     assert (tmp_path / "run2.intra.csv").exists()
+
+
+def test_ensemble_trajectory0_passes_the_benchmark_check(check, tmp_path):
+    out = tmp_path / "fig3"
+    argv = ["--scenario", "fig3", "--kicks", "300", "--stride", "100", "--seed", "7"]
+    assert main([*argv, "--trajectories", "2", "--out", str(out), "--quiet"]) == 0
+    _, rows = check.read_csv(tmp_path / "fig3.csv")
+    assert check._trajectory0_problems("fig3", rows, 7, 300, 100) == []

@@ -137,6 +137,14 @@ class TestFloorHandling:
         with pytest.raises(UnphysicalStateError):
             metric_arrays(good, np.zeros(2), np.array([0.5, 0.5 - 4e-8]))
 
+    def test_non_positive_variances_raise_in_vectorized_path(self):
+        # det = 1 clears the floor, yet sigma_min came out as -1, with a nan
+        # dB value, purity 0.5 and only a RuntimeWarning
+        with pytest.raises(ValueError, match="sigma_q must be > 0, got -1.0"):
+            metric_arrays([-1.0], [0.0], [-1.0])
+        with pytest.raises(ValueError, match="sigma_q must be > 0, got -1.0"):
+            MomentVector(-1.0, 0.0, -1.0)
+
 
 class TestOverflow:
     def test_non_finite_determinant_raises(self):

@@ -397,7 +397,7 @@ class TestCycle:
     def test_evolve_zero_kicks(self):
         v0 = thermal_state(FIG)
         cyc = cycle_map(FIG, TAU, 10.0)
-        assert stroboscopic_evolve(v0, cyc, 0) == [(0, v0)]
+        assert list(stroboscopic_evolve(v0, cyc, 0)) == [(0, v0)]
 
     def test_evolve_sampling_semantics(self):
         samples = stroboscopic_evolve(thermal_state(FIG), cycle_map(FIG, TAU, 1.0), 10, 3)

@@ -23,7 +23,7 @@ from springkick import (
     steady_state,
     thermal_state,
 )
-from springkick.moments import VACUUM_VARIANCE, _iterate, _unpack_cycle
+from springkick.moments import VACUUM_VARIANCE, Samples, _iterate, _unpack_cycle
 
 FIG1 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 FIG2 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=200.0)
@@ -100,7 +100,7 @@ def bits(samples):
 
 def assert_matches_reference(v0, cycle, n_kicks, stride):
     samples = _iterate(v0, cycle, n_kicks, stride)
-    assert isinstance(samples, list)
+    assert isinstance(samples, Samples)
     assert bits(samples) == bits(reference_evolve(v0, cycle, n_kicks, stride))
     expected = reference_onset(v0, cycle, n_kicks)
     assert samples.onset == expected

@@ -11,6 +11,7 @@ below the uncertainty floor.
 import math
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from springkick import (
     thermal_state,
 )
 from springkick.ensemble import TrajectoryResult
+from springkick.moments import Samples
 from springkick.runner import (
     ENSEMBLE_COLUMNS,
     OUTPUT_COLUMNS,
@@ -113,6 +115,11 @@ def reference_ensemble_csv(tau, stats):
     return out
 
 
+def columns(pairs):
+    """(kick, state) pairs as a run's kick and moment columns."""
+    return np.array([n for n, _ in pairs]), np.array([v.as_array() for _, v in pairs])
+
+
 def written(tmp_path, write, *args):
     path = tmp_path / "out.csv"
     write(str(path), *args)
@@ -122,11 +129,12 @@ def written(tmp_path, write, *args):
 class TestTrajectoryCsv:
     def test_edge_states(self, tmp_path):
         samples = list(enumerate(EDGE_STATES))
-        got = written(tmp_path, write_trajectory_csv, TAU, samples)
+        got = written(tmp_path, write_trajectory_csv, TAU, Samples(*columns(samples)))
         assert got == reference_trajectory_csv(TAU, samples)
 
     def test_edge_cells_take_their_branch(self, tmp_path):
-        rows = written(tmp_path, write_trajectory_csv, TAU, list(enumerate(EDGE_STATES)))
+        samples = Samples(*columns(list(enumerate(EDGE_STATES))))
+        rows = written(tmp_path, write_trajectory_csv, TAU, samples)
         cells = [line.split(",") for line in rows.splitlines()[1:]]
         phi = OUTPUT_COLUMNS.index("phi_min_rad")
         purity = OUTPUT_COLUMNS.index("purity")
@@ -146,7 +154,7 @@ class TestTrajectoryCsv:
     def test_random_states(self, tmp_path_factory, states, tau):
         tmp_path = tmp_path_factory.mktemp("w")
         samples = [(3 * i, v) for i, v in enumerate(states)]
-        got = written(tmp_path, write_trajectory_csv, tau, samples)
+        got = written(tmp_path, write_trajectory_csv, tau, Samples(*columns(samples)))
         assert got == reference_trajectory_csv(tau, samples)
 
 
@@ -175,10 +183,7 @@ class TestEnsembleCsv:
 
     def test_edge_states_in_trajectory_zero(self, tmp_path):
         stats = self.stats()
-        samples = [
-            (int(n), v, state_metrics(v))
-            for n, v in zip(stats.kick_indices, EDGE_STATES)
-        ]
+        samples = list(zip(stats.kick_indices.tolist(), EDGE_STATES))
         n_rows = len(samples)
         trimmed = {
             name: getattr(stats, name)[:n_rows]
@@ -187,7 +192,7 @@ class TestEnsembleCsv:
         }
         stats = replace(
             stats,
-            trajectory0=TrajectoryResult(seed=0, samples=samples),
+            trajectory0=TrajectoryResult(0, *columns(samples)),
             **trimmed,
         )
         got = written(tmp_path, write_ensemble_csv, TAU, stats)
