@@ -151,12 +151,13 @@ def run_trajectory(
     negative draws are legal kicks.  The free propagator is fixed by (params,
     tau) and computed once.  It is column 0 of a one-seed _run_block.  Raises
     DivergenceError, naming the kick, when the determinant of a sampled
-    state stops being finite, then _check_physical's errors.
+    state stops being finite, then _check_physical's errors, naming the
+    first unphysical sampled kick.
     """
     kicks = np.array(_sample_indices(n_kicks, stride))
     cycle = cycle_map(params, tau, noise.mean_theta)
     moments = _run_block(cycle, thermal_state(params), noise, n_kicks, stride, [seed])[:, 0]
-    _check_physical(*moments.T)
+    _check_physical(*moments.T, kicks)
     return TrajectoryResult(seed, kicks, moments)
 
 

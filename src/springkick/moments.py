@@ -62,21 +62,33 @@ class MechanicalParams:
             raise ValueError(f"n_bar must be finite and >= 0, got {self.n_bar}")
 
 
-def _check_physical(q, qp, p) -> None:
+def _check_physical(q, qp, p, kicks=None) -> None:
     """The one physicality rule: raise unless every state (q, qp, p), floats
     or arrays, has positive variances and det = q*p - qp^2 >= 1/4, up to
     rounding at the operands' scale, not det's (after strong kicks sigma_p ~
-    theta^2 sigma_q while det, a cancellation of products, stays near 1/4)."""
+    theta^2 sigma_q while det, a cancellation of products, stays near 1/4).
+    With kicks, the kick of each state of the arrays, the error names the
+    first offending state and its kick; without, the smallest value."""
     any_of = np.any if isinstance(q, np.ndarray) else bool
+
+    def first(x, bad):
+        if kicks is None:
+            return np.min(x), ""
+        i = int(np.argmax(bad))
+        return x[i], f" at kick {kicks[i]}"
+
     for name, x in (("sigma_q", q), ("sigma_p", p)):
         if any_of(x <= 0):
-            raise ValueError(f"{name} must be > 0, got {np.min(x)}")
+            value, at = first(x, x <= 0)
+            raise ValueError(f"{name} must be > 0, got {value}{at}")
     det = q * p - qp * qp
     # det < 1/4 - max(UNCERTAINTY_ATOL, tol), with no numpy call on floats
     tol = 1e-12 * (q * p + qp * qp)
-    if any_of((det < UNCERTAINTY_FLOOR - tol) & (det < UNCERTAINTY_FLOOR - UNCERTAINTY_ATOL)):
+    bad = (det < UNCERTAINTY_FLOOR - tol) & (det < UNCERTAINTY_FLOOR - UNCERTAINTY_ATOL)
+    if any_of(bad):
+        value, at = first(det, bad)
         raise UnphysicalStateError(
-            f"uncertainty relation violated: sigma_q*sigma_p - sigma_qp^2 = {np.min(det)} < 1/4"
+            f"uncertainty relation violated: sigma_q*sigma_p - sigma_qp^2 = {value} < 1/4{at}"
         )
 
 
@@ -468,6 +480,12 @@ class Samples:
         return int(self.kicks[i]), MomentVector(*self.moments[i].tolist())
 
 
+# Kicks after which _iterate checks the rows it has sampled since its last
+# check: one array check, a few microseconds, per at least 5 ms of kicks at
+# stride 1, and one per sample at strides above it.
+_PHYSICAL_SPAN = 1 << 14
+
+
 def _iterate(
     v0: MomentVector,
     cycle: CycleMap,
@@ -479,8 +497,9 @@ def _iterate(
     The fallback of stroboscopic_evolve where its closed form is not
     certified.  Every period is tested for squeezing in the same pass.
     Raises DivergenceError at the first sampled state whose determinant is
-    not finite (_check_finite), without iterating past it; the sampled rows
-    meet _check_physical after the loop.
+    not finite (_check_finite), without iterating past it, and with
+    _check_physical's error at the first unphysical sampled state, iterating
+    about _PHYSICAL_SPAN kicks past it at most.
     """
     kicks = _sample_indices(n_kicks, sample_stride)
     theta = cycle.theta
@@ -499,6 +518,7 @@ def _iterate(
     # of d^2 + 4 qp^2, which overflows to inf from moments of about 1e154.
     last_unsqueezed = 0 if p + q - hypot(p - q, 2.0 * qp) >= 1.0 else -1
     rows = [(q, qp, p)]
+    checked = 1  # rows[:checked] have met _check_physical; rows[0] is v0
     for n, end in itertools.pairwise(kicks):
         for k in range(n + 1, end + 1):
             qp_k = qp - t2 * q
@@ -511,15 +531,19 @@ def _iterate(
                 last_unsqueezed = k
         _check_finite((end,), q, qp, p)
         rows.append((q, qp, p))
+        if end - kicks[checked - 1] >= _PHYSICAL_SPAN or end == n_kicks:
+            _check_physical(*np.array(rows[checked:]).T, kicks[checked:len(rows)])
+            checked = len(rows)
     moments = np.array(rows, dtype=float)
-    _check_physical(*moments.T)
     onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
     return Samples(np.array(kicks), moments, onset)
 
 
 # Kicks per block of stroboscopic_evolve's onset scan: its float64
 # temporaries of this length peak near 3 MB (tracemalloc, fig1), where a
-# whole 10^6-kick scan at once would take about 200 MB.
+# whole 10^6-kick scan at once would take about 200 MB.  The scan starts at
+# the onset envelope's kick n* (_squeezed_from), which sits 324 kicks past
+# the onset at fig1 and 756 at fig2: one block each.
 _ONSET_CHUNK = 1 << 14
 # sin(phi) below which stroboscopic_evolve iterates instead.  Near
 # sin(phi) = 0 T is close to delta times a Jordan block, the pair turns real,
@@ -627,62 +651,72 @@ def _reduce_phase(n: np.ndarray, x: tuple[float, float, float], turns: float) ->
     return a
 
 
-def stroboscopic_evolve(
-    v0: MomentVector,
-    cycle: CycleMap,
-    n_kicks: int,
-    sample_stride: int = 1,
-) -> Samples:
-    """Sampled states of n_kicks periods of the cyclic map, with the onset.
+# Share of a state's trace by which every kick past _squeezed_from's bound
+# sits below the vacuum line: 2 sigma_min <= 1 - 2e-6 (sigma_q + sigma_p).
+# The scan's test can misjudge a kick only by the rows' evaluation error,
+# which tests/test_closed_form.py bounds by 1e-10 of a row (ROW_BOUND), and
+# at the presets is a few ulp; the bound's own rounding is as small.  It
+# costs about 2e-6 (sigma_q + sigma_p)/(1 - 2 sigma_min) / (gamma_m tau)
+# kicks of scan: 2 at fig1, 269 at fig2.
+_ENVELOPE_MARGIN = 1e-6
 
-    Row (n, state) holds the state after n full periods, i.e. just before
-    the (n+1)-th kick, for each n of _sample_indices(n_kicks, sample_stride):
-    the initial state, every sample_stride-th state and the final state.
-    Every period is also tested for squeezing, and the result carries the
-    run's squeezing onset as .onset (see squeezing_onset).  Raises
-    DivergenceError at the first sampled state whose determinant is not
-    finite, then _check_physical's errors.
 
-    The states come from the closed-form power of T.  The state after n
-    kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T, with N = v_inh as a
-    2x2.  With delta^2 = det T = e^{-gamma tau} and U = T/delta, whose
-    eigenvalues are e^{+-i phi}, Cayley-Hamilton gives
-    T^n = delta^n (sin(n phi) U - sin((n-1) phi) I)/sin(phi).  So
-    T^n X T^n^T is delta^{2n}/sin^2(phi) times
-    sin^2(n phi) U X U^T - sin(n phi) sin((n-1) phi) (U X + X U^T)
-    + sin^2((n-1) phi) X, and the sum over k is a geometric series in
-    delta^2 and delta^2 e^{2 i phi}, also in closed form.  Every sampled
-    state is evaluated at once; the onset scans every kick the same way,
-    backward from the last in blocks of _ONSET_CHUNK kicks down to the last
-    unsqueezed one, with the loop's own test.  Only the phase n phi builds
-    up along the run, and U's entries, up to 2 theta in size, multiply its
-    error into the rows: at fig1, a correctly rounded float phi times n
-    strays 1.2e-10 by kick 51400.  So phi comes from the physics to 50
-    digits (_eigenphase) and n phi is reduced by 2 pi in double-double,
-    exactly for n below 2^53.
+def _squeezed_from(const, weights, phi: float, expm1_r: float, decay: float) -> int | None:
+    """A kick from which every state const + weights @ terms(n) of the
+    closed form (see stroboscopic_evolve) is squeezed with room to spare,
+    or None where the form's limit is not.
 
-    Where the form is not certified it iterates the map kick by kick
-    (_iterate): no stationary state (or an unphysical one),
-    gamma tau > _MAX_DECAY, a real eigenvalue pair of T, or
-    sin(phi) < _MIN_SIN_PHI.  Raises ValueError for n_kicks >= 2^53, where
-    a float no longer holds every kick index.
+    For the minor axis v of the limit x_inf = const - weights[:, 3]/expm1_r,
+    Rayleigh-Ritz gives sigma_min(Sigma_n) <= v^T Sigma_n v (R. A. Horn and
+    C. R. Johnson, Matrix Analysis, 4.2).  Let g(n) = v^T Sigma_n v +
+    _ENVELOPE_MARGIN tr Sigma_n.  Rewriting the r^n terms through
+    sin^2(n phi) = (1 - cos(2n phi))/2 and their kin, and G = (1 - r^n)/(1 - r),
+    gives exactly g(n) = g_inf + r^n (c0 + Re(e^{2 i n phi} Z)), with
+    r = e^{-gamma tau}.  So g(n) <= 1/2, and the state after n kicks is
+    squeezed with _ENVELOPE_MARGIN of room, for every
+    n >= ceil(ln((c0 + |Z|)/(1/2 - g_inf))/(gamma tau)).  The minor axis
+    comes from scalar math, not an eigen-solver.
     """
-    if n_kicks >= 2**53:
-        raise ValueError(f"n_kicks must be below 2^53, got {n_kicks}")
-    kicks = _sample_indices(n_kicks, sample_stride)
+    q, qp, p = (const - weights[:, 3] / expm1_r).tolist()
+    h = math.hypot(p - q, 2.0 * qp)
+    # v = (cos a, sin a) with (cos 2a, sin 2a) = (c2, s2); g(n) is rho @ the
+    # state (sigma_q, sigma_qp, sigma_p) after n kicks
+    c2, s2 = ((p - q) / h, -2.0 * qp / h) if h > 0.0 else (0.0, 0.0)
+    m = _ENVELOPE_MARGIN
+    rho = np.array([0.5 * (1.0 + c2) + m, s2, 0.5 * (1.0 - c2) + m])
+    a0, a1, a2, a3, a4, a5 = (rho @ weights).tolist()
+    room = 0.5 - (float(rho @ const) - a3 / expm1_r)
+    c1, s1 = math.cos(phi), math.sin(phi)
+    lead = a3 / expm1_r + 0.5 * (a0 - a1 * c1 + a2) + math.hypot(
+        a4 - 0.5 * (a0 - a1 * c1 + a2 * (c1 - s1) * (c1 + s1)),
+        a5 + 0.5 * (a1 * s1 - 2.0 * a2 * s1 * c1),
+    )
+    if not (0.0 < room < math.inf and lead < math.inf):
+        return None
+    if lead <= 0.0:
+        return 0
+    n = (math.log(lead) - math.log(room)) / decay
+    return max(math.ceil(n), 0) if n < 2.0**53 else None
+
+
+def _closed_form(v0: MomentVector, cycle: CycleMap):
+    """The closed-form power of T from v0, described in stroboscopic_evolve,
+    as the pair (states, _squeezed_from's kick), or None where it is not
+    certified.  states(n) are the (3, len(n)) moments after n kicks, n a
+    float array."""
     try:
         steady_state(cycle)
     except (NoStationaryStateError, UnphysicalStateError):
-        return _iterate(v0, cycle, n_kicks, sample_stride)
+        return None
     decay = cycle.params.gamma_m * cycle.tau  # -log det T
     if not decay <= _MAX_DECAY:
-        return _iterate(v0, cycle, n_kicks, sample_stride)
+        return None
     # T's entries are below 1e154, since A, whose corners are their squares,
     # is finite; so U's entries are finite
     U = cycle.T / math.exp(-0.5 * decay)
     cos_phi = 0.5 * float(U[0, 0] + U[1, 1])
     if not (abs(cos_phi) < 1.0 and (1.0 - cos_phi) * (1.0 + cos_phi) >= _MIN_SIN_PHI**2):
-        return _iterate(v0, cycle, n_kicks, sample_stride)
+        return None
     phi_parts, step_parts = _eigenphase(cycle)
     # the first sum is exact, so each of these rounds once
     phi = phi_parts[0] + phi_parts[1] + phi_parts[2]
@@ -700,7 +734,6 @@ def stroboscopic_evolve(
         return terms[:, [0, 0, 1], [0, 1, 1]].T / (sin_phi * sin_phi)
 
     def states(n):
-        """(3, len(n)) moments after n >= 1 kicks, n a float array."""
         n_hi = np.floor(n / _PHASE_STEP)
         a = _reduce_phase(n - n_hi * _PHASE_STEP, phi_parts, turns)
         a += _reduce_phase(n_hi, step_parts, step_turns)
@@ -730,7 +763,8 @@ def stroboscopic_evolve(
     turn = complex(cos_phi, -sin_phi)
     w = np.array([w, w * turn, w * turn * turn])
     b0, b1, b2 = cycle.propagator.v_inh
-    # overflow here is reported by the DivergenceError below, not by warnings
+    # overflow here is reported by stroboscopic_evolve's DivergenceError,
+    # not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         noise = basis(np.array([[b0, b1], [b1, b2]])) * np.array([0.5, -0.5, 0.5])
         # state after n kicks = const + weights @ (r^n sin^2(n phi),
@@ -743,13 +777,72 @@ def stroboscopic_evolve(
             noise @ w.real,
             -noise @ w.imag,
         ])
+        return states, _squeezed_from(const, weights, phi, expm1_r, decay)
+
+
+def stroboscopic_evolve(
+    v0: MomentVector,
+    cycle: CycleMap,
+    n_kicks: int,
+    sample_stride: int = 1,
+) -> Samples:
+    """Sampled states of n_kicks periods of the cyclic map, with the onset.
+
+    Row (n, state) holds the state after n full periods, i.e. just before
+    the (n+1)-th kick, for each n of _sample_indices(n_kicks, sample_stride):
+    the initial state, every sample_stride-th state and the final state.
+    Every period is also tested for squeezing, and the result carries the
+    run's squeezing onset as .onset (see squeezing_onset).  Raises
+    DivergenceError at the first sampled state whose determinant is not
+    finite, then _check_physical's errors, naming the first unphysical
+    sampled kick.
+
+    The states come from the closed-form power of T (_closed_form).  The
+    state after n kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T, with
+    N = v_inh as a 2x2.  With delta^2 = det T = e^{-gamma tau} and
+    U = T/delta, whose eigenvalues are e^{+-i phi}, Cayley-Hamilton gives
+    T^n = delta^n (sin(n phi) U - sin((n-1) phi) I)/sin(phi).  So
+    T^n X T^n^T is delta^{2n}/sin^2(phi) times
+    sin^2(n phi) U X U^T - sin(n phi) sin((n-1) phi) (U X + X U^T)
+    + sin^2((n-1) phi) X, and the sum over k is a geometric series in
+    delta^2 and delta^2 e^{2 i phi}, also in closed form.  Every sampled
+    state is evaluated at once.  Only the phase n phi builds up along the
+    run, and U's entries, up to 2 theta in size, multiply its error into the
+    rows: at fig1, a correctly rounded float phi times n strays 1.2e-10 by
+    kick 51400.  So phi comes from the physics to 50 digits (_eigenphase)
+    and n phi is reduced by 2 pi in double-double, exactly for n below 2^53.
+
+    The onset scan tests kicks with the loop's own test, backward in blocks
+    of _ONSET_CHUNK kicks down to the last unsqueezed one.  It starts at the
+    last kick, or earlier at the onset envelope's kick n* (_squeezed_from)
+    where that comes first: the transient decays like e^{-gamma tau n}, and
+    a Rayleigh bound on the form proves every state from n* on squeezed by a
+    margin far above the test's rounding (_ENVELOPE_MARGIN).  So a long run
+    that ends squeezed scans from n* down to its onset, not from its last
+    kick: fig1's n* is kick 308,710 against its onset 308,386.
+
+    Where the form is not certified it iterates the map kick by kick
+    (_iterate): no stationary state (or an unphysical one),
+    gamma tau > _MAX_DECAY, a real eigenvalue pair of T, or
+    sin(phi) < _MIN_SIN_PHI.  Raises ValueError for n_kicks >= 2^53, where
+    a float no longer holds every kick index.
+    """
+    if n_kicks >= 2**53:
+        raise ValueError(f"n_kicks must be below 2^53, got {n_kicks}")
+    kicks = _sample_indices(n_kicks, sample_stride)
+    form = _closed_form(v0, cycle)
+    if form is None:
+        return _iterate(v0, cycle, n_kicks, sample_stride)
+    states, squeezed_from = form
+    # overflow here is reported by the DivergenceError below, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
         columns = states(np.array(kicks[1:], dtype=float))
         _check_finite(kicks[1:], *columns)
-        _check_physical(*columns)
+        _check_physical(*columns, kicks[1:])
 
         q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
         last_unsqueezed = 0 if p + q - math.hypot(p - q, 2.0 * qp) >= 1.0 else -1
-        hi = n_kicks
+        hi = n_kicks if squeezed_from is None else min(n_kicks, squeezed_from)
         while hi >= 1:
             lo = max(hi - _ONSET_CHUNK + 1, 1)
             q, qp, p = states(np.arange(lo, hi + 1, dtype=float))

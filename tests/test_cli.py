@@ -162,7 +162,10 @@ class TestExitCodes:
             "[schedule]\ntau = 1e-7\nn_kicks = 4000000\nstride = 100000\n"
         )
         assert main(["--config", str(cfg), "--out", str(tmp_path / "l20"), "--quiet"]) == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        # the first unphysical sample, where the run stops
+        assert "< 1/4 at kick 800000" in err
 
 
 class TestTrajectoryCsv:

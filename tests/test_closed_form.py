@@ -6,6 +6,7 @@ certified it must hand back _iterate's result bit for bit.
 """
 
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -26,13 +27,14 @@ from springkick import (
     thermal_state,
 )
 from springkick.cli import main
-from springkick.moments import _MAX_DECAY, _MIN_SIN_PHI, _iterate
+from springkick.moments import _MAX_DECAY, _MIN_SIN_PHI, _ONSET_CHUNK, _closed_form, _iterate
 
 FIG1 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 FIG2 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=200.0)
 TAU = 1e-7
 THETA = 10.0
 RESONANCE = MechanicalParams(omega_m=1e3, gamma_m=1.532e-3, n_bar=0.0)
+ONSETS = {"fig1": 308_386, "fig2": 777_965}
 
 ORACLE_KICKS = (100, 10_000, 51_400, 500_000, 1_000_000)
 # Bound on each row's relative error against 40 digits, sigma_qp measured
@@ -244,7 +246,9 @@ class TestAgainstLoop:
         try:
             ref = _iterate(v0, cyc, n_kicks, stride)
         except (DivergenceError, UnphysicalStateError) as exc:
-            with pytest.raises(type(exc)):
+            # both name the same first failing sampled kick
+            at = re.search(r"at kick \d+", str(exc)).group()
+            with pytest.raises(type(exc), match=at + r"\b"):
                 stroboscopic_evolve(v0, cyc, n_kicks, stride)
             return
         got = stroboscopic_evolve(v0, cyc, n_kicks, stride)
@@ -272,6 +276,77 @@ class TestAgainstLoop:
             )
             for (n, a), t in zip(apart, truth):
                 assert row_error(a.as_array(), t) <= ROW_BOUND, (n, a)
+
+
+def squeezed_from(v0, cycle):
+    """The onset envelope's kick n* of a certified run."""
+    form = _closed_form(v0, cycle)
+    assert form is not None
+    return form[1]
+
+
+class TestEnvelope:
+    """The onset envelope: every kick from n* on is squeezed, so the onset
+    scan may start at n* instead of the last kick."""
+
+    @pytest.mark.parametrize("name, params", [("fig1", FIG1), ("fig2", FIG2)], ids=["fig1", "fig2"])
+    def test_presets(self, name, params):
+        cyc = cycle_map(params, TAU, THETA)
+        v0 = thermal_state(params)
+        n_star = squeezed_from(v0, cyc)
+        ref = _iterate(v0, cyc, 1_000_000, 1_000_000)
+        assert ref.onset == ONSETS[name]
+        # the loop's last unsqueezed kick, onset - 1, lies before n*, and
+        # the scan down to it takes one block
+        assert ref.onset <= n_star < ref.onset + _ONSET_CHUNK
+        assert stroboscopic_evolve(v0, cyc, 1_000_000, 1_000_000).onset == ref.onset
+
+    def test_runs_ending_around_the_bound(self):
+        cyc = cycle_map(FIG1, TAU, THETA)
+        v0 = thermal_state(FIG1)
+        n_star = squeezed_from(v0, cyc)
+        for n_kicks in (n_star - 1, n_star, n_star + 1):
+            assert stroboscopic_evolve(v0, cyc, n_kicks, 100_000).onset == ONSETS["fig1"]
+
+    def test_fig1_at_2_31_kicks(self):
+        # the scan stops near n*, so one row of 2^31 kicks takes well under
+        # a second; scanning from the last kick would take minutes
+        n_kicks = 2**31
+        v0 = thermal_state(FIG1)
+        samples = stroboscopic_evolve(v0, cycle_map(FIG1, TAU, THETA), n_kicks, n_kicks)
+        assert samples.onset == ONSETS["fig1"]
+        [ref] = mp_period_states(
+            FIG1.omega_m, FIG1.gamma_m, FIG1.n_bar, TAU, THETA, v0.as_array().tolist(), [n_kicks]
+        )
+        assert samples[-1][0] == n_kicks
+        assert row_error(samples.moments[-1], ref) <= ROW_BOUND
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        omega_m=st.floats(1e3, 1e7),
+        decay=st.floats(-3.0, -1.0),
+        n_bar=st.floats(0.0, 300.0),
+        phase=st.floats(-2.5, 0.0),
+        phi=st.floats(0.15, 3.0),
+        v0=moment_vectors(),
+        extra=st.integers(1, 500),
+    )
+    def test_strong_damping(self, omega_m, decay, n_bar, phase, phi, v0, extra):
+        # gamma_m tau = 10^decay puts n* within a few thousand kicks; theta
+        # sets the eigenphase near phi, a complex pair, for omega_m tau = 10^phase
+        tau = 10.0**phase / omega_m
+        theta = (math.cos(10.0**phase) - math.cos(phi)) / math.sin(10.0**phase)
+        cyc = _stable_complex_pair(MechanicalParams(omega_m, 10.0**decay / tau, n_bar), tau, theta)
+        assume(cyc is not None)
+        n_star = squeezed_from(v0, cyc)
+        assume(n_star is not None and n_star + extra <= 5000)
+        n_kicks = n_star + extra
+        try:
+            ref = _iterate(v0, cyc, n_kicks, n_kicks)
+        except (DivergenceError, UnphysicalStateError):
+            assume(False)
+        assert ref.onset is not None and ref.onset <= n_star
+        assert stroboscopic_evolve(v0, cyc, n_kicks, n_kicks).onset == ref.onset
 
 
 class TestErrors:

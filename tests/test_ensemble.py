@@ -101,9 +101,10 @@ class TestTrajectory:
 
     def test_unphysical_samples_raise_when_run(self):
         # kicks of theta ~ 20 push the sampled determinant down to 0.218;
-        # the run itself must say so, not only a later read of its samples
+        # the run itself must say so, and name its first such sample, not
+        # only a later read of its samples
         noise = KickNoiseModel(20.0, 1e-3)
-        with pytest.raises(UnphysicalStateError):
+        with pytest.raises(UnphysicalStateError, match="< 1/4 at kick 900000$"):
             run_trajectory(FIG, TAU, noise, 1_000_000, 100_000, trajectory_seed(1, 0))
 
 

@@ -8,6 +8,7 @@ unsqueezed one.  The fused scan must reproduce both exactly.
 """
 
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -19,11 +20,13 @@ from springkick import (
     DivergenceError,
     MechanicalParams,
     MomentVector,
+    UnphysicalStateError,
     cycle_map,
     steady_state,
     thermal_state,
 )
-from springkick.moments import VACUUM_VARIANCE, Samples, _iterate, _unpack_cycle
+from springkick import moments
+from springkick.moments import VACUUM_VARIANCE, _PHYSICAL_SPAN, Samples, _iterate, _unpack_cycle
 
 FIG1 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 FIG2 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=200.0)
@@ -182,6 +185,28 @@ class TestDivergence:
         cyc = cycle_map(self.PARAMS, TAU, -10.0)
         with pytest.raises(DivergenceError):
             _iterate(thermal_state(self.PARAMS), cyc, 5000, 5000).onset
+
+
+class TestUnphysical:
+    @pytest.mark.parametrize("stride", [1_000, 100_000])
+    def test_stops_near_first_unphysical_sample(self, stride, monkeypatch):
+        # theta = 20 at fig1: the fixed point is below the floor, and a
+        # 4e6-kick run crosses it long before its end; the loop stops within
+        # _PHYSICAL_SPAN kicks of the first unphysical sample, or at it where
+        # the stride is longer
+        reached = []
+        check_finite = moments._check_finite
+
+        def spy(kicks, *state):
+            reached.append(kicks[-1])
+            check_finite(kicks, *state)
+
+        monkeypatch.setattr(moments, "_check_finite", spy)
+        with pytest.raises(UnphysicalStateError, match=r"< 1/4 at kick \d+$") as err:
+            _iterate(thermal_state(FIG1), cycle_map(FIG1, TAU, 20.0), 4_000_000, stride)
+        first = int(re.search(r"at kick (\d+)$", str(err.value)).group(1))
+        late = 0 if stride >= _PHYSICAL_SPAN else _PHYSICAL_SPAN
+        assert first <= reached[-1] <= first + late < 4_000_000
 
 
 class TestHugeMoments:
