@@ -10,8 +10,11 @@ ensemble when configured), and writes:
                        validity report, ensemble tail statistics
   <base>.intra.csv     optional fine trace of one period at the fixed point
 
-Float cells use repr(), so every value round-trips bit-exactly and repeated
-runs are byte-identical.
+Every float cell is the text of Python's repr() (the shortest decimal that
+reads back to the same double) and every integer cell (kick_index) plain
+decimal digits, so values round-trip bit-exactly and repeated runs are
+byte-identical.  _csv_body lays the cells out for a whole block of rows at
+once in numpy and calls repr() only for the cells it cannot certify.
 """
 
 from __future__ import annotations
@@ -190,28 +193,240 @@ def _csv_row(cells) -> str:
     return ",".join(cells) + "\n"
 
 
-def _state_columns(moments) -> dict[str, list[float]]:
+# Rows per block of _csv_body.  A block's temporaries take a few hundred
+# bytes per cell; a few thousand cells per block amortise numpy's per-call
+# overhead.
+_CSV_BLOCK = 256
+# Text bytes per cell with its separator: the longest float and int reprs
+# ('-2.2250738585072014e-308', '-9223372036854775808') have 24.
+_CELL = 25
+# Where a cell's 17 digits start in its row of '0' padding.
+_DIGITS_AT = 4
+_ROW = _DIGITS_AT + 17
+# A rounding or round-trip test closer than this to its boundary (in units of
+# the 17th digit, which the arithmetic resolves to about 1e-14) falls back.
+_TIE = 1e-9
+_E16, _E17 = 10**16, 10**17
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _split(x):
+    """(hi, lo) with hi + lo == x, each half at most 26 bits wide (Veltkamp)."""
+    c = _VELTKAMP * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# 10**s for s = 0..22, every one an exact double, and its split.
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _group_tables():
+    """For each 4-digit group 0000..9999: its ASCII text as one uint32, and
+    its count of trailing zeros (4 for 0000)."""
+    groups = np.arange(10_000, dtype=np.uint16)
+    text = np.empty((10_000, 4), np.uint8)
+    for j, scale in enumerate((1000, 100, 10, 1)):
+        text[:, j] = groups // scale % 10 + ord("0")
+    zeros = np.full(10_000, 3, np.uint8)
+    zeros[0] = 4
+    for n, scale in ((2, 1000), (1, 100), (0, 10)):
+        zeros[groups % scale > 0] = n
+    return text.view(np.uint32)[:, 0], zeros
+
+
+_GROUP_TEXT, _GROUP_ZEROS = _group_tables()
+# _PREFIX[m] is 1 at the first m of a cell's _CELL bytes and 0 after them.
+_PREFIX = (np.arange(_CELL) < np.arange(_CELL + 1)[:, None]).astype(np.uint8)
+
+
+def _divmod(x, d: int):
+    """divmod of a non-negative int64 array by a scalar (// beats % by far)."""
+    q = x // d
+    return q, x - q * d
+
+
+def _shortest_digits(a):
+    """repr's digits of doubles 1e-4 <= a < 1e16: the shortest that read back.
+
+    Returns (digits, decpt, ok).  digits is an int64 of 17 digits, repr's
+    digits padded with trailing zeros; a ~ 0.d1d2... * 10**decpt; ok is False
+    where a rounding or round-trip test lies within _TIE of its boundary.
+
+    The double-double hi + lo = a * 10**(16 - k), with k = floor(log10 a), is
+    exact (Dekker's two-product of Veltkamp splits; 10**s is exact for s <=
+    22).  Its integer part B has 17 digits.  B and the fraction past it round
+    to 17, 16 and 15 digits, each straight from the exact value.  repr keeps
+    the shortest candidate within half an ulp of a, or within a quarter ulp
+    below a power of two, whose lower gap is half as wide.  The 17-digit
+    candidate always is: it lies at most 0.5 of the 17th digit from a, and
+    half an ulp is more than 0.55 of it.  A repr of 15 or fewer digits is
+    the 15-digit candidate less its trailing zeros, since 15-digit decimals
+    lie further apart than an ulp (Steele & White 1990; Loitsch, PLDI 2010).
+    Below a power of two the nearest candidate of a length could miss the
+    narrow gap while the next one up fits, and repr would keep that one; no
+    power of two in [1e-4, 1e16) has such a length.
+    """
+    k = np.floor(np.log10(a)).astype(np.intp)
+    s = 16 - k
+    p, p_hi, p_lo = _POW10[s], _POW10_HI[s], _POW10_LO[s]
+    a_hi, a_lo = _split(a)
+    hi = a * p
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    lo_int = np.floor(lo)
+    frac = lo - lo_int
+    b17 = hi.astype(np.int64) + lo_int.astype(np.int64)
+    # log10 can put a number next to a power of ten a decade off: fall back
+    ok = (b17 >= _E16) & (b17 < _E17)
+    b16, d17 = _divmod(b17, 10)
+    b15, d16 = _divmod(b16, 10)
+    # a past its 16th and its 15th digit, in units of the 17th digit
+    r16 = d17 + frac  # in [0, 10)
+    r15 = d16 * 10 + r16  # in [0, 100)
+    up17, up16, up15 = frac > 0.5, r16 > 5.0, r15 > 50.0
+    mant, exp = np.frexp(a)
+    half_ulp = np.ldexp(p, exp - 54)  # in units of the 17th digit
+    below = np.where(mant == 0.5, 0.5 * half_ulp, half_ulp)
+    gap16 = np.where(up16, 10.0 - r16, r16)  # a to its 16-digit rounding
+    gap15 = np.where(up15, 100.0 - r15, r15)
+    lim16 = np.where(up16, half_ulp, below)
+    lim15 = np.where(up15, half_ulp, below)
+    margin = np.abs(frac - 0.5)
+    for m in (r16 - 5.0, r15 - 50.0, gap16 - lim16, gap15 - lim15):
+        np.minimum(margin, np.abs(m, out=m), out=margin)
+    ok &= margin > _TIE
+    digits = np.where(
+        gap15 < lim15,
+        (b15 + up15) * 100,
+        np.where(gap16 < lim16, (b16 + up16) * 10, b17 + up17),
+    )
+    # 99...9 rounded up to 10**17 would need a to be the double nearest a
+    # power of ten and below it, and no such double lies in [1e-4, 1e16)
+    ok &= digits < _E17
+    return digits, k + 1, ok
+
+
+def _block_text(cols) -> bytes:
+    """CSV text of a block of rows, given as equal-length int and float columns.
+
+    Every cell goes into a double; integers below 2**53 stay exact there.  A
+    float with 1e-4 <= |x| < 1e16 gets repr's digits from _shortest_digits,
+    an int with 1 <= |x| < 2**53 its own digits the same way, and each is
+    laid out in a uint8 row of _CELL bytes.  Every other cell (zeros,
+    exponent notation, ints from 2**53, non-finite values, digits that are
+    not certified) takes repr(float) or str(int).  A prefix mask then keeps
+    each cell's text and separator.
+    """
+    n_rows, n_cols = len(cols[0]), len(cols)
+    n = n_rows * n_cols
+    is_int = np.array([c.dtype.kind in "iu" for c in cols])
+    x = np.empty((n_rows, n_cols))
+    for j, c in enumerate(cols):
+        x[:, j] = c
+    a = np.abs(x)
+    ok = (a >= np.where(is_int, 1.0, 1e-4)) & (a < np.where(is_int, 2.0**53, 1e16))
+    np.copyto(a, 1.0, where=~ok)
+    digits, decpt, certified = _shortest_digits(a)
+    ok &= certified
+    decpt = np.where(ok, decpt, 1)  # keeps a falling-back cell's layout in range
+
+    # The digits as ASCII: a lead digit and four 4-digit groups.
+    lead, rest = _divmod(digits, _E16)
+    halves = np.empty(rest.shape + (2,), np.int64)
+    halves[..., 0], halves[..., 1] = _divmod(rest, 10**8)
+    groups = np.empty(rest.shape + (4,), np.int64)
+    groups[..., 0::2], groups[..., 1::2] = _divmod(halves, 10**4)
+    zeros = _GROUP_ZEROS[groups]
+    trailing = zeros[..., 0]
+    for j in (1, 2, 3):
+        trailing = np.where(zeros[..., j] == 4, trailing + 4, zeros[..., j])
+    n_digits = 17 - trailing  # the lead digit is never 0
+    # Each cell's digits in a row of '0' padding, after two bytes of margin.
+    buf = np.full(2 + n * _ROW + _CELL, ord("0"), np.uint8)
+    rows = buf[2 : 2 + n * _ROW].reshape(n_rows, n_cols, _ROW)
+    rows[..., _DIGITS_AT] += lead.astype(np.uint8)
+    rows[..., _DIGITS_AT + 1 :] = _GROUP_TEXT[groups].view(np.uint8)
+
+    # A cell's text less its '.' is one window of its row, from the units
+    # digit (the 0 of 0.00ddd) to the last digit, with one byte in front for
+    # a '-'.  Text before the '.' comes from that window, text after it from
+    # the window one byte earlier.
+    neg = x < 0
+    start = np.minimum(decpt, 1) + (_DIGITS_AT - 1) - neg
+    dot = np.maximum(decpt, 1) + neg
+    end = dot + ~is_int * (1 + np.maximum(n_digits - decpt, 1))
+    windows = np.ndarray((len(buf) - _CELL + 1, _CELL), np.uint8, buf, strides=(1, 1))
+    at = np.arange(2, 2 + n * _ROW, _ROW) + start.reshape(-1)
+    text = windows[at]
+    after = windows[at - 1]
+    text -= after
+    text *= _PREFIX[dot.reshape(-1)]
+    text += after
+    seps = np.full(n_cols, ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    flat = text.reshape(-1)
+    cell_at = np.arange(0, n * _CELL, _CELL).reshape(n_rows, n_cols)
+    flat[cell_at + dot] = ord(".")  # an int's is overwritten next
+    flat[cell_at + end] = seps
+    flat[cell_at[neg]] = ord("-")
+    # The cells that fall back, written over their rows in one scatter.
+    end = end.reshape(-1)
+    fall = np.flatnonzero(~ok)
+    if fall.size:
+        cells = [repr(v) for v in x.reshape(-1)[fall].tolist()]
+        for k in np.flatnonzero(is_int[fall % n_cols]).tolist():
+            row, col = divmod(int(fall[k]), n_cols)
+            cells[k] = str(int(cols[col][row]))
+        width = np.array([len(c) for c in cells])
+        first = np.cumsum(width) - width
+        chars = np.frombuffer("".join(cells).encode(), np.uint8)
+        text[np.repeat(fall, width), np.arange(len(chars)) - np.repeat(first, width)] = chars
+        text[fall, width] = seps[fall % n_cols]
+        end[fall] = width
+    return text[_PREFIX[end + 1].view(bool)].tobytes()
+
+
+def _csv_body(columns):
+    """CSV body of a table of int and float columns, _CSV_BLOCK rows at a time.
+
+    Returns an iterator of bytes whose concatenation holds, for every row,
+    ",".join(cells) + "\n", with repr() of each float cell and str() of each
+    int cell.  Raises ValueError if the columns differ in length.
+    """
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
+    n_rows = lengths[0] if lengths else 0
+    return (
+        _block_text([c[i : i + _CSV_BLOCK] for c in columns])
+        for i in range(0, n_rows, _CSV_BLOCK)
+    )
+
+
+def _state_columns(moments) -> dict[str, np.ndarray]:
     """Moment and metric columns of OUTPUT_COLUMNS, by name, from (n, 3) moments."""
     q, qp, p = np.ascontiguousarray(np.transpose(moments), dtype=float)
     columns = {"sigma_q": q, "sigma_qp": qp, "sigma_p": p}
     columns.update(zip(_METRIC_COLUMNS, metric_arrays(q, qp, p)))
-    return {name: x.tolist() for name, x in columns.items()}
-
-
-def _sampled_columns(tau: float, kicks: np.ndarray, moments) -> dict[str, list]:
-    """All OUTPUT_COLUMNS for moments sampled at the given kick indices."""
-    columns = _state_columns(moments)
-    columns["kick_index"] = kicks.tolist()
-    columns["time_s"] = (kicks * tau).tolist()
     return columns
 
 
-def _write_table(path: str, header, columns: dict[str, list]) -> None:
-    """One CSV row per entry of the columns, in header order, cells in repr."""
-    cells = [map(repr, columns[name]) for name in header]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_row(header))
-        fh.writelines(map(_csv_row, zip(*cells)))
+def _sampled_columns(tau: float, kicks: np.ndarray, moments) -> dict[str, np.ndarray]:
+    """All OUTPUT_COLUMNS for moments sampled at the given kick indices."""
+    columns = _state_columns(moments)
+    columns["kick_index"] = kicks
+    columns["time_s"] = kicks * tau
+    return columns
+
+
+def _write_table(path: str, header, columns: dict[str, np.ndarray]) -> None:
+    """One CSV row per entry of the columns, in header order."""
+    body = _csv_body([columns[name] for name in header])
+    with open(path, "wb") as fh:
+        fh.write(_csv_row(header).encode())
+        fh.writelines(body)
 
 
 def write_trajectory_csv(path: str, tau: float, samples) -> None:
@@ -225,16 +440,16 @@ def write_ensemble_csv(path: str, tau: float, stats: EnsembleStats) -> None:
     traj0 = stats.trajectory0
     columns = _sampled_columns(tau, traj0.kicks, traj0.moments)
     for name, mean, std in zip(_METRIC_COLUMNS, stats.mean, stats.std):
-        columns[name + "_mean"] = mean.tolist()
-        columns[name + "_std"] = std.tolist()
-    columns["squeezing_db_of_mean"] = stats.squeezing_db_of_mean.tolist()
+        columns[name + "_mean"] = mean
+        columns[name + "_std"] = std
+    columns["squeezing_db_of_mean"] = stats.squeezing_db_of_mean
     _write_table(path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS, columns)
 
 
 def write_intra_csv(path: str, trace) -> None:
     """Fine-grained single-period trace at the stationary state."""
     columns = _state_columns([v.as_array() for _, v in trace])
-    columns["offset_s"] = [float(s) for s, _ in trace]
+    columns["offset_s"] = np.array([s for s, _ in trace], dtype=float)
     _write_table(path, ("offset_s",) + OUTPUT_COLUMNS[2:], columns)
 
 

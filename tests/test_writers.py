@@ -1,18 +1,20 @@
 """CSV writers: the column-wise formatter against the earlier per-row cells.
 
 The reference writers below are the earlier runner code, which formatted
-every row from a scalar state_metrics call.  The column-wise writers must
-produce the same bytes, including on the states where the metrics take a
-special branch: an isotropic state (phi = 0), a -0.0 covariance, a state
-squeezed along position (phi = +pi/2) and a determinant a rounding error
-below the uncertainty floor.
+every row from a scalar state_metrics call and every cell with repr().  The
+column-wise writers must produce the same bytes, including on the states
+where the metrics take a special branch: an isotropic state (phi = 0), a -0.0
+covariance, a state squeezed along position (phi = +pi/2) and a determinant a
+rounding error below the uncertainty floor.  The vectorized cell formatter
+must give repr()'s text for every double and str()'s for every int64.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import moment_vectors
@@ -29,10 +31,12 @@ from springkick import (
     thermal_state,
 )
 from springkick.ensemble import TrajectoryResult
-from springkick.moments import Samples
+from springkick.moments import Samples, StateMetrics
 from springkick.runner import (
+    _CSV_BLOCK,
     ENSEMBLE_COLUMNS,
     OUTPUT_COLUMNS,
+    _csv_body,
     write_ensemble_csv,
     write_intra_csv,
     write_trajectory_csv,
@@ -184,16 +188,106 @@ class TestEnsembleCsv:
     def test_edge_states_in_trajectory_zero(self, tmp_path):
         stats = self.stats()
         samples = list(zip(stats.kick_indices.tolist(), EDGE_STATES))
-        n_rows = len(samples)
-        trimmed = {
-            name: getattr(stats, name)[:n_rows]
-            for name in stats.__dataclass_fields__
-            if name.endswith(("_mean", "_std")) or name == "kick_indices"
-        }
-        stats = replace(
-            stats,
-            trajectory0=TrajectoryResult(0, *columns(samples)),
-            **trimmed,
-        )
+        stats = with_rows(stats, samples, len(samples))
         got = written(tmp_path, write_ensemble_csv, TAU, stats)
         assert got == reference_ensemble_csv(TAU, stats)
+
+    def test_ragged_table_raises(self, tmp_path):
+        stats = self.stats()
+        samples = list(zip(stats.kick_indices.tolist(), EDGE_STATES))
+        stats = with_rows(stats, samples, len(samples) + 1)
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"differ in length: \[7, 7, .*8"):
+            write_ensemble_csv(str(path), TAU, stats)
+        assert not path.exists()
+
+
+def with_rows(stats, samples, n_rows):
+    """stats with trajectory 0 replaced by samples and the rest cut to n_rows."""
+    return replace(
+        stats,
+        kick_indices=stats.kick_indices[:n_rows],
+        mean=StateMetrics._make(x[:n_rows] for x in stats.mean),
+        std=StateMetrics._make(x[:n_rows] for x in stats.std),
+        trajectory0=TrajectoryResult(0, *columns(samples)),
+    )
+
+
+def formatted_cells(values):
+    """The cells _csv_body writes for a one-column table of values."""
+    body = b"".join(_csv_body([values])).decode("ascii")
+    assert body.endswith("\n") or not len(values)
+    return body.split("\n")[:-1]
+
+
+def repr_cells(values):
+    return [str(v) if isinstance(v, int) else repr(v) for v in values.tolist()]
+
+
+def neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+POWERS_OF_TWO = [y for k in range(-20, 61) for y in neighbours(2.0**k)]
+POWERS_OF_TEN = [y for k in range(-5, 18) for y in neighbours(10.0**k)]
+# Exact decimals: 0.5 * 10**k-scaled values, values exactly on a rounding tie
+# at 17, 16, 15 and 15 digits, and 2**53 with its upper neighbour.
+DECIMAL_TIES = [
+    0.5,
+    2.5,
+    0.125,
+    5e15,
+    1234567890123456.25,
+    2251799813685248.5,
+    123456789012345.5,
+    1000000000000005.0,
+    2.0**53,
+    2.0**53 + 2,
+]
+# Short decimals; the last two round at 16 digits to something other than
+# their repr padded with a zero, so only the 15-digit candidate finds it.
+SHORT_DECIMALS = [0.1, 0.3, 0.7, 9.87654321098765, 98765.4321098765, 0.000987654321]
+FORMAT_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class TestCellFormat:
+    @FORMAT_SETTINGS
+    @given(st.lists(st.floats(allow_nan=False), max_size=40))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+    @example(POWERS_OF_TWO)
+    @example(POWERS_OF_TEN)
+    @example([0.049999999999999996, 9999999999999998.0, 1e16, 1e-4, 9.999999999999999e-05])
+    @example(DECIMAL_TIES)
+    @example(SHORT_DECIMALS)
+    def test_floats(self, values):
+        x = np.array(values, dtype=float)
+        assert formatted_cells(x) == repr_cells(x)
+        assert formatted_cells(-x) == repr_cells(-x)
+
+    @FORMAT_SETTINGS
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    def test_bit_patterns(self, words):
+        x = np.array(words, dtype=np.uint64).view(np.float64)
+        x = x[~np.isnan(x)]
+        assert formatted_cells(x) == repr_cells(x)
+
+    @FORMAT_SETTINGS
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40))
+    @example([0, 1, -1, 9, 10, 100, 10**15, 10**16 - 1, 2**53 - 1, -(2**53 - 1)])
+    @example([2**53, 2**53 + 1, 10**16, 10**17, 2**63 - 1, -(2**63)])
+    def test_ints(self, values):
+        x = np.array(values, dtype=np.int64)
+        assert formatted_cells(x) == repr_cells(x)
+
+    def test_table_across_blocks(self):
+        rng = np.random.default_rng(7)
+        n = 2 * _CSV_BLOCK + 3
+        table = [
+            np.arange(n) * 100,
+            rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n),
+            np.round(rng.uniform(-50, 50, n), 3),
+            np.where(rng.random(n) < 0.1, 0.0, rng.random(n)),
+        ]
+        cells = [repr_cells(c) for c in table]
+        expected = "".join(",".join(row) + "\n" for row in zip(*cells))
+        assert b"".join(_csv_body(table)).decode("ascii") == expected
