@@ -6,14 +6,14 @@ vector of second moments (var q, sym cov qp, var p).  Between kicks the mode
 undergoes damped harmonic evolution in contact with a thermal bath, which is
 linear in the moments; a kick is an instantaneous momentum shear
 p -> p - 2*theta*q produced by a short burst of intracavity light stiffening
-the trap.  Both maps are affine on the moment vector, so the stroboscopic
-dynamics reduces to iterating a 3x3 affine map, and the stationary state is
-its fixed point.
+the trap.  Both maps are affine on the moment vector, so one period is a
+3x3 affine map, Sigma -> T Sigma T^T + N on the covariance matrix, and the
+stationary state is its fixed point.  A run evaluates the map's n-th power
+at each sampled kick directly, not kick by kick.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -27,7 +27,8 @@ UNCERTAINTY_ATOL = 1e-9
 
 
 class DivergenceError(RuntimeError):
-    """Raised when iterated moments stop being finite."""
+    """Raised when evolved moments leave float64: their determinant is no
+    longer finite, or no longer resolved against the uncertainty floor."""
 
 
 class NoStationaryStateError(RuntimeError):
@@ -45,6 +46,11 @@ class UnphysicalStateError(ValueError):
     """
 
 
+# Bound on omega_m and gamma_m: below it the products of two rates that the
+# flight forms, up to 2 omega_m^2, are finite
+_MAX_RATE = 2.0**511
+
+
 @dataclass(frozen=True)
 class MechanicalParams:
     """Mechanical mode: angular frequency, energy damping rate, bath occupancy."""
@@ -54,21 +60,27 @@ class MechanicalParams:
     n_bar: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_m) and self.omega_m > 0):
-            raise ValueError(f"omega_m must be finite and > 0, got {self.omega_m}")
-        if not (math.isfinite(self.gamma_m) and self.gamma_m >= 0):
-            raise ValueError(f"gamma_m must be finite and >= 0, got {self.gamma_m}")
+        if not (0 < self.omega_m < _MAX_RATE):
+            raise ValueError(f"omega_m must be > 0 and below 2^511, got {self.omega_m}")
+        if not (0 <= self.gamma_m < _MAX_RATE):
+            raise ValueError(f"gamma_m must be >= 0 and below 2^511, got {self.gamma_m}")
         if not (math.isfinite(self.n_bar) and self.n_bar >= 0):
             raise ValueError(f"n_bar must be finite and >= 0, got {self.n_bar}")
+
+
+def _det_and_tol(q, qp, p):
+    """det = q*p - qp^2 of states (q, qp, p), and the rounding it is judged
+    with: tol, at the operands' scale, not det's (after strong kicks sigma_p
+    ~ theta^2 sigma_q while det, a cancellation of products, stays near 1/4)."""
+    return q * p - qp * qp, 1e-12 * (q * p + qp * qp)
 
 
 def _check_physical(q, qp, p, kicks=None) -> None:
     """The one physicality rule: raise unless every state (q, qp, p), floats
     or arrays, has positive variances and det = q*p - qp^2 >= 1/4, up to
-    rounding at the operands' scale, not det's (after strong kicks sigma_p ~
-    theta^2 sigma_q while det, a cancellation of products, stays near 1/4).
-    With kicks, the kick of each state of the arrays, the error names the
-    first offending state and its kick; without, the smallest value."""
+    _det_and_tol's rounding.  With kicks, the kick of each state of the
+    arrays, the error names the first offending state and its kick; without,
+    the smallest value."""
     any_of = np.any if isinstance(q, np.ndarray) else bool
 
     def first(x, bad):
@@ -81,9 +93,8 @@ def _check_physical(q, qp, p, kicks=None) -> None:
         if any_of(x <= 0):
             value, at = first(x, x <= 0)
             raise ValueError(f"{name} must be > 0, got {value}{at}")
-    det = q * p - qp * qp
+    det, tol = _det_and_tol(q, qp, p)
     # det < 1/4 - max(UNCERTAINTY_ATOL, tol), with no numpy call on floats
-    tol = 1e-12 * (q * p + qp * qp)
     bad = (det < UNCERTAINTY_FLOOR - tol) & (det < UNCERTAINTY_FLOOR - UNCERTAINTY_ATOL)
     if any_of(bad):
         value, at = first(det, bad)
@@ -257,6 +268,17 @@ def _slow_mode_j00(g: float, t: float, z: float, r1: float) -> float:
     ) / (2.0 * g)
 
 
+def _congruence(P) -> tuple:
+    """Rows of Sigma -> P Sigma P^T on the moments (sigma_q, sigma_qp,
+    sigma_p), for a 2x2 P as nested sequences: P's symmetric Kronecker square."""
+    (a, b), (c, d) = P
+    return (
+        (a * a, 2 * a * b, b * b),
+        (a * c, a * d + b * c, b * d),
+        (c * c, 2 * c * d, d * d),
+    )
+
+
 def make_propagator(params: MechanicalParams, t: float) -> Propagator:
     """Exact flow of the free-evolution moment equations over duration t.
 
@@ -310,13 +332,7 @@ def make_propagator(params: MechanicalParams, t: float) -> Propagator:
         f00 = c + 0.5 * g * s
         f11 = c - 0.5 * g * s
     f01 = w * s
-    M = np.array(
-        [
-            [f00 * f00, 2.0 * f00 * f01, f01 * f01],
-            [-f00 * f01, f00 * f11 - f01 * f01, f01 * f11],
-            [f01 * f01, -2.0 * f01 * f11, f11 * f11],
-        ]
-    )
+    M = np.array(_congruence(((f00, f01), (-f01, f11))))
     # (I - F F^T)_01 = e^{-g t} g w S^2 exactly
     j01 = 0.5 * w * s * s
     if u <= _SERIES_DAMPING:
@@ -397,32 +413,13 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
     )
 
 
-# The per-period update is written out once, on scalars in _iterate, the
-# kick-by-kick fallback of stroboscopic_evolve.  stroboscopic_evolve itself
-# does not iterate: it evaluates the power of T directly wherever that
-# closed form is certified.  The noisy ensemble does not step kick by kick
-# either: ensemble._run_block composes segments of kicks into 2x2 maps
-# Sigma -> P Sigma P^T + Q and chains those.  The scalar copy stays inlined
-# because a step function called once per kick made 10^6 fig1 kicks 17-47%
-# slower.  tests/oracles.lockstep_run_block steps a noisy ensemble kick by
-# kick with this loop's expression structure: test_ensemble.py ties the two
-# bitwise and holds the composed path to both within stated bounds.
-
-
-def _unpack_cycle(cycle: CycleMap):
-    # Python floats: same IEEE doubles, but the hot loops run on them faster
-    # and overflow to inf silently instead of spamming numpy warnings.
-    M = cycle.propagator.M
-    b = cycle.propagator.v_inh
-    return tuple(
-        float(x)
-        for x in (
-            M[0, 0], M[0, 1], M[0, 2],
-            M[1, 0], M[1, 1], M[1, 2],
-            M[2, 0], M[2, 1], M[2, 2],
-            b[0], b[1], b[2],
-        )
-    )
+# stroboscopic_evolve does not step kick by kick: it evaluates the state
+# after n kicks directly, in closed form where that is certified
+# (_closed_form) and by binary powers of the period map elsewhere
+# (_powers).  The noisy ensemble does not step kick by kick either:
+# ensemble._run_block composes segments of kicks into 2x2 maps
+# Sigma -> P Sigma P^T + Q and chains those.  The kick-by-kick loop is kept
+# in tests/oracles.py as the reference both are tested against.
 
 
 def _sample_indices(n_kicks: int, stride: int) -> list[int]:
@@ -444,21 +441,24 @@ def _sample_indices(n_kicks: int, stride: int) -> list[int]:
 
 def _check_finite(kicks, q, qp, p) -> None:
     """Raise DivergenceError at the first state sampled at kicks whose
-    determinant sigma_q*sigma_p - sigma_qp^2 is not finite; it leaves
-    float64 from moments of about 1e154, long before the moments do.  It
-    runs before _check_physical, which takes finite moments.
+    determinant sigma_q*sigma_p - sigma_qp^2 float64 no longer holds: not
+    finite, which comes from moments of about 1e154, or lost to rounding,
+    det <= _det_and_tol's tol where that tol exceeds 1/8, so that det can
+    neither pass nor fail the floor 1/4 - tol of _check_physical, which
+    runs after it.
 
-    q, qp and p are arrays with a row per kick (and a column per trajectory)
-    under the caller's np.errstate, or floats for one kick, which _iterate
-    passes at every sample and which take no numpy call.
+    q, qp and p are arrays with a row per kick (and a column per
+    trajectory) under the caller's np.errstate, or floats for one kick.
     """
-    det = q * p - qp * qp
-    if math.isfinite(det) if isinstance(det, float) else np.isfinite(det).all():
+    det, tol = _det_and_tol(q, qp, p)
+    lost = ~np.isfinite(det) | ((det <= tol) & (tol > UNCERTAINTY_FLOOR - tol))
+    if not lost.any():
         return
-    q, qp, p, det = np.atleast_1d(q, qp, p, det)
-    at = tuple(np.argwhere(~np.isfinite(det))[0])
+    q, qp, p, det, lost = np.atleast_1d(q, qp, p, det, lost)
+    at = tuple(np.argwhere(lost)[0])
+    why = "determinant lost to rounding" if np.isfinite(det[at]) else "out of float64 range"
     raise DivergenceError(
-        f"moments diverged (out of float64 range) at kick {kicks[at[0]]}:"
+        f"moments diverged ({why}) at kick {kicks[at[0]]}:"
         f" ({float(q[at])}, {float(qp[at])}, {float(p[at])})"
     )
 
@@ -480,72 +480,13 @@ class Samples:
         return int(self.kicks[i]), MomentVector(*self.moments[i].tolist())
 
 
-# Kicks after which _iterate checks the rows it has sampled since its last
-# check: one array check, a few microseconds, per at least 5 ms of kicks at
-# stride 1, and one per sample at strides above it.
-_PHYSICAL_SPAN = 1 << 14
-
-
-def _iterate(
-    v0: MomentVector,
-    cycle: CycleMap,
-    n_kicks: int,
-    sample_stride: int = 1,
-) -> Samples:
-    """stroboscopic_evolve's samples and onset, iterating the map kick by kick.
-
-    The fallback of stroboscopic_evolve where its closed form is not
-    certified.  Every period is tested for squeezing in the same pass.
-    Raises DivergenceError at the first sampled state whose determinant is
-    not finite (_check_finite), without iterating past it, and with
-    _check_physical's error at the first unphysical sampled state, iterating
-    about _PHYSICAL_SPAN kicks past it at most.
-    """
-    kicks = _sample_indices(n_kicks, sample_stride)
-    theta = cycle.theta
-    t2 = 2.0 * theta
-    t4 = 4.0 * theta
-    t4sq = t4 * theta
-    m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cycle)
-    hypot = math.hypot
-
-    q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
-    # 2*sigma_min >= 2*vacuum: the state at this kick is not squeezed.  This
-    # keeps the subtraction that metric_arrays replaced with det/(larger
-    # eigenvalue): its error is about eps*(p + q), so it can misjudge a kick
-    # only when sigma_min is that close to 1/2, and the stable form would add
-    # a division to every kick of the hot loop.  hypot, not the square root
-    # of d^2 + 4 qp^2, which overflows to inf from moments of about 1e154.
-    last_unsqueezed = 0 if p + q - hypot(p - q, 2.0 * qp) >= 1.0 else -1
-    rows = [(q, qp, p)]
-    checked = 1  # rows[:checked] have met _check_physical; rows[0] is v0
-    for n, end in itertools.pairwise(kicks):
-        for k in range(n + 1, end + 1):
-            qp_k = qp - t2 * q
-            p_k = p - t4 * qp + t4sq * q
-            q_new = m00 * q + m01 * qp_k + m02 * p_k + b0
-            qp = m10 * q + m11 * qp_k + m12 * p_k + b1
-            p = m20 * q + m21 * qp_k + m22 * p_k + b2
-            q = q_new
-            if p + q - hypot(p - q, 2.0 * qp) >= 1.0:
-                last_unsqueezed = k
-        _check_finite((end,), q, qp, p)
-        rows.append((q, qp, p))
-        if end - kicks[checked - 1] >= _PHYSICAL_SPAN or end == n_kicks:
-            _check_physical(*np.array(rows[checked:]).T, kicks[checked:len(rows)])
-            checked = len(rows)
-    moments = np.array(rows, dtype=float)
-    onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
-    return Samples(np.array(kicks), moments, onset)
-
-
-# Kicks per block of stroboscopic_evolve's onset scan: its float64
-# temporaries of this length peak near 3 MB (tracemalloc, fig1), where a
-# whole 10^6-kick scan at once would take about 200 MB.  The scan starts at
-# the onset envelope's kick n* (_squeezed_from), which sits 324 kicks past
-# the onset at fig1 and 756 at fig2: one block each.
+# Kicks per block of stroboscopic_evolve's sampled rows and onset scan: its
+# float64 temporaries of this length peak near 3 MB (tracemalloc, fig1),
+# where a whole 10^6-kick scan at once would take about 200 MB.  The scan
+# starts at the onset envelope's kick n* (_squeezed_from), which sits 324
+# kicks past the onset at fig1 and 756 at fig2: one block each.
 _ONSET_CHUNK = 1 << 14
-# sin(phi) below which stroboscopic_evolve iterates instead.  Near
+# sin(phi) below which stroboscopic_evolve takes _powers instead.  Near
 # sin(phi) = 0 T is close to delta times a Jordan block, the pair turns real,
 # and the closed form's terms grow like 1/sin^3(phi) while their sum does
 # not, so their rounding does: at sin(phi) = 0.01 the first row of one run
@@ -554,12 +495,12 @@ _ONSET_CHUNK = 1 << 14
 # sweep's resonance points tau = k pi/omega_m sit at |cos(phi)| - 1 ~ 2e-12 to
 # 6e-12 (a real pair) and its other points at sin(phi) >= 0.34.
 _MIN_SIN_PHI = 0.1
-# gamma_m tau above which stroboscopic_evolve iterates instead.  The form
-# works with T/delta, delta = e^{-gamma_m tau/2}; up to here delta >= 1e-152,
-# so T's entries, of order delta, stay far above the subnormal range where
-# dividing by delta would bring back lost digits as noise.  Such a flight
-# damps the transient by e^{-700} per kick: the loop is at its fixed point
-# after the first kick.
+# gamma_m tau above which stroboscopic_evolve takes _powers instead.  The
+# form works with T/delta, delta = e^{-gamma_m tau/2}; up to here
+# delta >= 1e-152, so T's entries, of order delta, stay far above the
+# subnormal range where dividing by delta would bring back lost digits as
+# noise.  Such a flight damps the transient by e^{-700} per kick: every
+# state from the first kick on is the fixed point to float64.
 _MAX_DECAY = 700.0
 
 # Decimal digits of the phase computation, and pi to 60 digits, enough to
@@ -780,6 +721,44 @@ def _closed_form(v0: MomentVector, cycle: CycleMap):
         return states, _squeezed_from(const, weights, phi, expm1_r, decay)
 
 
+def _powers(v0: MomentVector, cycle: CycleMap):
+    """states(n) with _closed_form's contract, the (3, len(n)) moments after
+    n kicks, by binary powering of the period map: stroboscopic_evolve's
+    evaluator where the closed form is not certified.
+
+    The map of 2^b periods is Sigma -> P Sigma P^T + Q, which squares as
+    (P, Q) -> (P P, P Q P^T + Q) from (P, Q) = (T, N), N = v_inh as a 2x2.
+    The state after n kicks applies the maps of n's set bits to Sigma_0, on
+    every entry of n at once (D. E. Knuth, The Art of Computer Programming,
+    vol. 2, 4.6.3), so its rounding builds up over log2(n) maps, not over n
+    kicks.  The 53 squarings, enough for every n below 2^53, run on Python
+    floats, which overflow to inf without a warning.
+    """
+    P = cycle.T.tolist()
+    Q = cycle.propagator.v_inh.tolist()
+    maps = []  # maps[b]: (_congruence(P), Q) of 2^b periods
+    for _ in range(53):
+        K = _congruence(P)
+        maps.append((K, Q))
+        Q = [k0 * Q[0] + k1 * Q[1] + k2 * Q[2] + x for (k0, k1, k2), x in zip(K, Q)]
+        (a, b), (c, d) = P
+        P = [[a * a + b * c, a * b + b * d], [c * a + d * c, c * b + d * d]]
+
+    def states(n):
+        n = n.astype(np.int64)
+        state = [np.full(n.shape, x) for x in (v0.sigma_q, v0.sigma_qp, v0.sigma_p)]
+        for bit, (K, N) in enumerate(maps[: int(n.max()).bit_length()]):
+            on = (n & (1 << bit)) != 0
+            q, qp, p = state
+            state = [
+                np.where(on, k0 * q + k1 * qp + k2 * p + x, old)
+                for (k0, k1, k2), x, old in zip(K, N, state)
+            ]
+        return np.array(state)
+
+    return states
+
+
 def stroboscopic_evolve(
     v0: MomentVector,
     cycle: CycleMap,
@@ -792,10 +771,11 @@ def stroboscopic_evolve(
     the (n+1)-th kick, for each n of _sample_indices(n_kicks, sample_stride):
     the initial state, every sample_stride-th state and the final state.
     Every period is also tested for squeezing, and the result carries the
-    run's squeezing onset as .onset (see squeezing_onset).  Raises
-    DivergenceError at the first sampled state whose determinant is not
-    finite, then _check_physical's errors, naming the first unphysical
-    sampled kick.
+    run's squeezing onset as .onset (see squeezing_onset).  The sampled
+    states are checked in blocks of _ONSET_CHUNK, in kick order: each block
+    raises DivergenceError at its first state whose determinant float64 no
+    longer holds (_check_finite), then _check_physical's errors, naming its
+    first unphysical sampled kick.
 
     The states come from the closed-form power of T (_closed_form).  The
     state after n kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T, with
@@ -812,33 +792,41 @@ def stroboscopic_evolve(
     kick 51400.  So phi comes from the physics to 50 digits (_eigenphase)
     and n phi is reduced by 2 pi in double-double, exactly for n below 2^53.
 
-    The onset scan tests kicks with the loop's own test, backward in blocks
-    of _ONSET_CHUNK kicks down to the last unsqueezed one.  It starts at the
-    last kick, or earlier at the onset envelope's kick n* (_squeezed_from)
-    where that comes first: the transient decays like e^{-gamma tau n}, and
+    The onset scan tests kicks for 2 sigma_min >= 1, as
+    p + q - hypot(p - q, 2 qp) >= 1 (hypot, since d^2 + 4 qp^2 overflows
+    from moments of about 1e154), backward in blocks of _ONSET_CHUNK kicks
+    down to the last unsqueezed one.  It starts at the last kick, or
+    earlier at the onset envelope's kick n* (_squeezed_from) where that
+    comes first: the transient decays like e^{-gamma tau n}, and
     a Rayleigh bound on the form proves every state from n* on squeezed by a
     margin far above the test's rounding (_ENVELOPE_MARGIN).  So a long run
     that ends squeezed scans from n* down to its onset, not from its last
     kick: fig1's n* is kick 308,710 against its onset 308,386.
 
-    Where the form is not certified it iterates the map kick by kick
-    (_iterate): no stationary state (or an unphysical one),
-    gamma tau > _MAX_DECAY, a real eigenvalue pair of T, or
-    sin(phi) < _MIN_SIN_PHI.  Raises ValueError for n_kicks >= 2^53, where
-    a float no longer holds every kick index.
+    Where the form is not certified the states come from binary powers of
+    the period map instead (_powers): no stationary state (or an unphysical
+    one), gamma tau > _MAX_DECAY, a real eigenvalue pair of T, or
+    sin(phi) < _MIN_SIN_PHI.  Either way the sampled states are evaluated
+    and checked _ONSET_CHUNK at a time, into one (n, 3) array, and the same
+    scan finds the onset, from the last kick where no envelope is known.
+    Raises ValueError for n_kicks >= 2^53, where a float no longer holds
+    every kick index.
     """
     if n_kicks >= 2**53:
         raise ValueError(f"n_kicks must be below 2^53, got {n_kicks}")
-    kicks = _sample_indices(n_kicks, sample_stride)
+    kicks = np.array(_sample_indices(n_kicks, sample_stride))
     form = _closed_form(v0, cycle)
-    if form is None:
-        return _iterate(v0, cycle, n_kicks, sample_stride)
-    states, squeezed_from = form
+    states, squeezed_from = form if form is not None else (_powers(v0, cycle), None)
+    moments = np.empty((len(kicks), 3))
+    moments[0] = v0.as_array()
     # overflow here is reported by the DivergenceError below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = states(np.array(kicks[1:], dtype=float))
-        _check_finite(kicks[1:], *columns)
-        _check_physical(*columns, kicks[1:])
+        for lo in range(1, len(kicks), _ONSET_CHUNK):
+            block = kicks[lo : lo + _ONSET_CHUNK]
+            columns = states(block.astype(float))
+            _check_finite(block, *columns)
+            _check_physical(*columns, block)
+            moments[lo : lo + len(block)] = columns.T
 
         q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
         last_unsqueezed = 0 if p + q - math.hypot(p - q, 2.0 * qp) >= 1.0 else -1
@@ -852,7 +840,7 @@ def stroboscopic_evolve(
                 break
             hi = lo - 1
     onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
-    return Samples(np.array(kicks), np.vstack([v0.as_array(), columns.T]), onset)
+    return Samples(kicks, moments, onset)
 
 
 def squeezing_onset(v0: MomentVector, cycle: CycleMap, n_kicks: int) -> int | None:

@@ -2,7 +2,7 @@
 
 A run resolves the kick strength (direct theta, or the pulse -> intracavity
 field -> theta chain plus a validity report), evolves the stroboscopic map
-(in closed form where it is certified, else by iterating it; one noisy
+(in closed form where it is certified, else by binary powers; one noisy
 ensemble when configured), and writes:
 
   <base>.csv           sampled trajectory, columns in OUTPUT_COLUMNS order

@@ -5,9 +5,12 @@ and the moment equations written out as a matrix instead of the closed-form
 flight, brute-force phase scanning instead of the closed-form minimum,
 iteration to convergence instead of the direct fixed-point solve,
 high-precision matrix powers of the period map instead of its closed-form
-power, and a noisy ensemble stepped kick by kick instead of composed from
-segment maps.
+power, the period map iterated kick by kick instead of powered, and a noisy
+ensemble stepped kick by kick instead of composed from segment maps.
 """
+
+import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +24,82 @@ from springkick import (
     NoStationaryStateError,
 )
 from springkick.ensemble import RNG_BLOCK, _generator
-from springkick.moments import _iterate, _sample_indices
+from springkick.moments import Samples, _check_finite, _check_physical, _sample_indices
+
+
+def _unpack_cycle(cycle: CycleMap):
+    # Python floats: same IEEE doubles, but the hot loops run on them faster
+    # and overflow to inf silently instead of spamming numpy warnings.
+    M = cycle.propagator.M
+    b = cycle.propagator.v_inh
+    return tuple(
+        float(x)
+        for x in (
+            M[0, 0], M[0, 1], M[0, 2],
+            M[1, 0], M[1, 1], M[1, 2],
+            M[2, 0], M[2, 1], M[2, 2],
+            b[0], b[1], b[2],
+        )
+    )
+
+
+# Kicks after which _iterate checks the rows it has sampled since its last
+# check: one array check, a few microseconds, per at least 5 ms of kicks at
+# stride 1, and one per sample at strides above it.
+_PHYSICAL_SPAN = 1 << 14
+
+
+def _iterate(
+    v0: MomentVector,
+    cycle: CycleMap,
+    n_kicks: int,
+    sample_stride: int = 1,
+) -> Samples:
+    """stroboscopic_evolve's samples and onset, iterating the map kick by kick.
+
+    The reference loop for stroboscopic_evolve, which evaluates powers of
+    the period map instead.  Every period is tested for squeezing in the
+    same pass.  Raises DivergenceError at the first sampled state whose
+    determinant float64 no longer holds (_check_finite), without iterating
+    past it, and with _check_physical's error at the first unphysical
+    sampled state, iterating about _PHYSICAL_SPAN kicks past it at most.
+    """
+    kicks = _sample_indices(n_kicks, sample_stride)
+    theta = cycle.theta
+    t2 = 2.0 * theta
+    t4 = 4.0 * theta
+    t4sq = t4 * theta
+    m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cycle)
+    hypot = math.hypot
+
+    q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
+    # 2*sigma_min >= 2*vacuum: the state at this kick is not squeezed.  This
+    # keeps the subtraction that metric_arrays replaced with det/(larger
+    # eigenvalue): its error is about eps*(p + q), so it can misjudge a kick
+    # only when sigma_min is that close to 1/2, and the stable form would add
+    # a division to every kick of the hot loop.  hypot, not the square root
+    # of d^2 + 4 qp^2, which overflows to inf from moments of about 1e154.
+    last_unsqueezed = 0 if p + q - hypot(p - q, 2.0 * qp) >= 1.0 else -1
+    rows = [(q, qp, p)]
+    checked = 1  # rows[:checked] have met _check_physical; rows[0] is v0
+    for n, end in itertools.pairwise(kicks):
+        for k in range(n + 1, end + 1):
+            qp_k = qp - t2 * q
+            p_k = p - t4 * qp + t4sq * q
+            q_new = m00 * q + m01 * qp_k + m02 * p_k + b0
+            qp = m10 * q + m11 * qp_k + m12 * p_k + b1
+            p = m20 * q + m21 * qp_k + m22 * p_k + b2
+            q = q_new
+            if p + q - hypot(p - q, 2.0 * qp) >= 1.0:
+                last_unsqueezed = k
+        _check_finite((end,), q, qp, p)
+        rows.append((q, qp, p))
+        if end - kicks[checked - 1] >= _PHYSICAL_SPAN or end == n_kicks:
+            _check_physical(*np.array(rows[checked:]).T, kicks[checked:len(rows)])
+            checked = len(rows)
+    moments = np.array(rows, dtype=float)
+    onset = None if last_unsqueezed == n_kicks else last_unsqueezed + 1
+    return Samples(np.array(kicks), moments, onset)
 
 
 def rk4_free(omega_m: float, gamma_m: float, n_bar: float, v0, t_total: float, n_steps: int):
@@ -124,7 +202,8 @@ def mp_period_states(omega_m, gamma_m, n_bar, tau, theta, v0, kicks, dps=40):
 
     The flight is mpmath's expm of the augmented 4x4 drift (the moment
     equations of rk4_free), the kick its 3x3 shear, v_inf the fixed point of
-    an mpmath linear solve, and A^n mpmath's integer matrix power.
+    an mpmath linear solve (0 at gamma_m = 0, where there is no bath and
+    I - A is singular), and A^n mpmath's integer matrix power.
     """
     with mp.workdps(dps):
         w, g = mp.mpf(omega_m), mp.mpf(gamma_m)
@@ -138,7 +217,7 @@ def mp_period_states(omega_m, gamma_m, n_bar, tau, theta, v0, kicks, dps=40):
         c = mp.matrix([E[i, 3] for i in range(3)])
         th = mp.mpf(theta)
         A = M * mp.matrix([[1, 0, 0], [-2 * th, 1, 0], [4 * th * th, -4 * th, 1]])
-        v_inf = mp.lu_solve(mp.eye(3) - A, c)
+        v_inf = mp.lu_solve(mp.eye(3) - A, c) if g else mp.matrix(3, 1)
         d = mp.matrix([mp.mpf(x) for x in v0]) - v_inf
         return [A ** int(n) * d + v_inf for n in kicks]
 
@@ -168,7 +247,7 @@ def lockstep_run_block(
 
     Same draws and the same sampled cube as ensemble._run_block, which
     composes segment maps instead.  The update has the expression structure
-    of the scalar loop moments._iterate, so a zero-variance block is
+    of the scalar loop _iterate, so a zero-variance block is
     bit-identical to the deterministic iteration.
     """
     kicks = _sample_indices(n_kicks, stride)

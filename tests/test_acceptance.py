@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import rk4_free
+from oracles import _iterate, rk4_free
 from springkick import (
     CavityParams,
     KickNoiseModel,
@@ -33,7 +33,6 @@ from springkick import (
     stroboscopic_evolve,
     thermal_state,
 )
-from springkick.moments import _iterate
 
 RESULTS: list[str] = []
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -139,6 +140,40 @@ class TestExitCodes:
         assert run.returncode == 2
         [line] = run.stderr.splitlines()
         assert line.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("key, value", [("omega_m", "1.3e154"), ("gamma_m", "1e200")])
+    def test_rates_from_2_511_are_config_errors(self, tmp_path, capsys, key, value):
+        # these printed "error: math domain error" and a LinAlgError
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", MINIMAL, flags=re.M))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "fast"), "--quiet"]) == 1
+        [line] = [x for x in capsys.readouterr().err.splitlines() if x.startswith("  - ")]
+        assert line.startswith(f"  - [mechanical]: {key} must be")
+
+    def test_lost_determinant_is_numerical_failure(self, tmp_path):
+        # rho(A) = 62.2: from kick 10 on det = sigma_q sigma_p - sigma_qp^2
+        # is below the rounding the floor is judged with.  The run exited 0
+        # with onset 17 (57 at 80 digits), sigma_min = -5425.3 at kick 10 and
+        # purity 1.0 from kick 40, and two RuntimeWarnings
+        cfg = tmp_path / "unstable.ini"
+        cfg.write_text(
+            "[mechanical]\nomega_m = 103331.90264595288\ngamma_m = 1.8636320858451776\n"
+            "n_bar = 37.91151231434087\n[kick]\ntheta = 7.073451701040678\n"
+            "[schedule]\ntau = 5.639983278989652e-05\nn_kicks = 60\nstride = 10\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(springkick.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "springkick",
+             "--config", str(cfg), "--out", str(tmp_path / "unstable"), "--quiet"],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        [line] = run.stderr.splitlines()
+        assert line.startswith("numerical failure: moments diverged (determinant lost to rounding)")
+        assert "at kick 10:" in line
+        assert not (tmp_path / "unstable.summary.txt").exists()
 
     def test_unphysical_fixed_point_is_reported_not_fatal(self, tmp_path):
         # theta = 20: the map fixed point violates the uncertainty bound, but

@@ -1,20 +1,24 @@
-"""stroboscopic_evolve: the closed-form power of the period map.
+"""stroboscopic_evolve: the closed-form power of the period map, and its
+binary powers where the closed form is not certified.
 
 Its rows are checked against a 40-digit matrix power of the period map, and
-against the kick-by-kick loop moments._iterate; where the form is not
-certified it must hand back _iterate's result bit for bit.
+against the kick-by-kick loop oracles._iterate.  Where the form is not
+certified the powers must raise the loop's errors at the loop's kicks, find
+the loop's onset, and keep their rows at least as close to 60 digits as the
+loop's at the fixed cases, within a drift bound of the loop's at random ones.
 """
 
 import math
 import re
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import moment_vectors, thetas
-from oracles import mp_period_states, row_error
+from oracles import _iterate, mp_period_states, row_error
 from springkick import (
     DivergenceError,
     MechanicalParams,
@@ -27,7 +31,16 @@ from springkick import (
     thermal_state,
 )
 from springkick.cli import main
-from springkick.moments import _MAX_DECAY, _MIN_SIN_PHI, _ONSET_CHUNK, _closed_form, _iterate
+from springkick.moments import (
+    _MAX_DECAY,
+    Samples,
+    _MIN_SIN_PHI,
+    _ONSET_CHUNK,
+    _closed_form,
+    _powers,
+    _sample_indices,
+    make_propagator,
+)
 
 FIG1 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 FIG2 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=200.0)
@@ -60,11 +73,34 @@ def cos_phi(cycle):
     return 0.5 * (T[0, 0] + T[1, 1]) / math.exp(-0.5 * cycle.params.gamma_m * cycle.tau)
 
 
-def assert_falls_back(v0, cycle, n_kicks, stride):
-    got = stroboscopic_evolve(v0, cycle, n_kicks, stride)
-    ref = _iterate(v0, cycle, n_kicks, stride)
-    assert bits(got) == bits(ref)
+def outcome(evolve, v0, cycle, n_kicks, stride):
+    """The run's Samples, or the (class, kick) of the error it raises."""
+    try:
+        return evolve(v0, cycle, n_kicks, stride)
+    except (DivergenceError, ValueError) as exc:
+        return type(exc), int(re.search(r"at kick (\d+)", str(exc)).group(1))
+
+
+def assert_falls_back(v0, cycle, n_kicks, stride, bound):
+    """The powered branch at a fixed uncertified case: the loop's error at
+    the loop's kick, or the loop's onset and rows within bound of 60 digits
+    at three sampled kicks, a bound the loop meets there too."""
+    assert _closed_form(v0, cycle) is None
+    got, ref = (outcome(f, v0, cycle, n_kicks, stride) for f in (stroboscopic_evolve, _iterate))
+    if not isinstance(ref, Samples):
+        assert got == ref
+        return
     assert got.onset == ref.onset
+    assert np.array_equal(got.kicks, ref.kicks)
+    rows = [1, len(got) // 2, len(got) - 1]
+    params = cycle.params
+    truth = mp_period_states(
+        params.omega_m, params.gamma_m, params.n_bar, cycle.tau, cycle.theta,
+        v0.as_array().tolist(), got.kicks[rows].tolist(), dps=60,
+    )
+    for i, t in zip(rows, truth):
+        errors = (row_error(got.moments[i], t), row_error(ref.moments[i], t))
+        assert max(errors) <= bound, (int(got.kicks[i]), errors)
 
 
 class TestAgainstMpmath:
@@ -107,39 +143,59 @@ class TestAgainstMpmath:
 
 
 class TestFallback:
+    """Each case's bound is the loop's own largest error at its three
+    kicks, rounded up; the powers' error is quoted beside it."""
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_resonance_points(self, k):
-        # tau = k pi/omega_m: T is nearly a Jordan block with a real pair
+        # tau = k pi/omega_m: T is nearly a Jordan block with a real pair.
+        # Powers 6.81e-10, 1.32e-9, 3.17e-7: both carry the float flight's
+        # error there, the same for both
+        bound = {1: 6.9e-10, 2: 1.4e-9, 3: 3.2e-7}[k]
         cyc = cycle_map(RESONANCE, k * math.pi / RESONANCE.omega_m, 2.0)
         assert abs(cos_phi(cyc)) > 1.0
-        assert_falls_back(thermal_state(RESONANCE), cyc, 10_000, 100)
+        assert_falls_back(thermal_state(RESONANCE), cyc, 10_000, 100, bound)
 
     def test_real_pair_with_stationary_state(self):
         params = MechanicalParams(omega_m=1e3, gamma_m=1.0, n_bar=10.0)
         cyc = cycle_map(params, 2 * math.pi / params.omega_m, 0.5)
         assert cos_phi(cyc) > 1.0
         steady_state(cyc)
-        assert_falls_back(thermal_state(params), cyc, 5_000, 100)
+        # loop 8.22e-11, powers 8.23e-11
+        assert_falls_back(thermal_state(params), cyc, 5_000, 100, 8.3e-11)
 
     def test_complex_pair_below_margin(self):
         # theta = 0 a little short of half a period: phi = omega_d tau
         params = MechanicalParams(omega_m=1e3, gamma_m=1e-3, n_bar=1.0)
         cyc = cycle_map(params, (math.pi - 0.005) / params.omega_m, 0.0)
         assert 0.0 < math.sqrt(1.0 - cos_phi(cyc) ** 2) < _MIN_SIN_PHI
-        assert_falls_back(MomentVector(0.5, 0.0, 0.5), cyc, 5_000, 100)
+        # loop 4.67e-13, powers 4.06e-14
+        assert_falls_back(MomentVector(0.5, 0.0, 0.5), cyc, 5_000, 100, 4.7e-13)
 
     def test_unphysical_fixed_point(self):
         cyc = cycle_map(FIG1, TAU, 20.0)
         with pytest.raises(UnphysicalStateError):
             steady_state(cyc)
-        assert_falls_back(thermal_state(FIG1), cyc, 2_000, 100)
+        # loop 3.04e-11, powers 2.33e-12
+        assert_falls_back(thermal_state(FIG1), cyc, 2_000, 100, 3.1e-11)
 
     def test_no_stationary_state(self):
         params = MechanicalParams(omega_m=5e5, gamma_m=0.0, n_bar=10.0)
         cyc = cycle_map(params, TAU, THETA)
         with pytest.raises(NoStationaryStateError):
             steady_state(cyc)
-        assert_falls_back(thermal_state(params), cyc, 2_000, 100)
+        # loop 8.38e-13, powers 2.23e-13
+        assert_falls_back(thermal_state(params), cyc, 2_000, 100, 8.4e-13)
+
+    def test_unstable_map(self):
+        # rho(A) = 62.2: the moments grow until det, which stays near its
+        # start, is lost to rounding, at kick 10 for both
+        params = MechanicalParams(103331.90264595288, 1.8636320858451776, 37.91151231434087)
+        cyc = cycle_map(params, 5.639983278989652e-05, 7.073451701040678)
+        assert cyc.spectral_radius > 62.0
+        with pytest.raises(DivergenceError, match=r"lost to rounding\) at kick 10:"):
+            _iterate(thermal_state(params), cyc, 60, 10)
+        assert_falls_back(thermal_state(params), cyc, 60, 10, 0.0)
 
     @pytest.mark.parametrize(
         "params, tau, theta",
@@ -157,13 +213,151 @@ class TestFallback:
         cyc = cycle_map(params, tau, theta)
         assert params.gamma_m * tau > _MAX_DECAY
         steady_state(cyc)
-        assert_falls_back(thermal_state(params), cyc, 2_000, 100)
+        # loop 5.2e-74, 4.4e-74 and 6.7e-16; powers 5.2e-74, 4.4e-74, 3.3e-16
+        assert_falls_back(thermal_state(params), cyc, 2_000, 100, 1e-15)
 
     def test_certified_run_does_not_iterate(self):
         cyc = cycle_map(FIG1, TAU, THETA)
         v0 = thermal_state(FIG1)
         got = stroboscopic_evolve(v0, cyc, 2_000, 100)
         assert bits(got) != bits(_iterate(v0, cyc, 2_000, 100))
+
+
+# Bound on how far two float64 evaluations of one run drift apart, as a
+# relative row error per kick and per unit of kappa = (sigma_q +
+# sigma_p)^2/(4 det), the largest along the run: each period rounds the
+# state at about eps of Sigma's larger eigenvalue, kappa times its smaller
+# one.  Over 1069 random uncertified runs of up to 2000 kicks the powered
+# rows' distance from the loop's peaked at 2.7e-16 per kick and unit of
+# kappa.  Near |cos(phi)| = 1 kappa reaches 1e10 and the two drift 1e-3
+# apart; there both are that far from 60 digits, the powers by up to 100
+# times as far as the loop, by up to 10 times less elsewhere.
+DRIFT_PER_KICK = 1e-15
+
+
+def drift_bound(n_kicks, rows):
+    """DRIFT_PER_KICK n_kicks kappa over rows, an (n, 3) array of states."""
+    q, qp, p = rows.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.max((q + p) ** 2 / (4.0 * np.abs(q * p - qp * qp)))
+    return DRIFT_PER_KICK * max(n_kicks, 1) * max(kappa, 1.0)
+
+
+@st.composite
+def uncertified_cycles(draw):
+    """(params, tau, theta) on the branches _closed_form rejects, or near
+    them: tau near k pi/omega_m, theta near |cos(phi)| = 1, gamma_m tau
+    above _MAX_DECAY, or strong kicks, whose fixed point is unphysical or
+    absent."""
+    omega_m = draw(st.floats(1e3, 1e7))
+    gamma_m = omega_m * 10.0 ** draw(st.floats(-7.0, -0.5))
+    n_bar = draw(st.floats(0.0, 300.0))
+    branch = draw(st.sampled_from(["resonance", "edge", "decay", "kick"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if branch == "resonance":
+        k = draw(st.integers(1, 3))
+        tau = (k * math.pi + sign * 10.0 ** draw(st.floats(-15.0, -3.0))) / omega_m
+        theta = draw(thetas)
+    elif branch == "edge":
+        gamma_m = draw(st.sampled_from([0.0, gamma_m]))
+        tau = 2 * math.pi / omega_m * 10.0 ** draw(st.floats(-2.0, 0.5))
+        # theta that puts cos(phi) = tr T/(2 delta) at c, |c| - 1 tiny
+        (f00, f01), (_, f11) = make_propagator(MechanicalParams(omega_m, gamma_m, n_bar), tau).F
+        c = sign * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-13.0, -2.4)))
+        theta = (f00 + f11 - 2.0 * math.exp(-0.5 * gamma_m * tau) * c) / (2.0 * f01)
+        assume(abs(theta) <= 30.0)
+    elif branch == "decay":
+        gamma_m = omega_m * 10.0 ** draw(st.floats(-3.0, 2.0))
+        tau = draw(st.floats(700.5, 3000.0)) / gamma_m
+        theta = draw(thetas)
+    else:
+        tau = 2 * math.pi / omega_m * 10.0 ** draw(st.floats(-3.0, -1.0))
+        theta = sign * draw(st.floats(10.0, 60.0))
+    return MechanicalParams(omega_m, gamma_m, n_bar), tau, theta
+
+
+class TestPowersAgainstLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        cycle=uncertified_cycles(),
+        v0=moment_vectors(),
+        n_kicks=st.integers(0, 2000),
+        stride=st.integers(1, 2500),
+    )
+    # Counterexamples of stricter forms of this property, every one near
+    # |cos(phi)| = 1 or on the vacuum line.  The two raise the same error
+    # at kicks 417 and 278, where det's drift spans 0 to 1/4 and far beyond
+    @example(
+        cycle=(MechanicalParams(8726924.784329498, 0.0, 1.712357075447521e-292),
+               3.0275569547732566e-07, -3.9202979050962066),
+        v0=MomentVector(19.952623149688797, -0.14140866783931863, 0.029710353407830657),
+        n_kicks=584, stride=139,
+    )
+    # only the powers find kick 247 unphysical, at det 0.2479
+    @example(
+        cycle=(MechanicalParams(10000000.0, 0.0, 4.0), 1.7995964281052068e-06, -2.1988660394542263),
+        v0=MomentVector(1.0, 0.0, 0.25), n_kicks=247, stride=247,
+    )
+    # only the loop loses det at kick 242
+    @example(
+        cycle=(MechanicalParams(7006799.969143932, 0.7006799969143931, 217.8494547988033),
+               1.037009941378343e-08, 27.51289055915968),
+        v0=MomentVector(1.0, 0.0, 0.25), n_kicks=242, stride=242,
+    )
+    # cos(phi) = -0.9999 at gamma_m = 0: kappa reaches 1e10 and the rows
+    # drift 1.3e-3 apart, the powers 1.0e-3 and the loop 2.6e-4 from 60 digits
+    @example(
+        cycle=(MechanicalParams(68155.72837306834, 0.0, 239.71997979893237),
+               2.7575069539315312e-06, 10.60982310520151),
+        v0=MomentVector(1.0, -3.915755334418163e-155, 0.49881557874221993),
+        n_kicks=511, stride=3,
+    )
+    # n_bar = 0 and theta ~ 0: the run settles on the vacuum itself, at
+    # onsets 609 and None, and None and 0
+    @example(
+        cycle=(MechanicalParams(81510.35836320183, 815.1035836320183, 0.0),
+               7.708450107877513e-05, -1.7267895561720843e-45),
+        v0=MomentVector(0.30017583682285565, 3.7177541387375476e-16, 10.171947868843972),
+        n_kicks=1380, stride=518,
+    )
+    @example(
+        cycle=(MechanicalParams(290571.1376780146, 27243125.75527079, 0.0),
+               5.6426239912368554e-05, 2.808332095802849e-154),
+        v0=MomentVector(0.1763956474711817, -4.953732908514659e-07, 1.417268530060635),
+        n_kicks=117, stride=117,
+    )
+    def test_errors_onset_and_rows(self, cycle, v0, n_kicks, stride):
+        cyc = cycle_map(*cycle)
+        assume(_closed_form(v0, cyc) is None)
+        got, ref = (outcome(f, v0, cyc, n_kicks, stride) for f in (stroboscopic_evolve, _iterate))
+        kicks = _sample_indices(n_kicks, stride)
+        # the powered rows, unchecked, judge the ties below
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _powers(v0, cyc)(np.array(kicks, dtype=float)).T
+        if isinstance(got, Samples) and isinstance(ref, Samples):
+            assert np.array_equal(got.kicks, ref.kicks)
+            drift = drift_bound(n_kicks, ref.moments)
+            worst = max(row_error(a, b) for a, b in zip(got.moments, ref.moments))
+            assert worst <= drift, (worst, drift)
+            if got.onset != ref.onset:
+                # only a kick whose state lies within rounding or drift of
+                # the vacuum line may be judged apart
+                lo, hi = sorted(n_kicks if o is None else o - 1 for o in (got.onset, ref.onset))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    q, qp, p = _powers(v0, cyc)(np.arange(lo, hi + 1, dtype=float))
+                gap = np.abs(p + q - np.hypot(p - q, 2.0 * qp) - 1.0)
+                assert np.any(gap <= max(1e-12, 2.0 * drift) * (p + q)), (got.onset, ref.onset)
+            return
+        if got == ref:
+            return
+        # apart only where the first kick they dispute has a det that the
+        # drift leaves unresolved, at either threshold of the checks
+        at = min(o[1] for o in (got, ref) if isinstance(o, tuple))
+        i = kicks.index(at)
+        q, qp, p = rows[i]
+        scale = q * p + qp * qp
+        spread = 2.0 * drift_bound(n_kicks, rows[: i + 1]) * scale
+        assert spread >= abs(q * p - qp * qp - 0.25) + 1e-12 * scale, (got, ref)
 
 
 def _stable_complex_pair(params, tau, theta):

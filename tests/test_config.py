@@ -266,6 +266,8 @@ class TestReadmeExample:
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# omega_m and gamma_m are rejected from 2^511 on
+rates = st.floats(min_value=0.0, max_value=2.0**511, exclude_max=True)
 
 
 physical_kicks = st.builds(
@@ -304,7 +306,9 @@ output_paths = st.text(alphabet="abcXYZ019/._-", max_size=20)
 def run_configs(draw):
     physical = draw(st.none() | physical_kicks)
     return RunConfig(
-        mechanical=MechanicalParams(draw(positive), draw(non_negative), draw(non_negative)),
+        mechanical=MechanicalParams(
+            draw(rates.filter(lambda w: w > 0.0)), draw(rates), draw(non_negative)
+        ),
         schedule=Schedule(
             tau=draw(positive),
             n_kicks=draw(st.integers(0, 10**9)),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import lockstep_run_block, mp_noisy_states, row_error
+from oracles import _iterate, _unpack_cycle, lockstep_run_block, mp_noisy_states, row_error
 from springkick import (
     DivergenceError,
     EnsembleStats,
@@ -28,7 +28,6 @@ from springkick import (
 )
 from springkick import ensemble
 from springkick.ensemble import RNG_BLOCK, _run_block
-from springkick.moments import _iterate, _unpack_cycle
 
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 TAU = 1e-7

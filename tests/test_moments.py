@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mech_params, moment_vectors, params_and_tau, thetas
-from oracles import drift_matrix, rk4_free, steady_state_iterative
+from oracles import _iterate, drift_matrix, rk4_free, steady_state_iterative
 from springkick import (
     DivergenceError,
     MechanicalParams,
@@ -29,7 +29,7 @@ from springkick import (
     stroboscopic_evolve,
     thermal_state,
 )
-from springkick.moments import _iterate, metric_arrays
+from springkick.moments import metric_arrays
 
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 TAU = 1e-7
@@ -344,6 +344,21 @@ class TestKick:
 
 
 class TestCycle:
+    @pytest.mark.parametrize(
+        "key, params", [("omega_m", (1.3e154, 1.0, 1.0)), ("gamma_m", (5e5, 1e200, 10.0))]
+    )
+    def test_rates_from_2_511_name_their_key(self, key, params):
+        # omega_m = 1.3e154 overflowed omega_d^2 and sent inf to math.sin, a
+        # bare "math domain error"; gamma_m = 1e200 sent infs to eigvals
+        with pytest.raises(ValueError, match=f"^{key} must be .* below 2\\^511"):
+            MechanicalParams(*params)
+
+    def test_rates_just_below_2_511(self):
+        below = math.nextafter(2.0**511, 0.0)
+        for params in (MechanicalParams(below, 1.0, 1.0), MechanicalParams(1e3, below, 1.0)):
+            cyc = cycle_map(params, 1e-3, 1.0)
+            assert np.isfinite(cyc.A).all() and np.isfinite(cyc.propagator.v_inh).all()
+
     def test_composition_order(self):
         cyc = cycle_map(FIG, TAU, 10.0)
         assert np.array_equal(cyc.A, cyc.propagator.M @ cyc.kick.K)

@@ -1,10 +1,11 @@
-"""The fused kick scan: moments._iterate samples and onset in one pass.
+"""The fused kick scan: oracles._iterate samples and onset in one pass.
 
-_iterate is the kick-by-kick loop that stroboscopic_evolve falls back on
-where its closed form is not certified.  The reference below is the earlier
-two-pass code, copied with its one helper inlined: one loop that samples
-the states and a second loop over the same kicks that tracks the last
-unsqueezed one.  The fused scan must reproduce both exactly.
+_iterate is the kick-by-kick loop that stroboscopic_evolve's powers of the
+period map are tested against (tests/test_closed_form.py).  The reference
+below is the earlier two-pass code, copied with its one helper inlined:
+one loop that samples the states and a second loop over the same kicks
+that tracks the last unsqueezed one.  The fused scan must reproduce both
+exactly.
 """
 
 import math
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import moment_vectors
+from oracles import _PHYSICAL_SPAN, _iterate, _unpack_cycle
 from springkick import (
     DivergenceError,
     MechanicalParams,
@@ -25,8 +28,7 @@ from springkick import (
     steady_state,
     thermal_state,
 )
-from springkick import moments
-from springkick.moments import VACUUM_VARIANCE, _PHYSICAL_SPAN, Samples, _iterate, _unpack_cycle
+from springkick.moments import VACUUM_VARIANCE, Samples
 
 FIG1 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 FIG2 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=200.0)
@@ -168,18 +170,29 @@ class TestDivergence:
 
     @pytest.mark.parametrize("stride", [1, 7, 64])
     def test_names_first_non_finite_sampled_kick(self, stride):
+        # at gamma_m = 0 det stays 10.5^2 while the moments grow, so the
+        # rounding the floor is judged with, 1e-12 (q p + qp^2), passes det
+        # long before det overflows: the run stops at the first sampled
+        # kick of such a det, and the reference's non-finite kick bounds it
         cyc = cycle_map(self.PARAMS, TAU, -10.0)
         v0 = thermal_state(self.PARAMS)
         with pytest.raises(DivergenceError) as ref:
             reference_evolve(v0, cyc, 5000, 1)
-        first = int(str(ref.value).split("at kick ")[1].split(":")[0])
-        assert 1 < first < 5000
+        overflow = int(str(ref.value).split("at kick ")[1].split(":")[0])
+        rows = dict(reference_evolve(v0, cyc, overflow - 1, 1))
+        first = min(
+            n for n, v in rows.items()
+            if v.det <= 1e-12 * (v.sigma_q * v.sigma_p + v.sigma_qp**2)
+        )
+        assert 1 < first < overflow < 5000
         sampled = min(-(-first // stride) * stride, 5000)
-        with pytest.raises(DivergenceError) as ref:
-            reference_evolve(v0, cyc, 5000, stride)
-        with pytest.raises(DivergenceError, match=f"at kick {sampled}:") as got:
+        v = rows[sampled]
+        with pytest.raises(DivergenceError) as got:
             _iterate(v0, cyc, 5000, stride)
-        assert str(got.value) == str(ref.value)
+        assert str(got.value) == (
+            f"moments diverged (determinant lost to rounding) at kick {sampled}:"
+            f" ({v.sigma_q}, {v.sigma_qp}, {v.sigma_p})"
+        )
 
     def test_onset_of_divergent_run_raises(self):
         cyc = cycle_map(self.PARAMS, TAU, -10.0)
@@ -195,13 +208,13 @@ class TestUnphysical:
         # _PHYSICAL_SPAN kicks of the first unphysical sample, or at it where
         # the stride is longer
         reached = []
-        check_finite = moments._check_finite
+        check_finite = oracles._check_finite
 
         def spy(kicks, *state):
             reached.append(kicks[-1])
             check_finite(kicks, *state)
 
-        monkeypatch.setattr(moments, "_check_finite", spy)
+        monkeypatch.setattr(oracles, "_check_finite", spy)
         with pytest.raises(UnphysicalStateError, match=r"< 1/4 at kick \d+$") as err:
             _iterate(thermal_state(FIG1), cycle_map(FIG1, TAU, 20.0), 4_000_000, stride)
         first = int(re.search(r"at kick (\d+)$", str(err.value)).group(1))
