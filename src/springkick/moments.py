@@ -7,9 +7,11 @@ undergoes damped harmonic evolution in contact with a thermal bath, which is
 linear in the moments; a kick is an instantaneous momentum shear
 p -> p - 2*theta*q produced by a short burst of intracavity light stiffening
 the trap.  Both maps are affine on the moment vector, so one period is a
-3x3 affine map, Sigma -> T Sigma T^T + N on the covariance matrix, and the
-stationary state is its fixed point.  A run evaluates the map's n-th power
-at each sampled kick directly, not kick by kick.
+3x3 affine map v -> A v + v_inh, kept as the reference route that tests
+check against.  The package evaluates the same period as the 2x2 map
+Sigma -> T Sigma T^T + N on the covariance matrix: a run evaluates its n-th
+power at each sampled kick directly, not kick by kick, the stationary state
+is that evaluator's limit, and rho(A) = max |lambda(T)|^2.
 """
 
 from __future__ import annotations
@@ -155,11 +157,13 @@ class KickMap:
 class CycleMap:
     """One full period: kick, then free evolution for tau.
 
-    The affine map is moments -> A.moments + v_inh with A = M(tau).K.  The
-    spectral radius of A decides whether repeated cycles converge to a
-    stationary state.  On the covariance matrix Sigma the same period is
-    Sigma -> T Sigma T^T + N, with T = F S(theta) the flight after the
-    shear S(theta) = [[1, 0], [-2 theta, 1]] and N = v_inh as a 2x2.
+    On the covariance matrix Sigma the period is Sigma -> T Sigma T^T + N,
+    with T = F S(theta) the flight after the shear
+    S(theta) = [[1, 0], [-2 theta, 1]] and N = v_inh as a 2x2; the package
+    evaluates this map only.  The same map on the moments is
+    moments -> A.moments + v_inh with A = M(tau).K, kept as the 3x3
+    reference route.  The spectral radius of A, max |lambda(T)|^2, decides
+    whether repeated cycles converge to a stationary state.
     """
 
     tau: float
@@ -399,17 +403,28 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
         raise ValueError(f"tau must be finite and > 0, got {tau}")
     prop = make_propagator(params, tau)
     kick = kick_map(theta)
-    A = prop.M @ kick.K
-    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+    T = prop.F @ np.array([[1.0, 0.0], [-2.0 * theta, 1.0]])
+    # A's eigenvalues are the pairwise products of T's, whose product is
+    # det T = delta^2 = e^{-gamma tau}: so rho(A) = max |lambda(T)|^2, which
+    # is delta^2 for a complex pair and (|h| + sqrt(h^2 - delta^2))^2 for a
+    # real one, h = tr T/2, with h^2 - delta^2 factored so it does not cancel
+    decay = params.gamma_m * tau
+    h = abs(0.5 * float(T[0, 0] + T[1, 1]))
+    delta = math.exp(-0.5 * decay)
+    if h < delta:
+        rho = math.exp(-decay)
+    else:
+        rho = h + math.sqrt((h - delta) * (h + delta))
+        rho *= rho
     return CycleMap(
         tau=tau,
         theta=theta,
         params=params,
         kick=kick,
         propagator=prop,
-        A=A,
+        A=prop.M @ kick.K,
         spectral_radius=rho,
-        T=prop.F @ np.array([[1.0, 0.0], [-2.0 * theta, 1.0]]),
+        T=T,
     )
 
 
@@ -504,8 +519,10 @@ _MIN_SIN_PHI = 0.1
 _MAX_DECAY = 700.0
 
 # Decimal digits of the phase computation, and pi to 60 digits, enough to
-# reduce flight phases up to 1e15 rad to [-pi, pi] without losing any of them
+# reduce flight phases up to _MAX_PHASE rad to [-pi, pi] without losing any
+# of them; past it stroboscopic_evolve takes _powers instead
 _PHASE_DIGITS = 50
+_MAX_PHASE = 1e15
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 # The phase of kick n is taken as that of n_hi * _PHASE_STEP + n_lo kicks,
 # both parts below 2^29, so that _reduce_phase is exact for n below 2^53
@@ -602,7 +619,7 @@ def _reduce_phase(n: np.ndarray, x: tuple[float, float, float], turns: float) ->
 _ENVELOPE_MARGIN = 1e-6
 
 
-def _squeezed_from(const, weights, phi: float, expm1_r: float, decay: float) -> int | None:
+def _squeezed_from(limit, const, weights, phi: float, expm1_r: float, decay: float) -> int | None:
     """A kick from which every state const + weights @ terms(n) of the
     closed form (see stroboscopic_evolve) is squeezed with room to spare,
     or None where the form's limit is not.
@@ -618,7 +635,7 @@ def _squeezed_from(const, weights, phi: float, expm1_r: float, decay: float) -> 
     n >= ceil(ln((c0 + |Z|)/(1/2 - g_inf))/(gamma tau)).  The minor axis
     comes from scalar math, not an eigen-solver.
     """
-    q, qp, p = (const - weights[:, 3] / expm1_r).tolist()
+    q, qp, p = limit
     h = math.hypot(p - q, 2.0 * qp)
     # v = (cos a, sin a) with (cos 2a, sin 2a) = (c2, s2); g(n) is rho @ the
     # state (sigma_q, sigma_qp, sigma_p) after n kicks
@@ -640,17 +657,25 @@ def _squeezed_from(const, weights, phi: float, expm1_r: float, decay: float) -> 
     return max(math.ceil(n), 0) if n < 2.0**53 else None
 
 
+def _has_limit(cycle: CycleMap) -> bool:
+    """Whether the period map contracts with room to spare, rho(A) < 1 - 1e-12:
+    then rho^(2^52) underflows, so _powers' 53 squarings have summed every
+    term of the limit that float64 resolves."""
+    return cycle.spectral_radius < 1.0 - 1e-12
+
+
 def _closed_form(v0: MomentVector, cycle: CycleMap):
     """The closed-form power of T from v0, described in stroboscopic_evolve,
-    as the pair (states, _squeezed_from's kick), or None where it is not
-    certified.  states(n) are the (3, len(n)) moments after n kicks, n a
-    float array."""
-    try:
-        steady_state(cycle)
-    except (NoStationaryStateError, UnphysicalStateError):
-        return None
+    as the triple (states, limit, _squeezed_from's kick), or None where it
+    is not certified.  states(n) are the (3, len(n)) moments after n kicks,
+    n a float array; limit is the form's n -> inf limit as three floats,
+    which does not depend on v0.  Certified where the map has a limit
+    (_has_limit) and that limit is a physical state, gamma tau <= _MAX_DECAY,
+    omega_m tau <= _MAX_PHASE, and T has a complex pair with
+    sin(phi) >= _MIN_SIN_PHI."""
     decay = cycle.params.gamma_m * cycle.tau  # -log det T
-    if not decay <= _MAX_DECAY:
+    phase = cycle.params.omega_m * cycle.tau
+    if not (_has_limit(cycle) and decay <= _MAX_DECAY and phase <= _MAX_PHASE):
         return None
     # T's entries are below 1e154, since A, whose corners are their squares,
     # is finite; so U's entries are finite
@@ -718,13 +743,18 @@ def _closed_form(v0: MomentVector, cycle: CycleMap):
             noise @ w.real,
             -noise @ w.imag,
         ])
-        return states, _squeezed_from(const, weights, phi, expm1_r, decay)
+        limit = (const - weights[:, 3] / expm1_r).tolist()
+    try:
+        MomentVector(*limit)
+    except ValueError:  # not finite, or not physical
+        return None
+    return states, limit, _squeezed_from(limit, const, weights, phi, expm1_r, decay)
 
 
 def _powers(v0: MomentVector, cycle: CycleMap):
-    """states(n) with _closed_form's contract, the (3, len(n)) moments after
-    n kicks, by binary powering of the period map: stroboscopic_evolve's
-    evaluator where the closed form is not certified.
+    """The pair (states, limit) with _closed_form's contract, by binary
+    powering of the period map: the evaluator where the closed form is not
+    certified.
 
     The map of 2^b periods is Sigma -> P Sigma P^T + Q, which squares as
     (P, Q) -> (P P, P Q P^T + Q) from (P, Q) = (T, N), N = v_inh as a 2x2.
@@ -732,7 +762,9 @@ def _powers(v0: MomentVector, cycle: CycleMap):
     every entry of n at once (D. E. Knuth, The Art of Computer Programming,
     vol. 2, 4.6.3), so its rounding builds up over log2(n) maps, not over n
     kicks.  The 53 squarings, enough for every n below 2^53, run on Python
-    floats, which overflow to inf without a warning.
+    floats, which overflow to inf without a warning.  The last Q is
+    sum_{k<2^53} T^k N T^k^T, Smith's doubling of the limit (R. A. Smith,
+    SIAM J. Appl. Math. 16:198, 1968): converged where _has_limit holds.
     """
     P = cycle.T.tolist()
     Q = cycle.propagator.v_inh.tolist()
@@ -756,7 +788,18 @@ def _powers(v0: MomentVector, cycle: CycleMap):
             ]
         return np.array(state)
 
-    return states
+    return states, Q
+
+
+def _evaluator(v0: MomentVector, cycle: CycleMap):
+    """The one choice of evaluator for the runs and the stationary state of
+    a cycle: the triple (states, limit, squeezed_from) of _closed_form where
+    it is certified, else _powers' pair and no onset envelope."""
+    form = _closed_form(v0, cycle)
+    if form is not None:
+        return form
+    states, limit = _powers(v0, cycle)
+    return states, limit, None
 
 
 def stroboscopic_evolve(
@@ -805,18 +848,18 @@ def stroboscopic_evolve(
 
     Where the form is not certified the states come from binary powers of
     the period map instead (_powers): no stationary state (or an unphysical
-    one), gamma tau > _MAX_DECAY, a real eigenvalue pair of T, or
-    sin(phi) < _MIN_SIN_PHI.  Either way the sampled states are evaluated
-    and checked _ONSET_CHUNK at a time, into one (n, 3) array, and the same
-    scan finds the onset, from the last kick where no envelope is known.
+    one), gamma tau > _MAX_DECAY, omega_m tau > _MAX_PHASE, a real
+    eigenvalue pair of T, or sin(phi) < _MIN_SIN_PHI.  Either way the
+    sampled states are evaluated and checked _ONSET_CHUNK at a time, into
+    one (n, 3) array, and the same scan finds the onset, from the last kick
+    where no envelope is known.
     Raises ValueError for n_kicks >= 2^53, where a float no longer holds
     every kick index.
     """
     if n_kicks >= 2**53:
         raise ValueError(f"n_kicks must be below 2^53, got {n_kicks}")
     kicks = np.array(_sample_indices(n_kicks, sample_stride))
-    form = _closed_form(v0, cycle)
-    states, squeezed_from = form if form is not None else (_powers(v0, cycle), None)
+    states, _, squeezed_from = _evaluator(v0, cycle)
     moments = np.empty((len(kicks), 3))
     moments[0] = v0.as_array()
     # overflow here is reported by the DivergenceError below, not by warnings
@@ -873,24 +916,29 @@ def intra_period_trace(
 
 
 def steady_state(cycle: CycleMap) -> MomentVector:
-    """Fixed point of the cyclic map, from the direct 3x3 linear solve."""
-    # eigenvalues of an exactly marginal map round to just under 1, so the
-    # contraction test needs a margin or the solve runs on a singular matrix
-    if not cycle.spectral_radius < 1.0 - 1e-12:
+    """Fixed point of the cyclic map, Sigma_inf = sum_k T^k N T^k^T: the
+    limit of the evaluator that stroboscopic_evolve runs (_evaluator), so
+    the closed form's own limit where that is certified, else Smith's sum
+    from _powers' squarings.
+
+    Raises NoStationaryStateError unless rho(A) < 1 - 1e-12 (_has_limit)
+    and the limit is finite with positive variances, and
+    UnphysicalStateError when the fixed point violates the floor.
+    """
+    if not _has_limit(cycle):
         raise NoStationaryStateError(
             "no stationary state: spectral radius of the cycle map is "
             f"{cycle.spectral_radius} >= 1"
         )
-    I_minus_A = np.eye(3) - cycle.A
-    x = np.linalg.solve(I_minus_A, cycle.propagator.v_inh)
-    # the fixed point sum_k A^k v_inh of a contraction has positive
-    # variances; a solve that returns anything else has lost every digit
-    if not (np.all(np.isfinite(x)) and x[0] > 0.0 and x[2] > 0.0):
+    # the limit does not depend on the initial state
+    _, x, _ = _evaluator(MomentVector(VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE), cycle)
+    # the fixed point of a contraction has positive variances; a limit with
+    # anything else has lost every digit
+    if not (all(map(math.isfinite, x)) and x[0] > 0.0 and x[2] > 0.0):
         raise NoStationaryStateError(
-            "stationary state not resolvable in float64: solving (I - A) x = v_inh "
-            f"gave {tuple(x.tolist())} at cond(I - A) = {np.linalg.cond(I_minus_A):.3g}"
+            f"stationary state not resolvable in float64: the period map's limit is {tuple(x)}"
         )
-    return MomentVector.from_array(x)
+    return MomentVector(*x)
 
 
 def metric_arrays(q, qp, p) -> StateMetrics:

@@ -3,7 +3,8 @@
 Deliberately use different algorithms from the package: componentwise RK4
 and the moment equations written out as a matrix instead of the closed-form
 flight, brute-force phase scanning instead of the closed-form minimum,
-iteration to convergence instead of the direct fixed-point solve,
+iteration to convergence and a 60-digit 3x3 solve instead of the 2x2 map's
+limit, mpmath's eigenvalues of the 3x3 map instead of the 2x2 map's trace,
 high-precision matrix powers of the period map instead of its closed-form
 power, the period map iterated kick by kick instead of powered, and a noisy
 ensemble stepped kick by kick instead of composed from segment maps.
@@ -197,27 +198,49 @@ def steady_state_iterative(
     )
 
 
+def _mp_period(omega_m, gamma_m, n_bar, tau, theta):
+    """(A, c) of one period v -> A v + c at mpmath's working precision: the
+    flight is mpmath's expm of the augmented 4x4 drift (the moment
+    equations of rk4_free), the kick its 3x3 shear."""
+    w, g = mp.mpf(omega_m), mp.mpf(gamma_m)
+    B = mp.matrix(4, 4)
+    B[0, 1] = 2 * w
+    B[1, 0], B[1, 1], B[1, 2] = -w, -g, w
+    B[2, 1], B[2, 2] = -2 * w, -2 * g
+    B[2, 3] = g * (2 * mp.mpf(n_bar) + 1)
+    E = mp.expm(B * mp.mpf(tau))
+    M = mp.matrix([[E[i, j] for j in range(3)] for i in range(3)])
+    c = mp.matrix([E[i, 3] for i in range(3)])
+    th = mp.mpf(theta)
+    return M * mp.matrix([[1, 0, 0], [-2 * th, 1, 0], [4 * th * th, -4 * th, 1]]), c
+
+
+def mp_radius(omega_m, gamma_m, n_bar, tau, theta, dps=60):
+    """rho(A) at dps digits, the largest modulus of mpmath's eigenvalues of
+    the 3x3 A.  Near a triple eigenvalue (tau near k pi/omega_m) these keep
+    about a third of the digits, still far more than float64's."""
+    with mp.workdps(dps):
+        A, _ = _mp_period(omega_m, gamma_m, n_bar, tau, theta)
+        return max(abs(x) for x in mp.eig(A, left=False, right=False))
+
+
+def mp_stationary(omega_m, gamma_m, n_bar, tau, theta, dps=60):
+    """The stationary state (I - A)^{-1} c at dps digits, by mpmath's LU solve."""
+    with mp.workdps(dps):
+        A, c = _mp_period(omega_m, gamma_m, n_bar, tau, theta)
+        return mp.lu_solve(mp.eye(3) - A, c)
+
+
 def mp_period_states(omega_m, gamma_m, n_bar, tau, theta, v0, kicks, dps=40):
     """States after each of kicks periods, at dps digits: A^n (v0 - v_inf) + v_inf.
 
-    The flight is mpmath's expm of the augmented 4x4 drift (the moment
-    equations of rk4_free), the kick its 3x3 shear, v_inf the fixed point of
-    an mpmath linear solve (0 at gamma_m = 0, where there is no bath and
-    I - A is singular), and A^n mpmath's integer matrix power.
+    A and c come from _mp_period, v_inf is the fixed point of an mpmath
+    linear solve (0 at gamma_m = 0, where there is no bath and I - A is
+    singular), and A^n mpmath's integer matrix power.
     """
     with mp.workdps(dps):
-        w, g = mp.mpf(omega_m), mp.mpf(gamma_m)
-        B = mp.matrix(4, 4)
-        B[0, 1] = 2 * w
-        B[1, 0], B[1, 1], B[1, 2] = -w, -g, w
-        B[2, 1], B[2, 2] = -2 * w, -2 * g
-        B[2, 3] = g * (2 * mp.mpf(n_bar) + 1)
-        E = mp.expm(B * mp.mpf(tau))
-        M = mp.matrix([[E[i, j] for j in range(3)] for i in range(3)])
-        c = mp.matrix([E[i, 3] for i in range(3)])
-        th = mp.mpf(theta)
-        A = M * mp.matrix([[1, 0, 0], [-2 * th, 1, 0], [4 * th * th, -4 * th, 1]])
-        v_inf = mp.lu_solve(mp.eye(3) - A, c) if g else mp.matrix(3, 1)
+        A, c = _mp_period(omega_m, gamma_m, n_bar, tau, theta)
+        v_inf = mp.lu_solve(mp.eye(3) - A, c) if gamma_m else mp.matrix(3, 1)
         d = mp.matrix([mp.mpf(x) for x in v0]) - v_inf
         return [A ** int(n) * d + v_inf for n in kicks]
 

@@ -175,6 +175,20 @@ class TestExitCodes:
         assert "at kick 10:" in line
         assert not (tmp_path / "unstable.summary.txt").exists()
 
+    @pytest.mark.parametrize("omega_m", ["1e60", "1e100"])
+    def test_phase_past_decimal_reduction_runs(self, tmp_path, capsys, omega_m):
+        # flight phases of 1e57 and 1e97 rad, past what the closed form's
+        # 50-digit phase reduces: these exited 2 with a decimal.Overflow or
+        # decimal.DivisionUndefined signal; they now run on binary powers
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text(
+            f"[mechanical]\nomega_m = {omega_m}\ngamma_m = 1\nn_bar = 1\n"
+            "[kick]\ntheta = 1e-3\n"
+            "[schedule]\ntau = 1e-3\nn_kicks = 100\nstride = 10\n"
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "fast"), "--quiet"]) == 0
+        assert "decimal" not in capsys.readouterr().err
+
     def test_unphysical_fixed_point_is_reported_not_fatal(self, tmp_path):
         # theta = 20: the map fixed point violates the uncertainty bound, but
         # a short run stays physical; summary reports the boundary honestly

@@ -333,7 +333,7 @@ class TestPowersAgainstLoop:
         kicks = _sample_indices(n_kicks, stride)
         # the powered rows, unchecked, judge the ties below
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = _powers(v0, cyc)(np.array(kicks, dtype=float)).T
+            rows = _powers(v0, cyc)[0](np.array(kicks, dtype=float)).T
         if isinstance(got, Samples) and isinstance(ref, Samples):
             assert np.array_equal(got.kicks, ref.kicks)
             drift = drift_bound(n_kicks, ref.moments)
@@ -344,7 +344,7 @@ class TestPowersAgainstLoop:
                 # the vacuum line may be judged apart
                 lo, hi = sorted(n_kicks if o is None else o - 1 for o in (got.onset, ref.onset))
                 with np.errstate(over="ignore", invalid="ignore"):
-                    q, qp, p = _powers(v0, cyc)(np.arange(lo, hi + 1, dtype=float))
+                    q, qp, p = _powers(v0, cyc)[0](np.arange(lo, hi + 1, dtype=float))
                 gap = np.abs(p + q - np.hypot(p - q, 2.0 * qp) - 1.0)
                 assert np.any(gap <= max(1e-12, 2.0 * drift) * (p + q)), (got.onset, ref.onset)
             return
@@ -476,7 +476,7 @@ def squeezed_from(v0, cycle):
     """The onset envelope's kick n* of a certified run."""
     form = _closed_form(v0, cycle)
     assert form is not None
-    return form[1]
+    return form[2]
 
 
 class TestEnvelope:
@@ -541,6 +541,30 @@ class TestEnvelope:
             assume(False)
         assert ref.onset is not None and ref.onset <= n_star
         assert stroboscopic_evolve(v0, cyc, n_kicks, n_kicks).onset == ref.onset
+
+
+class TestLimit:
+    """steady_state is the limit of the evaluator a run takes, so a run long
+    enough for its transient to underflow ends on it."""
+
+    def test_closed_form(self):
+        # fig1: the transient has decayed by e^{-gamma tau n} = e^{-21475}
+        cyc = cycle_map(FIG1, TAU, THETA)
+        v0 = thermal_state(FIG1)
+        assert _closed_form(v0, cyc) is not None
+        samples = stroboscopic_evolve(v0, cyc, 2**31, 2**31)
+        assert row_error(samples.moments[-1], steady_state(cyc).as_array()) <= 1e-15
+
+    def test_powers(self):
+        # TestFallback's real pair, rho(A) = 0.9955: the run ends unsqueezed,
+        # so its onset scan stops at the last kick
+        params = MechanicalParams(omega_m=1e3, gamma_m=1.0, n_bar=10.0)
+        cyc = cycle_map(params, 2 * math.pi / params.omega_m, 0.5)
+        v0 = thermal_state(params)
+        assert _closed_form(v0, cyc) is None
+        samples = stroboscopic_evolve(v0, cyc, 2**20, 2**20)
+        assert samples.onset is None
+        assert row_error(samples.moments[-1], steady_state(cyc).as_array()) <= 1e-15
 
 
 class TestErrors:

@@ -10,7 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mech_params, moment_vectors, params_and_tau, thetas
-from oracles import _iterate, drift_matrix, rk4_free, steady_state_iterative
+from oracles import (
+    _iterate,
+    drift_matrix,
+    mp_radius,
+    mp_stationary,
+    rk4_free,
+    row_error,
+    steady_state_iterative,
+)
 from springkick import (
     DivergenceError,
     MechanicalParams,
@@ -33,6 +41,7 @@ from springkick.moments import metric_arrays
 
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 TAU = 1e-7
+RESONANCE = MechanicalParams(omega_m=1e3, gamma_m=1.532e-3, n_bar=0.0)
 
 
 def rel_diff(a, b):
@@ -380,6 +389,33 @@ class TestCycle:
             1.0, abs=1e-12
         )
 
+    def test_radius_at_fig1_against_60_digits(self):
+        # a complex pair, so rho(A) = det T = e^{-gamma tau}: 5.7e-18 off,
+        # where the eigenvalues of the 3x3 A were 3.3e-16 off
+        rho = cycle_map(FIG, TAU, 10.0).spectral_radius
+        assert abs(rho - mp_radius(FIG.omega_m, FIG.gamma_m, FIG.n_bar, TAU, 10.0)) <= 1e-16
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_radius_at_resonance_against_60_digits(self, k):
+        # tau = k pi/omega_m: A has a near-triple eigenvalue, whose float
+        # eigenvalues are off by about the cube root of the rounding: 3.4e-6,
+        # 1.4e-6 and 1.9e-6, so that k = 1 read 1.0000025 for a map that
+        # contracts.  From T's trace: 1.6e-11, 1.6e-11 and 1.1e-9, the
+        # float flight's own error
+        tau = k * math.pi / RESONANCE.omega_m
+        rho = cycle_map(RESONANCE, tau, 2.0).spectral_radius
+        ref = mp_radius(RESONANCE.omega_m, RESONANCE.gamma_m, RESONANCE.n_bar, tau, 2.0)
+        assert abs(rho - ref) <= 2e-9
+
+    def test_expanding_map_at_resonance_reads_above_one(self):
+        # the second @example map of test_fixed_point_residual_randomized:
+        # rho(A) = 1.00000034815 at 60 digits, which the eigenvalues of the
+        # 3x3 A read as 0.99999784
+        params = MechanicalParams(1e3, 1e-3, 0.0)
+        tau = 2 * math.pi / params.omega_m
+        assert mp_radius(params.omega_m, params.gamma_m, params.n_bar, tau, 7.0) > 1.0
+        assert cycle_map(params, tau, 7.0).spectral_radius > 1.0
+
     @settings(max_examples=60, deadline=None)
     @given(moment_vectors(), st.floats(-5.0, 5.0))
     def test_advance_matches_matrix_route(self, v, theta):
@@ -466,8 +502,10 @@ class TestSteadyState:
 
     @settings(max_examples=40, deadline=None)
     @given(params_and_tau(), st.floats(0.0, 8.0))
-    # tau = 2 pi / omega_m: cond(I - A) ~ 1e18-1e21 and the solve returned
-    # sigma_q < 0, which MomentVector rejected with a bare ValueError
+    # tau = 2 pi / omega_m, where T is nearly a Jordan block: a 3x3 solve of
+    # (I - A) x = v_inh, conditioned 1e18 to 1e21 there, returned sigma_q < 0,
+    # which MomentVector rejected with a bare ValueError.  The second map
+    # expands (test_expanding_map_at_resonance_reads_above_one)
     @example((MechanicalParams(1e3, 1.532e-3, 0.0), 2 * math.pi / 1e3), 2.0)
     @example((MechanicalParams(1e3, 1e-3, 0.0), 2 * math.pi / 1e3), 7.0)
     def test_fixed_point_residual_randomized(self, pt, theta):
@@ -482,12 +520,27 @@ class TestSteadyState:
         out = cyc.A @ v.as_array() + cyc.propagator.v_inh
         assert rel_diff(out, v.as_array()) < 1e-10
 
-    def test_direct_solve_matches_iteration(self):
+    def test_limit_matches_iteration(self):
         for theta in (2.0, 10.0):
             cyc = cycle_map(FIG, TAU, theta)
             a = steady_state(cyc).as_array()
             b = steady_state_iterative(cyc).as_array()
             assert rel_diff(a, b) < 1e-8
+
+    @pytest.mark.parametrize(
+        "n_bar, tau, theta",
+        [(10.0, TAU, 10.0), (200.0, TAU, 10.0), (10.0, 5e-8, 0.5), (30.0, 1e-7, 1.0),
+         (100.0, 2e-7, 2.0)],
+        ids=["fig1", "fig2", "grid-10-5e-8-0.5", "grid-30-1e-7-1", "grid-100-2e-7-2"],
+    )
+    def test_against_60_digits(self, n_bar, tau, theta):
+        # the closed form's own limit, 2.6e-16 off at fig1; a 3x3 solve of
+        # (I - A) x = v_inh was 7.6e-12 off there.  The grid points are the
+        # corners and centre of the benchmark sweep's n_bar x tau x theta grid
+        params = MechanicalParams(FIG.omega_m, FIG.gamma_m, n_bar)
+        v = steady_state(cycle_map(params, tau, theta))
+        ref = mp_stationary(params.omega_m, params.gamma_m, n_bar, tau, theta)
+        assert row_error(v.as_array(), ref) <= 2e-14
 
     @pytest.mark.parametrize("max_kicks", [1, 4095, 4097])
     def test_iteration_budget_exhausted_raises(self, max_kicks):
