@@ -64,6 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps nothing of a parse on the parser, so every call shares one
+_PARSER = build_parser()
+
+
 def _apply_overrides(config, args):
     if args.kicks is not None:
         config = replace(config, schedule=replace(config.schedule, n_kicks=args.kicks))
@@ -85,9 +89,8 @@ def _apply_overrides(config, args):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.config is not None:
             config = read_config(args.config)
             default_out = "run"

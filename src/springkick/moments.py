@@ -17,9 +17,9 @@ is that evaluator's limit, and rho(A) = max |lambda(T)|^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -164,6 +164,9 @@ class CycleMap:
     moments -> A.moments + v_inh with A = M(tau).K, kept as the 3x3
     reference route.  The spectral radius of A, max |lambda(T)|^2, decides
     whether repeated cycles converge to a stationary state.
+
+    The map holds its evaluator, built once with it (see stroboscopic_evolve):
+    steady_state reads its limit, and a run adds only its initial state.
     """
 
     tau: float
@@ -174,6 +177,10 @@ class CycleMap:
     A: np.ndarray
     spectral_radius: float
     T: np.ndarray
+    _evaluator: "_Evaluator" = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_evaluator", _closed_form(self) or _powers(self))
 
 
 class StateMetrics(NamedTuple):
@@ -284,7 +291,16 @@ def _congruence(P) -> tuple:
 
 
 def make_propagator(params: MechanicalParams, t: float) -> Propagator:
-    """Exact flow of the free-evolution moment equations over duration t.
+    """Exact flow of the free-evolution moment equations over duration t:
+    _flight's F and v_inh as arrays, and M, the congruence by F.  Raises
+    ValueError unless t is finite and >= 0."""
+    F, v_inh = _flight(params, t)
+    return Propagator(M=np.array(_congruence(F)), v_inh=np.array(v_inh), F=np.array(F))
+
+
+def _flight(params: MechanicalParams, t: float) -> tuple:
+    """The flight F over duration t as nested float pairs, and v_inh as
+    three floats, of the free-evolution moment equations.
 
     With w = omega_m and g = gamma_m, the moments evolve as
 
@@ -294,11 +310,11 @@ def make_propagator(params: MechanicalParams, t: float) -> Propagator:
 
     The moments are the covariance Sigma of (q, p), so this is
     dSigma/dt = G Sigma + Sigma G^T + D with G = [[0, w], [-w, -g]] and
-    D = diag(0, c), c = g (2 n_bar + 1).  So M is the symmetric Kronecker
-    square of the flight F = e^{G t} = e^{-g t/2} [C I + S (G + g/2 I)],
-    with C = cos(omega_d t), S = sin(omega_d t)/omega_d and
-    omega_d^2 = w^2 - g^2/4 (cosh/sinh when that is negative, C = 1 and
-    S = t at critical damping), and v_inh = c J with
+    D = diag(0, c), c = g (2 n_bar + 1).  So the moments map by the
+    symmetric Kronecker square of the flight
+    F = e^{G t} = e^{-g t/2} [C I + S (G + g/2 I)], with C = cos(omega_d t),
+    S = sin(omega_d t)/omega_d and omega_d^2 = w^2 - g^2/4 (cosh/sinh when
+    that is negative, C = 1 and S = t at critical damping), and v_inh = c J with
     J = int_0^t F e2 e2^T F^T ds = (I - F F^T)/(2 g).  J is summed from
     terms that do not cancel, so each of its entries keeps its own relative
     accuracy even where I - F F^T is tiny (g t ~ 1e-5 at the presets) and
@@ -336,7 +352,6 @@ def make_propagator(params: MechanicalParams, t: float) -> Propagator:
         f00 = c + 0.5 * g * s
         f11 = c - 0.5 * g * s
     f01 = w * s
-    M = np.array(_congruence(((f00, f01), (-f01, f11))))
     # (I - F F^T)_01 = e^{-g t} g w S^2 exactly
     j01 = 0.5 * w * s * s
     if u <= _SERIES_DAMPING:
@@ -356,11 +371,7 @@ def make_propagator(params: MechanicalParams, t: float) -> Propagator:
     if g > 4.0 * w:
         # (F F^T)_00 can sit near 1 at any g t; see _slow_mode_j00
         j00 = _slow_mode_j00(g, t, z, r1)
-    return Propagator(
-        M=M,
-        v_inh=np.array([source * j00, source * j01, source * j11]),
-        F=np.array([[f00, f01], [-f01, f11]]),
-    )
+    return ((f00, f01), (-f01, f11)), (source * j00, source * j01, source * j11)
 
 
 def propagate_free(v: MomentVector, prop: Propagator) -> MomentVector:
@@ -498,8 +509,9 @@ class Samples:
 # Kicks per block of stroboscopic_evolve's sampled rows and onset scan: its
 # float64 temporaries of this length peak near 3 MB (tracemalloc, fig1),
 # where a whole 10^6-kick scan at once would take about 200 MB.  The scan
-# starts at the onset envelope's kick n* (_squeezed_from), which sits 324
-# kicks past the onset at fig1 and 756 at fig2: one block each.
+# tests only the kicks after the last sampled one that tests unsqueezed, up
+# to the onset envelope's kick n* (_squeezed_from): at stride 100, 3,810
+# kicks at fig1 and 2,621 at fig2.
 _ONSET_CHUNK = 1 << 14
 # sin(phi) below which stroboscopic_evolve takes _powers instead.  Near
 # sin(phi) = 0 T is close to delta times a Jordan block, the pair turns real,
@@ -664,15 +676,23 @@ def _has_limit(cycle: CycleMap) -> bool:
     return cycle.spectral_radius < 1.0 - 1e-12
 
 
-def _closed_form(v0: MomentVector, cycle: CycleMap):
-    """The closed-form power of T from v0, described in stroboscopic_evolve,
-    as the triple (states, limit, _squeezed_from's kick), or None where it
-    is not certified.  states(n) are the (3, len(n)) moments after n kicks,
-    n a float array; limit is the form's n -> inf limit as three floats,
-    which does not depend on v0.  Certified where the map has a limit
+class _Evaluator(NamedTuple):
+    """The part of a cycle's evaluator that does not depend on the initial
+    state, built once per CycleMap.  limit is the n -> inf limit as three
+    floats; start(v0) gives the pair (states, squeezed_from) of a run from
+    v0: states(n) are the (3, len(n)) moments after n kicks, n a float
+    array, and squeezed_from is _squeezed_from's kick, or None."""
+
+    limit: list
+    start: Callable
+
+
+def _closed_form(cycle: CycleMap) -> _Evaluator | None:
+    """The closed-form power of T, described in stroboscopic_evolve, or
+    None where it is not certified: certified where the map has a limit
     (_has_limit) and that limit is a physical state, gamma tau <= _MAX_DECAY,
     omega_m tau <= _MAX_PHASE, and T has a complex pair with
-    sin(phi) >= _MIN_SIN_PHI."""
+    sin(phi) >= _MIN_SIN_PHI; none of these depends on v0."""
     decay = cycle.params.gamma_m * cycle.tau  # -log det T
     phase = cycle.params.omega_m * cycle.tau
     if not (_has_limit(cycle) and decay <= _MAX_DECAY and phase <= _MAX_PHASE):
@@ -699,23 +719,6 @@ def _closed_form(v0: MomentVector, cycle: CycleMap):
         terms = np.array([UX @ U.T, UX + UX.T, X])
         return terms[:, [0, 0, 1], [0, 1, 1]].T / (sin_phi * sin_phi)
 
-    def states(n):
-        n_hi = np.floor(n / _PHASE_STEP)
-        a = _reduce_phase(n - n_hi * _PHASE_STEP, phi_parts, turns)
-        a += _reduce_phase(n_hi, step_parts, step_turns)
-        s_n, c_n = np.sin(a), np.cos(a)
-        s_m = s_n * cos_phi - c_n * sin_phi
-        r_n = np.exp(n * -decay)
-        terms = np.array([
-            r_n * s_n * s_n,
-            -r_n * s_n * s_m,
-            r_n * s_m * s_m,
-            np.expm1(n * -decay) / expm1_r,
-            r_n * (1.0 - 2.0 * s_n * s_n),
-            r_n * (2.0 * s_n * c_n),
-        ])
-        return const[:, None] + weights @ terms
-
     # sum_{k<n} T^k N T^k^T = (alpha U N U^T - beta (U N + N U^T) + gamma N)
     # / (2 s^2), with s = sin(phi), G = sum_{k<n} r^k and
     # H = sum_{k<n} (r e^{2 i phi})^k:
@@ -737,24 +740,46 @@ def _closed_form(v0: MomentVector, cycle: CycleMap):
         # -r^n sin(n phi) sin((n-1) phi), r^n sin^2((n-1) phi), G,
         # r^n cos(2n phi), r^n sin(2n phi))
         const = -noise @ w.real
-        weights = np.column_stack([
-            basis(np.array([[v0.sigma_q, v0.sigma_qp], [v0.sigma_qp, v0.sigma_p]])),
-            noise @ np.array([1.0, cos_phi, 1.0]),
-            noise @ w.real,
-            -noise @ w.imag,
-        ])
-        limit = (const - weights[:, 3] / expm1_r).tolist()
+        # weights' last three columns, the ones that v0 leaves alone
+        drive = np.column_stack(
+            [noise @ np.array([1.0, cos_phi, 1.0]), noise @ w.real, -noise @ w.imag]
+        )
+        limit = (const - drive[:, 0] / expm1_r).tolist()
     try:
         MomentVector(*limit)
     except ValueError:  # not finite, or not physical
         return None
-    return states, limit, _squeezed_from(limit, const, weights, phi, expm1_r, decay)
+
+    def start(v0):
+        X = np.array([[v0.sigma_q, v0.sigma_qp], [v0.sigma_qp, v0.sigma_p]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.column_stack([basis(X), drive])
+
+        def states(n):
+            n_hi = np.floor(n / _PHASE_STEP)
+            a = _reduce_phase(n - n_hi * _PHASE_STEP, phi_parts, turns)
+            a += _reduce_phase(n_hi, step_parts, step_turns)
+            s_n, c_n = np.sin(a), np.cos(a)
+            s_m = s_n * cos_phi - c_n * sin_phi
+            r_n = np.exp(n * -decay)
+            terms = np.array([
+                r_n * s_n * s_n,
+                -r_n * s_n * s_m,
+                r_n * s_m * s_m,
+                np.expm1(n * -decay) / expm1_r,
+                r_n * (1.0 - 2.0 * s_n * s_n),
+                r_n * (2.0 * s_n * c_n),
+            ])
+            return const[:, None] + weights @ terms
+
+        return states, _squeezed_from(limit, const, weights, phi, expm1_r, decay)
+
+    return _Evaluator(limit, start)
 
 
-def _powers(v0: MomentVector, cycle: CycleMap):
-    """The pair (states, limit) with _closed_form's contract, by binary
-    powering of the period map: the evaluator where the closed form is not
-    certified.
+def _powers(cycle: CycleMap) -> _Evaluator:
+    """The evaluator where the closed form is not certified, by binary
+    powering of the period map, with no onset envelope.
 
     The map of 2^b periods is Sigma -> P Sigma P^T + Q, which squares as
     (P, Q) -> (P P, P Q P^T + Q) from (P, Q) = (T, N), N = v_inh as a 2x2.
@@ -776,30 +801,22 @@ def _powers(v0: MomentVector, cycle: CycleMap):
         (a, b), (c, d) = P
         P = [[a * a + b * c, a * b + b * d], [c * a + d * c, c * b + d * d]]
 
-    def states(n):
-        n = n.astype(np.int64)
-        state = [np.full(n.shape, x) for x in (v0.sigma_q, v0.sigma_qp, v0.sigma_p)]
-        for bit, (K, N) in enumerate(maps[: int(n.max()).bit_length()]):
-            on = (n & (1 << bit)) != 0
-            q, qp, p = state
-            state = [
-                np.where(on, k0 * q + k1 * qp + k2 * p + x, old)
-                for (k0, k1, k2), x, old in zip(K, N, state)
-            ]
-        return np.array(state)
+    def start(v0):
+        def states(n):
+            n = n.astype(np.int64)
+            state = [np.full(n.shape, x) for x in (v0.sigma_q, v0.sigma_qp, v0.sigma_p)]
+            for bit, (K, N) in enumerate(maps[: int(n.max()).bit_length()]):
+                on = (n & (1 << bit)) != 0
+                q, qp, p = state
+                state = [
+                    np.where(on, k0 * q + k1 * qp + k2 * p + x, old)
+                    for (k0, k1, k2), x, old in zip(K, N, state)
+                ]
+            return np.array(state)
 
-    return states, Q
+        return states, None
 
-
-def _evaluator(v0: MomentVector, cycle: CycleMap):
-    """The one choice of evaluator for the runs and the stationary state of
-    a cycle: the triple (states, limit, squeezed_from) of _closed_form where
-    it is certified, else _powers' pair and no onset envelope."""
-    form = _closed_form(v0, cycle)
-    if form is not None:
-        return form
-    states, limit = _powers(v0, cycle)
-    return states, limit, None
+    return _Evaluator(Q, start)
 
 
 def stroboscopic_evolve(
@@ -820,7 +837,8 @@ def stroboscopic_evolve(
     longer holds (_check_finite), then _check_physical's errors, naming its
     first unphysical sampled kick.
 
-    The states come from the closed-form power of T (_closed_form).  The
+    The states come from the closed-form power of T (_closed_form), built
+    once with the cycle map; a run adds only its v0's part.  The
     state after n kicks is T^n Sigma_0 T^n^T + sum_{k<n} T^k N T^k^T, with
     N = v_inh as a 2x2.  With delta^2 = det T = e^{-gamma tau} and
     U = T/delta, whose eigenvalues are e^{+-i phi}, Cayley-Hamilton gives
@@ -838,28 +856,33 @@ def stroboscopic_evolve(
     The onset scan tests kicks for 2 sigma_min >= 1, as
     p + q - hypot(p - q, 2 qp) >= 1 (hypot, since d^2 + 4 qp^2 overflows
     from moments of about 1e154), backward in blocks of _ONSET_CHUNK kicks
-    down to the last unsqueezed one.  It starts at the last kick, or
+    down to the last unsqueezed one.  It starts at hi, the last kick, or
     earlier at the onset envelope's kick n* (_squeezed_from) where that
     comes first: the transient decays like e^{-gamma tau n}, and
     a Rayleigh bound on the form proves every state from n* on squeezed by a
-    margin far above the test's rounding (_ENVELOPE_MARGIN).  So a long run
-    that ends squeezed scans from n* down to its onset, not from its last
-    kick: fig1's n* is kick 308,710 against its onset 308,386.
+    margin far above the test's rounding (_ENVELOPE_MARGIN).  It stops after
+    the last sampled kick that tests unsqueezed, none past n*, since the
+    sampled rows take the same test as they are evaluated.  So a run that ends
+    unsqueezed scans no kick, and fig1 at stride 100 scans from its n*,
+    308,710, down to the sampled 304,900, past its onset 308,386.
 
     Where the form is not certified the states come from binary powers of
     the period map instead (_powers): no stationary state (or an unphysical
     one), gamma tau > _MAX_DECAY, omega_m tau > _MAX_PHASE, a real
     eigenvalue pair of T, or sin(phi) < _MIN_SIN_PHI.  Either way the
     sampled states are evaluated and checked _ONSET_CHUNK at a time, into
-    one (n, 3) array, and the same scan finds the onset, from the last kick
-    where no envelope is known.
+    one (n, 3) array, and the same scan finds the onset, with hi the last
+    kick where no envelope is known.
     Raises ValueError for n_kicks >= 2^53, where a float no longer holds
     every kick index.
     """
     if n_kicks >= 2**53:
         raise ValueError(f"n_kicks must be below 2^53, got {n_kicks}")
     kicks = np.array(_sample_indices(n_kicks, sample_stride))
-    states, _, squeezed_from = _evaluator(v0, cycle)
+    states, squeezed_from = cycle._evaluator.start(v0)
+    hi = n_kicks if squeezed_from is None else min(n_kicks, squeezed_from)
+    q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
+    last_unsqueezed = 0 if p + q - math.hypot(p - q, 2.0 * qp) >= 1.0 else -1
     moments = np.empty((len(kicks), 3))
     moments[0] = v0.as_array()
     # overflow here is reported by the DivergenceError below, not by warnings
@@ -870,12 +893,14 @@ def stroboscopic_evolve(
             _check_finite(block, *columns)
             _check_physical(*columns, block)
             moments[lo : lo + len(block)] = columns.T
+            q, qp, p = columns
+            hit = np.flatnonzero(p + q - np.hypot(p - q, 2.0 * qp) >= 1.0)
+            if hit.size:
+                last_unsqueezed = int(block[hit[-1]])
 
-        q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
-        last_unsqueezed = 0 if p + q - math.hypot(p - q, 2.0 * qp) >= 1.0 else -1
-        hi = n_kicks if squeezed_from is None else min(n_kicks, squeezed_from)
-        while hi >= 1:
-            lo = max(hi - _ONSET_CHUNK + 1, 1)
+        floor = max(last_unsqueezed, 0)
+        while hi > floor:
+            lo = max(hi - _ONSET_CHUNK + 1, floor + 1)
             q, qp, p = states(np.arange(lo, hi + 1, dtype=float))
             hit = np.flatnonzero(p + q - np.hypot(p - q, 2.0 * qp) >= 1.0)
             if hit.size:
@@ -906,20 +931,20 @@ def intra_period_trace(
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    kicked = apply_kick(v_at_kick, cycle.kick)
-    out = []
-    for j in range(n_samples):
-        s = cycle.tau * j / (n_samples - 1)
-        prop = make_propagator(cycle.params, s)
-        out.append((s, propagate_free(kicked, prop)))
-    return out
+    kicked = apply_kick(v_at_kick, cycle.kick).as_array()
+    offsets = [cycle.tau * j / (n_samples - 1) for j in range(n_samples)]
+    flights = [_flight(cycle.params, s) for s in offsets]
+    # every offset's flight M kicked + v_inh, as one stacked product
+    M = np.array([_congruence(F) for F, _ in flights])
+    rows = M @ kicked + np.array([v_inh for _, v_inh in flights])
+    return [(s, MomentVector(*row)) for s, row in zip(offsets, rows.tolist())]
 
 
 def steady_state(cycle: CycleMap) -> MomentVector:
     """Fixed point of the cyclic map, Sigma_inf = sum_k T^k N T^k^T: the
-    limit of the evaluator that stroboscopic_evolve runs (_evaluator), so
-    the closed form's own limit where that is certified, else Smith's sum
-    from _powers' squarings.
+    limit of the evaluator that the cycle map holds and stroboscopic_evolve
+    runs, so the closed form's own limit where that is certified, else
+    Smith's sum from _powers' squarings.
 
     Raises NoStationaryStateError unless rho(A) < 1 - 1e-12 (_has_limit)
     and the limit is finite with positive variances, and
@@ -930,8 +955,7 @@ def steady_state(cycle: CycleMap) -> MomentVector:
             "no stationary state: spectral radius of the cycle map is "
             f"{cycle.spectral_radius} >= 1"
         )
-    # the limit does not depend on the initial state
-    _, x, _ = _evaluator(MomentVector(VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE), cycle)
+    x = cycle._evaluator.limit
     # the fixed point of a contraction has positive variances; a limit with
     # anything else has lost every digit
     if not (all(map(math.isfinite, x)) and x[0] > 0.0 and x[2] > 0.0):

@@ -400,3 +400,35 @@ class TestOutputControl:
         cfg.write_text(MINIMAL + f"\n[output]\npath = {tmp_path}/from_config\n")
         assert main(["--config", str(cfg), "--quiet"]) == 0
         assert (tmp_path / "from_config.csv").exists()
+
+
+class TestSharedParser:
+    """main parses with one parser built at import; no call leaves anything
+    on it for the next."""
+
+    def test_overrides_do_not_carry_over(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL)
+        out = str(tmp_path / "run")
+        assert main(["--config", str(cfg), "--kicks", "10", "--stride", "5", "--out", out, "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["--config", str(cfg), "--out", out]) == 0
+        # the INI's n_kicks = 2000 and stride = 500, and the summary echoed
+        assert "schedule: tau = 1e-07, n_kicks = 2000, stride = 500" in capsys.readouterr().out
+        _, rows = read_rows(tmp_path / "run.csv")
+        assert [r[0] for r in rows] == ["0", "500", "1000", "1500", "2000"]
+
+    def test_usage_error_leaves_the_next_call_alone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINIMAL)
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+
+        def clean_run():
+            assert main(argv) == 0
+            files = [(tmp_path / name).read_bytes() for name in ("run.csv", "run.summary.txt")]
+            return capsys.readouterr().out, files
+
+        before = clean_run()
+        assert main([*argv, "--kicks", "many", "--quiet"]) == 1
+        assert "error" in capsys.readouterr().err
+        assert clean_run() == before

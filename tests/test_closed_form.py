@@ -30,6 +30,7 @@ from springkick import (
     stroboscopic_evolve,
     thermal_state,
 )
+from springkick import moments
 from springkick.cli import main
 from springkick.moments import (
     _MAX_DECAY,
@@ -85,7 +86,7 @@ def assert_falls_back(v0, cycle, n_kicks, stride, bound):
     """The powered branch at a fixed uncertified case: the loop's error at
     the loop's kick, or the loop's onset and rows within bound of 60 digits
     at three sampled kicks, a bound the loop meets there too."""
-    assert _closed_form(v0, cycle) is None
+    assert _closed_form(cycle) is None
     got, ref = (outcome(f, v0, cycle, n_kicks, stride) for f in (stroboscopic_evolve, _iterate))
     if not isinstance(ref, Samples):
         assert got == ref
@@ -328,12 +329,12 @@ class TestPowersAgainstLoop:
     )
     def test_errors_onset_and_rows(self, cycle, v0, n_kicks, stride):
         cyc = cycle_map(*cycle)
-        assume(_closed_form(v0, cyc) is None)
+        assume(_closed_form(cyc) is None)
         got, ref = (outcome(f, v0, cyc, n_kicks, stride) for f in (stroboscopic_evolve, _iterate))
         kicks = _sample_indices(n_kicks, stride)
         # the powered rows, unchecked, judge the ties below
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = _powers(v0, cyc)[0](np.array(kicks, dtype=float)).T
+            rows = _powers(cyc).start(v0)[0](np.array(kicks, dtype=float)).T
         if isinstance(got, Samples) and isinstance(ref, Samples):
             assert np.array_equal(got.kicks, ref.kicks)
             drift = drift_bound(n_kicks, ref.moments)
@@ -344,7 +345,7 @@ class TestPowersAgainstLoop:
                 # the vacuum line may be judged apart
                 lo, hi = sorted(n_kicks if o is None else o - 1 for o in (got.onset, ref.onset))
                 with np.errstate(over="ignore", invalid="ignore"):
-                    q, qp, p = _powers(v0, cyc)[0](np.arange(lo, hi + 1, dtype=float))
+                    q, qp, p = _powers(cyc).start(v0)[0](np.arange(lo, hi + 1, dtype=float))
                 gap = np.abs(p + q - np.hypot(p - q, 2.0 * qp) - 1.0)
                 assert np.any(gap <= max(1e-12, 2.0 * drift) * (p + q)), (got.onset, ref.onset)
             return
@@ -474,9 +475,9 @@ class TestAgainstLoop:
 
 def squeezed_from(v0, cycle):
     """The onset envelope's kick n* of a certified run."""
-    form = _closed_form(v0, cycle)
+    form = _closed_form(cycle)
     assert form is not None
-    return form[2]
+    return form.start(v0)[1]
 
 
 class TestEnvelope:
@@ -491,7 +492,7 @@ class TestEnvelope:
         ref = _iterate(v0, cyc, 1_000_000, 1_000_000)
         assert ref.onset == ONSETS[name]
         # the loop's last unsqueezed kick, onset - 1, lies before n*, and
-        # the scan down to it takes one block
+        # within the first block of a scan that starts at n*
         assert ref.onset <= n_star < ref.onset + _ONSET_CHUNK
         assert stroboscopic_evolve(v0, cyc, 1_000_000, 1_000_000).onset == ref.onset
 
@@ -543,6 +544,157 @@ class TestEnvelope:
         assert stroboscopic_evolve(v0, cyc, n_kicks, n_kicks).onset == ref.onset
 
 
+# A strongly damped certified map, gamma_m tau = 4.1e-3: from the thermal
+# state the loop's unsqueezed kicks end 1057, 1062, 1067, so the onset is
+# 1068, and n* = 1089
+DAMPED = (
+    MechanicalParams(75384.24063201346, 747.4557413033973, 10.0),
+    5.539535778847918e-06,
+    3.056124036119083,
+)
+DAMPED_V0 = MomentVector(10.5, 0.0, 10.5)
+# overdamped, gamma_m tau = 0.66: the thermal state is unsqueezed and every
+# state after it squeezed, onset 1
+SNAP = (
+    MechanicalParams(88651.67098326472, 120637.07055423017, 1.0),
+    5.475468047449628e-06,
+    0.9657673237792174,
+)
+
+
+@st.composite
+def onset_cycles(draw):
+    """(params, tau, theta) of a certified map whose n* lies within a few
+    thousand kicks, as in TestEnvelope.test_strong_damping, or of
+    uncertified_cycles."""
+    if draw(st.booleans()):
+        return draw(uncertified_cycles())
+    omega_m = draw(st.floats(1e3, 1e7))
+    phase = 10.0 ** draw(st.floats(-2.5, 0.0))
+    tau = phase / omega_m
+    gamma_m = 10.0 ** draw(st.floats(-3.0, -1.0)) / tau
+    theta = (math.cos(phase) - math.cos(draw(st.floats(0.15, 3.0)))) / math.sin(phase)
+    return MechanicalParams(omega_m, gamma_m, draw(st.floats(0.0, 300.0))), tau, theta
+
+
+def scanned_kicks(cyc, v0, n_kicks, stride):
+    """The run's Samples, and how many kicks its onset scan evaluated beyond
+    the sampled rows, counted by a spy on the evaluator's states."""
+    evaluated = []
+    start = cyc._evaluator.start
+
+    def spied(v):
+        states, n_star = start(v)
+
+        def counted(n):
+            evaluated.append(len(n))
+            return states(n)
+
+        return counted, n_star
+
+    object.__setattr__(cyc, "_evaluator", cyc._evaluator._replace(start=spied))
+    samples = stroboscopic_evolve(v0, cyc, n_kicks, stride)
+    return samples, sum(evaluated) - (len(samples) - 1)
+
+
+class TestFlooredScan:
+    """The onset scan tests only the kicks after the last sampled kick that
+    tests unsqueezed, up to hi = min(n*, n_kicks), yet finds the loop's
+    onset."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        cycle=onset_cycles(),
+        v0=moment_vectors(),
+        run=st.integers(0, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n + 1))),
+    )
+    # the last unsqueezed kick, 1067, on a sampled kick, one past the
+    # sampled kick 1066 and one before the sampled kick 1068
+    @example(cycle=DAMPED, v0=DAMPED_V0, run=(1100, 1067))
+    @example(cycle=DAMPED, v0=DAMPED_V0, run=(1100, 1066))
+    @example(cycle=DAMPED, v0=DAMPED_V0, run=(1100, 1068))
+    # ends on its last unsqueezed kick: onset None
+    @example(cycle=DAMPED, v0=DAMPED_V0, run=(1067, 100))
+    # n* < n_kicks, and stride >= n_kicks
+    @example(cycle=DAMPED, v0=DAMPED_V0, run=(5000, 7))
+    @example(cycle=DAMPED, v0=DAMPED_V0, run=(1100, 1100))
+    @example(cycle=DAMPED, v0=DAMPED_V0, run=(1100, 1101))
+    # an unsqueezed v0, then only squeezed kicks: onset 1
+    @example(cycle=SNAP, v0=MomentVector(1.5, 0.0, 1.5), run=(50, 10))
+    def test_onset_matches_loop(self, cycle, v0, run):
+        n_kicks, stride = run
+        cyc = cycle_map(*cycle)
+        got, ref = (outcome(f, v0, cyc, n_kicks, stride) for f in (stroboscopic_evolve, _iterate))
+        assume(isinstance(got, Samples) and isinstance(ref, Samples))
+        if got.onset != ref.onset:
+            # only a kick whose state lies within rounding or the loop's
+            # drift of the vacuum line may be judged apart
+            lo, hi = sorted(n_kicks if o is None else max(o - 1, 0) for o in (got.onset, ref.onset))
+            with np.errstate(over="ignore", invalid="ignore"):
+                q, qp, p = cyc._evaluator.start(v0)[0](np.arange(lo, hi + 1, dtype=float))
+            gap = np.abs(p + q - np.hypot(p - q, 2.0 * qp) - 1.0)
+            tol = max(1e-12, 2.0 * drift_bound(n_kicks, ref.moments))
+            assert np.any(gap <= tol * (p + q)), (got.onset, ref.onset)
+
+    def test_fig1_scans_from_the_floor(self):
+        # n* = 308,710, and the last sampled kick that tests unsqueezed is
+        # 304,900: the scan tests 3,810 kicks, not a block of _ONSET_CHUNK
+        cyc = cycle_map(FIG1, TAU, THETA)
+        samples, scanned = scanned_kicks(cyc, thermal_state(FIG1), 1_000_000, 100)
+        assert (samples.onset, scanned) == (ONSETS["fig1"], 3_810)
+
+    @pytest.mark.parametrize("branch", ["closed_form", "powers"])
+    def test_run_ending_unsqueezed_scans_nothing(self, branch):
+        if branch == "closed_form":
+            params, tau, theta, n_kicks = FIG1, TAU, THETA, ONSETS["fig1"] - 1
+        else:
+            # TestFallback's real pair
+            params = MechanicalParams(omega_m=1e3, gamma_m=1.0, n_bar=10.0)
+            tau, theta, n_kicks = 2 * math.pi / params.omega_m, 0.5, 5_000
+        cyc = cycle_map(params, tau, theta)
+        assert (_closed_form(cyc) is not None) == (branch == "closed_form")
+        samples, scanned = scanned_kicks(cyc, thermal_state(params), n_kicks, 100)
+        assert (samples.onset, scanned) == (None, 0)
+
+
+def run_ini(tmp_path, omega_m, gamma_m, n_bar, tau, theta):
+    """A CLI --config run of 10^4 kicks at stride 100 with a 33-sample intra
+    trace, which must exit 0."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        f"[mechanical]\nomega_m = {omega_m!r}\ngamma_m = {gamma_m!r}\nn_bar = {n_bar!r}\n"
+        f"[kick]\ntheta = {theta!r}\n[schedule]\ntau = {tau!r}\nn_kicks = 10000\n"
+        "stride = 100\nintra_samples = 33\n"
+    )
+    assert main(["--config", str(ini), "--out", str(tmp_path / "run"), "--quiet"]) == 0
+
+
+def counting(calls, fn):
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return spy
+
+
+class TestOneBuild:
+    """A run builds its cycle's evaluator once, with the cycle map: the
+    stationary state and the evolve both read it."""
+
+    def test_closed_form(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(moments, "_eigenphase", counting(calls, moments._eigenphase))
+        run_ini(tmp_path, 5e5, 1e2, 10.0, 1e-7, 1.0)
+        assert len(calls) == 1
+
+    def test_powers(self, tmp_path, monkeypatch):
+        # the resonance run res2 of the CI: tau = 2 pi/omega_m, a real pair
+        calls = []
+        monkeypatch.setattr(moments, "_powers", counting(calls, moments._powers))
+        run_ini(tmp_path, 1e3, 1.532e-3, 0.0, 0.006283185307179587, 2.0)
+        assert len(calls) == 1
+
+
 class TestLimit:
     """steady_state is the limit of the evaluator a run takes, so a run long
     enough for its transient to underflow ends on it."""
@@ -551,7 +703,7 @@ class TestLimit:
         # fig1: the transient has decayed by e^{-gamma tau n} = e^{-21475}
         cyc = cycle_map(FIG1, TAU, THETA)
         v0 = thermal_state(FIG1)
-        assert _closed_form(v0, cyc) is not None
+        assert _closed_form(cyc) is not None
         samples = stroboscopic_evolve(v0, cyc, 2**31, 2**31)
         assert row_error(samples.moments[-1], steady_state(cyc).as_array()) <= 1e-15
 
@@ -561,7 +713,7 @@ class TestLimit:
         params = MechanicalParams(omega_m=1e3, gamma_m=1.0, n_bar=10.0)
         cyc = cycle_map(params, 2 * math.pi / params.omega_m, 0.5)
         v0 = thermal_state(params)
-        assert _closed_form(v0, cyc) is None
+        assert _closed_form(cyc) is None
         samples = stroboscopic_evolve(v0, cyc, 2**20, 2**20)
         assert samples.onset is None
         assert row_error(samples.moments[-1], steady_state(cyc).as_array()) <= 1e-15
