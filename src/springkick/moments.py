@@ -756,6 +756,10 @@ def _closed_form(cycle: CycleMap) -> _Evaluator | None:
             weights = np.column_stack([basis(X), drive])
 
         def states(n):
+            if len(n) == 1:
+                # weights @ terms is a gemv for one column, which rounds
+                # otherwise than the gemm of a longer block: take it as two
+                return states(np.repeat(n, 2))[:, :1]
             n_hi = np.floor(n / _PHASE_STEP)
             a = _reduce_phase(n - n_hi * _PHASE_STEP, phi_parts, turns)
             a += _reduce_phase(n_hi, step_parts, step_turns)
@@ -920,6 +924,27 @@ def squeezing_onset(v0: MomentVector, cycle: CycleMap, n_kicks: int) -> int | No
     return stroboscopic_evolve(v0, cycle, n_kicks, max(n_kicks, 1)).onset
 
 
+def _intra_rows(
+    v_at_kick: MomentVector, cycle: CycleMap, n_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """intra_period_trace as arrays: the offsets and the (n_samples, 3)
+    moments at them.  Raises ValueError for a row that is not finite, then
+    _check_physical's errors, as MomentVector does for each row."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    kicked = apply_kick(v_at_kick, cycle.kick).as_array()
+    offsets = [cycle.tau * j / (n_samples - 1) for j in range(n_samples)]
+    flights = [_flight(cycle.params, s) for s in offsets]
+    # every offset's flight M kicked + v_inh, as one stacked product
+    M = np.array([_congruence(F) for F, _ in flights])
+    rows = M @ kicked + np.array([v_inh for _, v_inh in flights])
+    for name, x in zip(("sigma_q", "sigma_qp", "sigma_p"), rows.T):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite, got {x[~np.isfinite(x)][0]}")
+    _check_physical(*rows.T)
+    return np.array(offsets), rows
+
+
 def intra_period_trace(
     v_at_kick: MomentVector, cycle: CycleMap, n_samples: int
 ) -> list[tuple[float, MomentVector]]:
@@ -929,15 +954,8 @@ def intra_period_trace(
     flow at offsets j*tau/(n_samples-1): entry 0 is the kicked state and
     the last entry equals the next stroboscopic state.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    kicked = apply_kick(v_at_kick, cycle.kick).as_array()
-    offsets = [cycle.tau * j / (n_samples - 1) for j in range(n_samples)]
-    flights = [_flight(cycle.params, s) for s in offsets]
-    # every offset's flight M kicked + v_inh, as one stacked product
-    M = np.array([_congruence(F) for F, _ in flights])
-    rows = M @ kicked + np.array([v_inh for _, v_inh in flights])
-    return [(s, MomentVector(*row)) for s, row in zip(offsets, rows.tolist())]
+    offsets, rows = _intra_rows(v_at_kick, cycle, n_samples)
+    return [(s, MomentVector(*row)) for s, row in zip(offsets.tolist(), rows.tolist())]
 
 
 def steady_state(cycle: CycleMap) -> MomentVector:

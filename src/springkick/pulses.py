@@ -277,6 +277,18 @@ def intracavity_amplitude(
     drive: alpha[j+1] = alpha[j]*exp(-kappa*h) + integral of
     E0(t_j+s)*exp(-kappa*(h-s)) ds, so accuracy is set by how well 8-point
     quadrature captures the envelope across one step, not by the decay rate.
+
+    The recursion runs only over the driven steps, those below m, the first
+    grid time at or past the envelope's peak (t = 0 for a rectangular pulse,
+    tau_p/2 for a gaussian one) where E0 is exactly 0.0.  Past its peak the
+    envelope does not increase, in floating point too: t - tau_p/2, its
+    square, the scaling, exp and sqrt each round monotonically.  Every node
+    of a step j >= m lies at or after t_m, so E0 is 0.0 there, and so is the
+    step's drive integral, a sum of finite weights times 0.0.  The update
+    a*d + 0.0 is then a*d, and the tail is a sequential product of the
+    decays from alpha[m] on, bit for bit what the full recursion gives.  A
+    rectangular pulse is driven up to tau_p; a gaussian one until exp
+    underflows, at about 16 tau_p past its peak.
     """
     if grid is None:
         grid = default_time_grid(pulse, cavity)
@@ -285,21 +297,27 @@ def intracavity_amplitude(
 
     kappa = cavity.kappa
     h = np.diff(grid)
-    # Node times for every step at once: t[j] + x[i]*h[j], shape (n_steps, 8).
-    tnodes = grid[:-1, None] + h[:, None] * _GL_NODES[None, :]
-    enodes = drive_amplitude(pulse, cavity, tnodes)
-    wnodes = (_GL_WEIGHTS[None, :] * h[:, None]) * np.exp(
-        -kappa * h[:, None] * (1.0 - _GL_NODES[None, :])
-    )
-    drive_integrals = np.sum(wnodes * enodes, axis=1)
     decay = np.exp(-kappa * h)
+    peak = 0.0 if pulse.shape == "rectangular" else 0.5 * pulse.duration_tau_p
+    off = (drive_amplitude(pulse, cavity, grid) == 0.0) & (grid >= peak)
+    m = int(np.argmax(off)) if off.any() else h.size
+    # Node times of every driven step at once: t[j] + x[i]*h[j], shape (m, 8).
+    h_on = h[:m, None]
+    tnodes = grid[:m, None] + h_on * _GL_NODES[None, :]
+    enodes = drive_amplitude(pulse, cavity, tnodes)
+    wnodes = (_GL_WEIGHTS[None, :] * h_on) * np.exp(-kappa * h_on * (1.0 - _GL_NODES[None, :]))
+    drive_integrals = np.sum(wnodes * enodes, axis=1)
 
     alpha = np.empty(grid.size)
     alpha[0] = 0.0
     a = 0.0
-    for j, (d, drive) in enumerate(zip(decay.tolist(), drive_integrals.tolist())):
+    for j, (d, drive) in enumerate(zip(decay[:m].tolist(), drive_integrals.tolist())):
         a = a * d + drive
         alpha[j + 1] = a
+    # the undriven tail, ((alpha[m] d[m]) d[m+1]) ..., in the recursion's order
+    alpha[m] = a
+    alpha[m + 1 :] = decay[m:]
+    np.multiply.accumulate(alpha[m:], out=alpha[m:])
     return PhotonTrace(times=grid, photon_number=alpha * alpha)
 
 

@@ -13,13 +13,20 @@ ensemble when configured), and writes:
 Every float cell is the text of Python's repr() (the shortest decimal that
 reads back to the same double) and every integer cell (kick_index) plain
 decimal digits, so values round-trip bit-exactly and repeated runs are
-byte-identical.  _csv_body lays the cells out for a whole block of rows at
-once in numpy and calls repr() only for the cells it cannot certify.
+byte-identical.  run_config computes everything before it writes: one
+metric_arrays call covers its trajectory rows, its intra-period rows and its
+stationary state, and _tables_text formats every cell of its tables as one
+flat sequence, a block of cells at a time in numpy, calling repr() only for
+the cells it cannot certify.  The text splits per file by the cells'
+lengths.  write_trajectory_csv, write_ensemble_csv and write_intra_csv are
+the same writer for one table.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -28,20 +35,21 @@ from .ensemble import EnsembleStats, KickNoiseModel, run_ensemble, steady_tail_m
 from .moments import (
     CycleMap,
     MechanicalParams,
+    MomentVector,
     NoStationaryStateError,
     StateMetrics,
     UnphysicalStateError,
     cycle_map,
-    intra_period_trace,
+    _intra_rows,
     metric_arrays,
-    state_metrics,
     steady_state,
     stroboscopic_evolve,
     thermal_state,
 )
 # bound only because bench/tracing.py patches every name of its PATCHES list
-# on this module; run_config reads stroboscopic_evolve's onset instead
-from .moments import squeezing_onset  # noqa: F401
+# on this module: run_config reads stroboscopic_evolve's onset, takes its
+# metrics from one metric_arrays call and its intra rows from _intra_rows
+from .moments import intra_period_trace, squeezing_onset, state_metrics  # noqa: F401
 from .pulses import (
     BathParams,
     CavityParams,
@@ -193,19 +201,17 @@ def _csv_row(cells) -> str:
     return ",".join(cells) + "\n"
 
 
-# Rows per block of _csv_body.  A block's temporaries take a few hundred
-# bytes per cell; a few thousand cells per block amortise numpy's per-call
-# overhead.
-_CSV_BLOCK = 256
-# Text bytes per cell with its separator: the longest float and int reprs
-# ('-2.2250738585072014e-308', '-9223372036854775808') have 24.
-_CELL = 25
+# Cells per block of _tables_text, which takes whole rows, of one table or
+# several.  A block's temporaries take a few hundred bytes per cell; a few
+# thousand cells per block amortise numpy's per-call overhead.
+_CSV_BLOCK = 4096
+# Bytes per cell: the longest float and int reprs
+# ('-2.2250738585072014e-308', '-9223372036854775808') have 24, their
+# separator one more, and a cell's window starts one byte early.
+_CELL = 26
 # Where a cell's 17 digits start in its row of '0' padding.
 _DIGITS_AT = 4
 _ROW = _DIGITS_AT + 17
-# A rounding or round-trip test closer than this to its boundary (in units of
-# the 17th digit, which the arithmetic resolves to about 1e-14) falls back.
-_TIE = 1e-9
 _E16, _E17 = 10**16, 10**17
 _VELTKAMP = 134217729.0  # 2**27 + 1
 
@@ -237,8 +243,11 @@ def _group_tables():
 
 
 _GROUP_TEXT, _GROUP_ZEROS = _group_tables()
+# _CELL bytes as one item: a gather of such items copies each cell's bytes as
+# one, about three times faster than a gather of rows of a 2-d byte array.
+_CELL_ITEM = np.dtype(f"V{_CELL}")
 # _PREFIX[m] is 1 at the first m of a cell's _CELL bytes and 0 after them.
-_PREFIX = (np.arange(_CELL) < np.arange(_CELL + 1)[:, None]).astype(np.uint8)
+_PREFIX = (np.arange(_CELL) < np.arange(_CELL + 1)[:, None]).astype(np.uint8).view(_CELL_ITEM)[:, 0]
 
 
 def _divmod(x, d: int):
@@ -252,21 +261,26 @@ def _shortest_digits(a):
 
     Returns (digits, decpt, ok).  digits is an int64 of 17 digits, repr's
     digits padded with trailing zeros; a ~ 0.d1d2... * 10**decpt; ok is False
-    where a rounding or round-trip test lies within _TIE of its boundary.
+    where repr's digits are not certified: at an exact decimal tie, or where
+    log10 put a a decade off.
 
     The double-double hi + lo = a * 10**(16 - k), with k = floor(log10 a), is
     exact (Dekker's two-product of Veltkamp splits; 10**s is exact for s <=
     22).  Its integer part B has 17 digits.  B and the fraction past it round
-    to 17, 16 and 15 digits, each straight from the exact value.  repr keeps
-    the shortest candidate within half an ulp of a, or within a quarter ulp
-    below a power of two, whose lower gap is half as wide.  The 17-digit
-    candidate always is: it lies at most 0.5 of the 17th digit from a, and
-    half an ulp is more than 0.55 of it.  A repr of 15 or fewer digits is
-    the 15-digit candidate less its trailing zeros, since 15-digit decimals
-    lie further apart than an ulp (Steele & White 1990; Loitsch, PLDI 2010).
-    Below a power of two the nearest candidate of a length could miss the
-    narrow gap while the next one up fits, and repr would keep that one; no
-    power of two in [1e-4, 1e16) has such a length.
+    to the nearest 17-, 16- and 15-digit candidates, each straight from the
+    exact value.  repr keeps the shortest candidate that reads back to a.  A
+    repr of 15 or fewer digits is the 15-digit candidate less its trailing
+    zeros, since 15-digit decimals lie further apart than an ulp (Steele &
+    White 1990; Loitsch, PLDI 2010), and the nearest 17-digit candidate
+    always reads back.  Whether a 15- or 16-digit candidate c reads back is
+    one correctly rounded division, float(c) / 10**e == a, exact because
+    both operands are (W. D. Clinger, PLDI 1990): in units of the 16th
+    digit, c of 15 digits is an even integer below 2**54, c of 16 digits an
+    integer up to 2**53, and 10**e <= 10**19.  A 16-digit c past 2**53 lies
+    within 2**-54 a of a, inside its rounding interval, so it always reads
+    back.  Below a power of two the nearest 16-digit candidate could miss
+    the narrow lower gap while the next one up fits, and repr would keep
+    that one; no power of two in [1e-4, 1e16) has such a candidate.
     """
     k = np.floor(np.log10(a)).astype(np.intp)
     s = 16 - k
@@ -275,55 +289,46 @@ def _shortest_digits(a):
     hi = a * p
     lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     lo_int = np.floor(lo)
+    # in [0, 1]; it may round up to 1.0 from below, never down to 0.0 or
+    # onto 0.5 from a value that is not 0.5
     frac = lo - lo_int
     b17 = hi.astype(np.int64) + lo_int.astype(np.int64)
     # log10 can put a number next to a power of ten a decade off: fall back
     ok = (b17 >= _E16) & (b17 < _E17)
     b16, d17 = _divmod(b17, 10)
-    b15, d16 = _divmod(b16, 10)
-    # a past its 16th and its 15th digit, in units of the 17th digit
-    r16 = d17 + frac  # in [0, 10)
-    r15 = d16 * 10 + r16  # in [0, 100)
-    up17, up16, up15 = frac > 0.5, r16 > 5.0, r15 > 50.0
-    mant, exp = np.frexp(a)
-    half_ulp = np.ldexp(p, exp - 54)  # in units of the 17th digit
-    below = np.where(mant == 0.5, 0.5 * half_ulp, half_ulp)
-    gap16 = np.where(up16, 10.0 - r16, r16)  # a to its 16-digit rounding
-    gap15 = np.where(up15, 100.0 - r15, r15)
-    lim16 = np.where(up16, half_ulp, below)
-    lim15 = np.where(up15, half_ulp, below)
-    margin = np.abs(frac - 0.5)
-    for m in (r16 - 5.0, r15 - 50.0, gap16 - lim16, gap15 - lim15):
-        np.minimum(margin, np.abs(m, out=m), out=margin)
-    ok &= margin > _TIE
-    digits = np.where(
-        gap15 < lim15,
-        (b15 + up15) * 100,
-        np.where(gap16 < lim16, (b16 + up16) * 10, b17 + up17),
-    )
+    b15, r15 = _divmod(b17, 100)
+    rest = frac > 0.0
+    c17 = b17 + (frac > 0.5)
+    c16 = b16 + ((d17 > 5) | ((d17 == 5) & rest))
+    c15 = b15 + ((r15 > 50) | ((r15 == 50) & rest))
+    e = _POW10[s - 1]
+    is15 = (c15 * 10).astype(float) / e == a
+    is16 = (c16 > 2**53) | (c16.astype(float) / e == a)
+    # a kept candidate half-way between two decimals of its length falls
+    # back: its other neighbour reads back too
+    tie16 = (d17 == 5) & ~rest
+    ok &= ~(~is15 & ((tie16 & is16) | ((frac == 0.5) & ~is16)))
+    digits = np.where(is15, c15 * 100, np.where(is16, c16 * 10, c17))
     # 99...9 rounded up to 10**17 would need a to be the double nearest a
     # power of ten and below it, and no such double lies in [1e-4, 1e16)
     ok &= digits < _E17
     return digits, k + 1, ok
 
 
-def _block_text(cols) -> bytes:
-    """CSV text of a block of rows, given as equal-length int and float columns.
+def _cells_text(x, is_int, seps, big):
+    """Text of a flat run of cells, each followed by its separator byte.
 
-    Every cell goes into a double; integers below 2**53 stay exact there.  A
-    float with 1e-4 <= |x| < 1e16 gets repr's digits from _shortest_digits,
-    an int with 1 <= |x| < 2**53 its own digits the same way, and each is
-    laid out in a uint8 row of _CELL bytes.  Every other cell (zeros,
-    exponent notation, ints from 2**53, non-finite values, digits that are
-    not certified) takes repr(float) or str(int).  A prefix mask then keeps
-    each cell's text and separator.
+    x holds every cell as a double and is_int flags the int cells.  Integers
+    below 2**53 stay exact in x; big maps the index of every other int cell
+    to its exact value.  A float with 1e-4 <= |x| < 1e16 gets repr's digits
+    from _shortest_digits, an int with 1 <= |x| < 2**53 its own digits the
+    same way, and each is laid out in a uint8 row of _CELL bytes.  Every
+    other cell (zeros, exponent notation, ints from 2**53, non-finite
+    values, digits that are not certified) takes repr(float) or str(int).
+    Returns the text as a uint8 array and each cell's length with its
+    separator.
     """
-    n_rows, n_cols = len(cols[0]), len(cols)
-    n = n_rows * n_cols
-    is_int = np.array([c.dtype.kind in "iu" for c in cols])
-    x = np.empty((n_rows, n_cols))
-    for j, c in enumerate(cols):
-        x[:, j] = c
+    n = len(x)
     a = np.abs(x)
     ok = (a >= np.where(is_int, 1.0, 1e-4)) & (a < np.where(is_int, 2.0**53, 1e16))
     np.copyto(a, 1.0, where=~ok)
@@ -333,151 +338,211 @@ def _block_text(cols) -> bytes:
 
     # The digits as ASCII: a lead digit and four 4-digit groups.
     lead, rest = _divmod(digits, _E16)
-    halves = np.empty(rest.shape + (2,), np.int64)
-    halves[..., 0], halves[..., 1] = _divmod(rest, 10**8)
-    groups = np.empty(rest.shape + (4,), np.int64)
-    groups[..., 0::2], groups[..., 1::2] = _divmod(halves, 10**4)
+    halves = np.empty((n, 2), np.int64)
+    halves[:, 0], halves[:, 1] = _divmod(rest, 10**8)
+    groups = np.empty((n, 4), np.int64)
+    groups[:, 0::2], groups[:, 1::2] = _divmod(halves, 10**4)
     zeros = _GROUP_ZEROS[groups]
-    trailing = zeros[..., 0]
+    trailing = zeros[:, 0]
     for j in (1, 2, 3):
-        trailing = np.where(zeros[..., j] == 4, trailing + 4, zeros[..., j])
+        trailing = np.where(zeros[:, j] == 4, trailing + 4, zeros[:, j])
     n_digits = 17 - trailing  # the lead digit is never 0
     # Each cell's digits in a row of '0' padding, after two bytes of margin.
     buf = np.full(2 + n * _ROW + _CELL, ord("0"), np.uint8)
-    rows = buf[2 : 2 + n * _ROW].reshape(n_rows, n_cols, _ROW)
-    rows[..., _DIGITS_AT] += lead.astype(np.uint8)
-    rows[..., _DIGITS_AT + 1 :] = _GROUP_TEXT[groups].view(np.uint8)
+    rows = buf[2 : 2 + n * _ROW].reshape(n, _ROW)
+    rows[:, _DIGITS_AT] += lead.astype(np.uint8)
+    rows[:, _DIGITS_AT + 1 :] = _GROUP_TEXT[groups].view(np.uint8)
 
-    # A cell's text less its '.' is one window of its row, from the units
-    # digit (the 0 of 0.00ddd) to the last digit, with one byte in front for
-    # a '-'.  Text before the '.' comes from that window, text after it from
-    # the window one byte earlier.
+    # A cell's text less its '.' is a run of its row, from the units digit
+    # (the 0 of 0.00ddd) to the last digit, with one byte in front for a
+    # '-'.  Its window holds that run from one byte earlier: text before the
+    # '.' comes from the window one byte on, text after it from the window.
     neg = x < 0
     start = np.minimum(decpt, 1) + (_DIGITS_AT - 1) - neg
     dot = np.maximum(decpt, 1) + neg
     end = dot + ~is_int * (1 + np.maximum(n_digits - decpt, 1))
-    windows = np.ndarray((len(buf) - _CELL + 1, _CELL), np.uint8, buf, strides=(1, 1))
-    at = np.arange(2, 2 + n * _ROW, _ROW) + start.reshape(-1)
-    text = windows[at]
-    after = windows[at - 1]
-    text -= after
-    text *= _PREFIX[dot.reshape(-1)]
-    text += after
-    seps = np.full(n_cols, ord(","), np.uint8)
-    seps[-1] = ord("\n")
-    flat = text.reshape(-1)
-    cell_at = np.arange(0, n * _CELL, _CELL).reshape(n_rows, n_cols)
+    windows = np.ndarray((len(buf) - _CELL + 1,), _CELL_ITEM, buf, strides=(1,))
+    after = windows[np.arange(1, 1 + n * _ROW, _ROW) + start].view(np.uint8)
+    flat = np.empty_like(after)
+    np.subtract(after[1:], after[:-1], out=flat[:-1])
+    flat[:-1] *= _PREFIX[dot].view(np.uint8)[:-1]
+    flat[:-1] += after[:-1]
+    text = flat.reshape(n, _CELL)
+    cell_at = np.arange(0, n * _CELL, _CELL)
     flat[cell_at + dot] = ord(".")  # an int's is overwritten next
     flat[cell_at + end] = seps
     flat[cell_at[neg]] = ord("-")
     # The cells that fall back, written over their rows in one scatter.
-    end = end.reshape(-1)
     fall = np.flatnonzero(~ok)
     if fall.size:
-        cells = [repr(v) for v in x.reshape(-1)[fall].tolist()]
-        for k in np.flatnonzero(is_int[fall % n_cols]).tolist():
-            row, col = divmod(int(fall[k]), n_cols)
-            cells[k] = str(int(cols[col][row]))
+        cells = [
+            str(big.get(f, int(v))) if flag else repr(v)
+            for f, v, flag in zip(fall.tolist(), x[fall].tolist(), is_int[fall].tolist())
+        ]
         width = np.array([len(c) for c in cells])
         first = np.cumsum(width) - width
         chars = np.frombuffer("".join(cells).encode(), np.uint8)
         text[np.repeat(fall, width), np.arange(len(chars)) - np.repeat(first, width)] = chars
-        text[fall, width] = seps[fall % n_cols]
+        text[fall, width] = seps[fall]
         end[fall] = width
-    return text[_PREFIX[end + 1].view(bool)].tobytes()
+    end += 1
+    return flat[_PREFIX[end].view(bool)], end
 
 
-def _csv_body(columns):
-    """CSV body of a table of int and float columns, _CSV_BLOCK rows at a time.
+def _block_text(tables, block):
+    """Yield (k, text) for the rows r0:r1 of each table k of a block of
+    (k, r0, r1), formatted as one flat run of cells by _cells_text."""
+    n = sum((r1 - r0) * len(tables[k]) for k, r0, r1 in block)
+    x = np.empty(n)
+    is_int = np.empty(n, bool)
+    seps = np.empty(n, np.uint8)
+    big = {}  # the int cells that a double does not hold, by index
+    ends = []
+    for k, r0, r1 in block:
+        columns = [c[r0:r1] for c in tables[k]]
+        at, n_cols = ends[-1] if ends else 0, len(columns)
+        cells = slice(at, at + (r1 - r0) * n_cols)
+        flags = [c.dtype.kind in "iu" for c in columns]
+        is_int[cells].reshape(-1, n_cols)[:] = flags
+        seps[cells].reshape(-1, n_cols)[:] = [ord(",")] * (n_cols - 1) + [ord("\n")]
+        grid = x[cells].reshape(-1, n_cols)
+        for j, (c, flag) in enumerate(zip(columns, flags)):
+            grid[:, j] = c
+            if flag:
+                for row in np.flatnonzero((c >= 2**53) | (c <= -(2**53))).tolist():
+                    big[at + row * n_cols + j] = int(c[row])
+        ends.append(cells.stop)
+    text, width = _cells_text(x, is_int, seps, big)
+    # bytes before each cell, and after the last
+    offsets = np.concatenate([[0], np.cumsum(width)])[[0] + ends].tolist()
+    for (k, _, _), lo, hi in zip(block, offsets, offsets[1:]):
+        yield k, text[lo:hi].tobytes()
 
-    Returns an iterator of bytes whose concatenation holds, for every row,
-    ",".join(cells) + "\n", with repr() of each float cell and str() of each
-    int cell.  Raises ValueError if the columns differ in length.
+
+def _tables_text(tables):
+    """CSV bodies of several tables of int and float columns, in one pass.
+
+    The rows of every table, in order, go into blocks of up to _CSV_BLOCK
+    cells, a block taking rows of as many tables as fit, and each block is
+    formatted as one flat run of cells (_block_text), each cell with its
+    separator (',' or, at the end of a row, '\\n') and its int flag.  Yields
+    (k, text) for the text of table k in each block, in order: table k's
+    body, for every row ",".join(cells) + "\\n" with repr() of each float
+    cell and str() of each int cell, is the concatenation of its texts.
+    Raises ValueError, before it yields anything, if a table's columns
+    differ in length.
     """
-    columns = [np.asarray(c) for c in columns]
-    lengths = [len(c) for c in columns]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"table columns differ in length: {lengths}")
-    n_rows = lengths[0] if lengths else 0
-    return (
-        _block_text([c[i : i + _CSV_BLOCK] for c in columns])
-        for i in range(0, n_rows, _CSV_BLOCK)
-    )
+    tables = [[np.asarray(c) for c in columns] for columns in tables]
+    for columns in tables:
+        lengths = [len(c) for c in columns]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"table columns differ in length: {lengths}")
+    block, room = [], _CSV_BLOCK
+    for k, columns in enumerate(tables):
+        n_rows, r = len(columns[0]) if columns else 0, 0
+        while r < n_rows:
+            fit = room // len(columns)
+            if fit == 0 and block:
+                yield from _block_text(tables, block)
+                block, room = [], _CSV_BLOCK
+                continue
+            # a row wider than a block makes a block of its own
+            rows = min(n_rows - r, max(fit, 1))
+            block.append((k, r, r + rows))
+            room -= rows * len(columns)
+            r += rows
+    if block:
+        yield from _block_text(tables, block)
 
 
-def _state_columns(moments) -> dict[str, np.ndarray]:
-    """Moment and metric columns of OUTPUT_COLUMNS, by name, from (n, 3) moments."""
-    q, qp, p = np.ascontiguousarray(np.transpose(moments), dtype=float)
+def _write_tables(tables) -> None:
+    """Write each (path, header, columns by name) as a CSV, its rows in
+    header order, all of them formatted in one pass of _tables_text.  Each
+    file is opened when its text begins, and written block by block."""
+    bodies = _tables_text([[columns[name] for name in header] for _, header, columns in tables])
+    with ExitStack() as stack:
+        files = []
+        # the last table's file is opened even where the table has no row
+        for k, text in chain(bodies, [(len(tables) - 1, b"")]):
+            for path, header, _ in tables[len(files) : k + 1]:
+                files.append(stack.enter_context(open(path, "wb")))
+                files[-1].write(_csv_row(header).encode())
+            files[k].write(text)
+
+
+_INTRA_COLUMNS = ("offset_s",) + OUTPUT_COLUMNS[2:]
+
+
+def _state_columns(moments, metrics) -> dict[str, np.ndarray]:
+    """Moment and metric columns of OUTPUT_COLUMNS, by name, from (3, n)
+    moments and their metric arrays."""
+    q, qp, p = moments
     columns = {"sigma_q": q, "sigma_qp": qp, "sigma_p": p}
-    columns.update(zip(_METRIC_COLUMNS, metric_arrays(q, qp, p)))
+    columns.update(zip(_METRIC_COLUMNS, metrics))
     return columns
 
 
-def _sampled_columns(tau: float, kicks: np.ndarray, moments) -> dict[str, np.ndarray]:
+def _trajectory_table(tau: float, kicks, moments, metrics) -> dict[str, np.ndarray]:
     """All OUTPUT_COLUMNS for moments sampled at the given kick indices."""
-    columns = _state_columns(moments)
+    columns = _state_columns(moments, metrics)
     columns["kick_index"] = kicks
     columns["time_s"] = kicks * tau
     return columns
 
 
-def _write_table(path: str, header, columns: dict[str, np.ndarray]) -> None:
-    """One CSV row per entry of the columns, in header order."""
-    body = _csv_body([columns[name] for name in header])
-    with open(path, "wb") as fh:
-        fh.write(_csv_row(header).encode())
-        fh.writelines(body)
-
-
-def write_trajectory_csv(path: str, tau: float, samples) -> None:
-    """Deterministic run: one row per sampled kick, OUTPUT_COLUMNS order."""
-    columns = _sampled_columns(tau, samples.kicks, samples.moments)
-    _write_table(path, OUTPUT_COLUMNS, columns)
-
-
-def write_ensemble_csv(path: str, tau: float, stats: EnsembleStats) -> None:
-    """Ensemble run: base columns are trajectory 0, then the mean/std block."""
-    traj0 = stats.trajectory0
-    columns = _sampled_columns(tau, traj0.kicks, traj0.moments)
+def _ensemble_table(tau: float, stats: EnsembleStats, moments, metrics) -> dict[str, np.ndarray]:
+    """Trajectory 0's OUTPUT_COLUMNS, then the ENSEMBLE_COLUMNS block."""
+    columns = _trajectory_table(tau, stats.trajectory0.kicks, moments, metrics)
     for name, mean, std in zip(_METRIC_COLUMNS, stats.mean, stats.std):
         columns[name + "_mean"] = mean
         columns[name + "_std"] = std
     columns["squeezing_db_of_mean"] = stats.squeezing_db_of_mean
-    _write_table(path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS, columns)
+    return columns
+
+
+def _intra_table(offsets, moments, metrics) -> dict[str, np.ndarray]:
+    columns = _state_columns(moments, metrics)
+    columns["offset_s"] = offsets
+    return columns
+
+
+def _with_metrics(*row_blocks):
+    """The (n, 3) moment rows of every block as one contiguous (3, N) array
+    and their metric arrays, from one metric_arrays call, cut back into
+    blocks: a list of (moments, metrics) per block."""
+    moments = np.concatenate([np.transpose(rows) for rows in row_blocks], axis=1, dtype=float)
+    metrics = metric_arrays(*moments)
+    cuts = np.cumsum([0] + [len(rows) for rows in row_blocks]).tolist()
+    return [
+        (moments[:, lo:hi], StateMetrics._make(m[lo:hi] for m in metrics))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+
+def write_trajectory_csv(path: str, tau: float, samples) -> None:
+    """Deterministic run: one row per sampled kick, OUTPUT_COLUMNS order."""
+    [(moments, metrics)] = _with_metrics(samples.moments)
+    columns = _trajectory_table(tau, samples.kicks, moments, metrics)
+    _write_tables([(path, OUTPUT_COLUMNS, columns)])
+
+
+def write_ensemble_csv(path: str, tau: float, stats: EnsembleStats) -> None:
+    """Ensemble run: base columns are trajectory 0, then the mean/std block."""
+    [(moments, metrics)] = _with_metrics(stats.trajectory0.moments)
+    columns = _ensemble_table(tau, stats, moments, metrics)
+    _write_tables([(path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS, columns)])
 
 
 def write_intra_csv(path: str, trace) -> None:
     """Fine-grained single-period trace at the stationary state."""
-    columns = _state_columns([v.as_array() for _, v in trace])
-    columns["offset_s"] = np.array([s for s, _ in trace], dtype=float)
-    _write_table(path, ("offset_s",) + OUTPUT_COLUMNS[2:], columns)
+    [(moments, metrics)] = _with_metrics([v.as_array() for _, v in trace])
+    offsets = np.array([s for s, _ in trace], dtype=float)
+    _write_tables([(path, _INTRA_COLUMNS, _intra_table(offsets, moments, metrics))])
 
 
-def _steady_lines(cycle: CycleMap) -> tuple[list[str], object | None]:
-    lines = [f"cycle spectral radius rho(A) = {_fmt(cycle.spectral_radius)}"]
-    try:
-        v_inf = steady_state(cycle)
-    except NoStationaryStateError as exc:
-        lines.append(f"stationary state: none ({exc})")
-        return lines, None
-    except UnphysicalStateError as exc:
-        lines.append(
-            "stationary state: map fixed point is unphysical, model validity"
-            f" exceeded ({exc})"
-        )
-        return lines, None
-    m = state_metrics(v_inf)
-    lines.append(
-        "stationary state: "
-        f"sigma_q = {_fmt(v_inf.sigma_q)}, "
-        f"sigma_qp = {_fmt(v_inf.sigma_qp)}, "
-        f"sigma_p = {_fmt(v_inf.sigma_p)}"
-    )
-    lines.append(
-        "stationary metrics: "
-        + ", ".join(f"{name} = {_fmt(x)}" for name, x in zip(_METRIC_COLUMNS, m))
-    )
-    return lines, v_inf
+def _moment_text(values) -> str:
+    q, qp, p = values
+    return f"sigma_q = {_fmt(q)}, sigma_qp = {_fmt(qp)}, sigma_p = {_fmt(p)}"
 
 
 def output_paths(out: str) -> tuple[str, str, str]:
@@ -486,12 +551,29 @@ def output_paths(out: str) -> tuple[str, str, str]:
     return base + ".csv", base + ".summary.txt", base + ".intra.csv"
 
 
+def _stationary(cycle: CycleMap) -> tuple[MomentVector | None, str]:
+    """The stationary state, or None and the summary line that says why."""
+    try:
+        return steady_state(cycle), ""
+    except NoStationaryStateError as exc:
+        return None, f"stationary state: none ({exc})"
+    except UnphysicalStateError as exc:
+        return None, (
+            "stationary state: map fixed point is unphysical, model validity"
+            f" exceeded ({exc})"
+        )
+
+
 def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
     """Execute one configured run and write its outputs.
 
     Returns the list of paths written.  Raises ConfigError/ValueError for
     bad inputs, OSError for unwritable outputs, DivergenceError for numerical
-    blow-up; the CLI maps these to exit codes.
+    blow-up; the CLI maps these to exit codes.  The run computes everything
+    before it writes: one metric_arrays call covers the trajectory rows, the
+    intra-period rows and the stationary state, and its tables are
+    formatted in one pass, so a run that fails in its numerics writes no
+    file.
     """
     csv_path, summary_path, intra_path = output_paths(out)
     mech = config.mechanical
@@ -499,6 +581,34 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
 
     theta, kick_lines = resolve_kick(config)
     cycle = cycle_map(mech, sched.tau, theta)
+    v_inf, no_stationary = _stationary(cycle)
+
+    ens = config.ensemble
+    ensemble = ens is not None and ens.enabled
+    if ensemble:
+        mean = ens.mean_theta if ens.mean_theta is not None else theta
+        noise = KickNoiseModel(mean_theta=mean, variance=ens.variance)
+        stats = run_ensemble(
+            mech,
+            sched.tau,
+            noise,
+            sched.n_kicks,
+            sched.stride,
+            n_traj=ens.trajectories,
+            base_seed=ens.base_seed,
+        )
+        rows = stats.trajectory0.moments
+    else:
+        samples = stroboscopic_evolve(thermal_state(mech), cycle, sched.n_kicks, sched.stride)
+        rows = samples.moments
+    intra = sched.intra_samples >= 2 and v_inf is not None
+    row_blocks = [rows]
+    if intra:
+        offsets, intra_rows = _intra_rows(v_inf, cycle, sched.intra_samples)
+        row_blocks.append(intra_rows)
+    if v_inf is not None:
+        row_blocks.append([v_inf.as_array()])
+    blocks = _with_metrics(*row_blocks)
 
     summary: list[str] = []
     summary.append("run summary")
@@ -511,25 +621,21 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
         f" stride = {sched.stride}"
     )
     summary.extend(kick_lines)
-    steady_lines, v_inf = _steady_lines(cycle)
-    summary.extend(steady_lines)
-
-    written = []
-    ens = config.ensemble
-    if ens is not None and ens.enabled:
-        mean = ens.mean_theta if ens.mean_theta is not None else theta
-        noise = KickNoiseModel(mean_theta=mean, variance=ens.variance)
-        stats = run_ensemble(
-            mech,
-            sched.tau,
-            noise,
-            sched.n_kicks,
-            sched.stride,
-            n_traj=ens.trajectories,
-            base_seed=ens.base_seed,
+    summary.append(f"cycle spectral radius rho(A) = {_fmt(cycle.spectral_radius)}")
+    if v_inf is None:
+        summary.append(no_stationary)
+    else:
+        v, m = blocks[-1]
+        summary.append("stationary state: " + _moment_text(v[:, 0].tolist()))
+        summary.append(
+            "stationary metrics: "
+            + ", ".join(f"{name} = {_fmt(x[0])}" for name, x in zip(_METRIC_COLUMNS, m))
         )
-        write_ensemble_csv(csv_path, sched.tau, stats)
-        written.append(csv_path)
+
+    moments, metrics = blocks[0]
+    if ensemble:
+        tables = [(csv_path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS,
+                   _ensemble_table(sched.tau, stats, moments, metrics))]
         tail = steady_tail_mean(stats, TAIL_FRACTION)
         summary.append(
             f"ensemble: trajectories = {ens.trajectories}, variance ="
@@ -557,10 +663,8 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
             f" {_fmt(stats.std.sigma_min[-1])}"
         )
     else:
-        v0 = thermal_state(mech)
-        samples = stroboscopic_evolve(v0, cycle, sched.n_kicks, sched.stride)
-        write_trajectory_csv(csv_path, sched.tau, samples)
-        written.append(csv_path)
+        tables = [(csv_path, OUTPUT_COLUMNS,
+                   _trajectory_table(sched.tau, samples.kicks, moments, metrics))]
         onset = samples.onset
         if onset is None:
             summary.append(
@@ -571,30 +675,26 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
             summary.append(
                 f"squeezing onset: kick {onset} (squeezing_db < 0 from here on)"
             )
-        n_final, v_final = samples[-1]
-        m_final = state_metrics(v_final)
         summary.append(
-            f"final state (kick {n_final}): "
-            f"sigma_q = {_fmt(v_final.sigma_q)}, "
-            f"sigma_qp = {_fmt(v_final.sigma_qp)}, "
-            f"sigma_p = {_fmt(v_final.sigma_p)}, "
-            f"squeezing_db = {_fmt(m_final.squeezing_db)}, "
-            f"purity = {_fmt(m_final.purity)}"
+            f"final state (kick {int(samples.kicks[-1])}): "
+            + _moment_text(moments[:, -1].tolist())
+            + f", squeezing_db = {_fmt(metrics.squeezing_db[-1])}, "
+            f"purity = {_fmt(metrics.purity[-1])}"
         )
 
     if sched.intra_samples >= 2:
-        if v_inf is None:
-            summary.append(
-                "intra-period trace skipped: no stationary state to sample"
-            )
-        else:
-            trace = intra_period_trace(v_inf, cycle, sched.intra_samples)
-            write_intra_csv(intra_path, trace)
-            written.append(intra_path)
+        if intra:
+            tables.append((intra_path, _INTRA_COLUMNS, _intra_table(offsets, *blocks[1])))
             summary.append(
                 f"intra-period trace: {sched.intra_samples} samples across one"
                 f" period at the stationary state -> {intra_path}"
             )
+        else:
+            summary.append(
+                "intra-period trace skipped: no stationary state to sample"
+            )
+    _write_tables(tables)
+    written = [path for path, _, _ in tables]
 
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(summary) + "\n")

@@ -719,6 +719,28 @@ class TestLimit:
         assert row_error(samples.moments[-1], steady_state(cyc).as_array()) <= 1e-15
 
 
+class TestOneKickBlocks:
+    """A block of one kick rounds as the same kick inside a longer block:
+    the closed form's weights @ terms takes it as two identical columns, not
+    as a matrix-vector product."""
+
+    def test_kicks_alone_match_the_block(self):
+        cyc = cycle_map(FIG1, TAU, THETA)
+        states, _ = cyc._evaluator.start(thermal_state(FIG1))
+        block = states(np.arange(1.0, 20_001.0))
+        for k in np.linspace(1, 20_000, 55).astype(int).tolist():
+            alone = states(np.array([float(k)]))
+            assert alone.shape == (3, 1)
+            assert np.array_equal(alone[:, 0], block[:, k - 1]), k
+
+    def test_last_row_at_any_stride(self):
+        cyc = cycle_map(FIG1, TAU, THETA)
+        v0 = thermal_state(FIG1)
+        coarse = stroboscopic_evolve(v0, cyc, 20_000, 20_000)
+        fine = stroboscopic_evolve(v0, cyc, 20_000, 100)
+        assert bits([coarse[-1]]) == bits([fine[-1]])
+
+
 class TestErrors:
     def test_overflowing_determinant_names_the_loops_kick(self):
         params = MechanicalParams(5e5, 1e2, 1e153)

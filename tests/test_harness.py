@@ -15,7 +15,10 @@ from pathlib import Path
 import pytest
 
 from conftest import readme_physical_example
+from springkick import runner
 from springkick.cli import main
+
+FIG1 = runner.scenario_config("fig1")
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -63,15 +66,28 @@ def test_traced_cli_runs_record_every_layer(tracing, tmp_path):
             main([*argv, "--out", str(tmp_path / f"run{i}"), "--quiet"])
             for i, argv in enumerate(runs)
         ]
+        # run_config formats its tables in one pass and takes its intra rows
+        # as an array, so the writers and the trace that tracing.py still
+        # patches run here by their runner names, as a library caller does
+        cyc = runner.cycle_map(FIG1.mechanical, FIG1.schedule.tau, FIG1.theta)
+        v0 = runner.thermal_state(FIG1.mechanical)
+        samples = runner.stroboscopic_evolve(v0, cyc, 300, 100)
+        runner.write_trajectory_csv(str(tmp_path / "direct.csv"), cyc.tau, samples)
+        trace = runner.intra_period_trace(runner.steady_state(cyc), cyc, 3)
+        runner.write_intra_csv(str(tmp_path / "direct.intra.csv"), trace)
+        noise = runner.KickNoiseModel(mean_theta=FIG1.theta, variance=1e-3)
+        stats = runner.run_ensemble(FIG1.mechanical, cyc.tau, noise, 300, 100, n_traj=2, base_seed=7)
+        runner.write_ensemble_csv(str(tmp_path / "direct.ens.csv"), cyc.tau, stats)
     finally:
         tracer.uninstall()
     assert codes == [0, 0, 0]
     spans = Counter(name for _, name, *_ in tracer.spans)
     # fig1 at 300 kicks writes kicks 0, 100, 200 and 300
     rows = [info["rows"] for _, name, *_, info in tracer.spans
-            if name == "runner.write_trajectory_csv"]
+            if name.startswith("runner.write_")]
     data_rows = len((tmp_path / "run0.csv").read_text().splitlines()) - 1
-    assert rows == [data_rows] == [4]
+    assert (tmp_path / "direct.csv").read_bytes() == (tmp_path / "run0.csv").read_bytes()
+    assert rows == [data_rows, 3, data_rows] == [4, 3, 4]
     for name in (
         "moments.stroboscopic_evolve",
         "ensemble.run_ensemble",

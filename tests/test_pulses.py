@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 import scipy.constants
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import hbar as HBAR
@@ -31,7 +34,7 @@ from springkick import (
 )
 import springkick
 from springkick import pulses
-from springkick.pulses import _GL_NODES, _GL_WEIGHTS, _grade
+from springkick.pulses import PULSE_SHAPES, _GL_NODES, _GL_WEIGHTS, _grade
 
 # Membrane-in-the-middle reference set: 0.1 mm cavity, 1550 nm drive,
 # 2.5 pg membrane of moderate reflectivity, 0.1 ns rectangular pulses.
@@ -133,28 +136,80 @@ class TestIntracavityField:
 
     def test_uniform_grid_runs_the_recursion(self):
         # a caller-supplied uniform grid takes the same per-step recursion as
-        # any other grid, bit for bit
-        grid = np.linspace(0.0, 2e-9, 4001)
-        trace = intracavity_amplitude(PULSE, CAV, grid)
-        kap = CAV.kappa
-        h = np.diff(grid)
-        tnodes = grid[:-1, None] + h[:, None] * _GL_NODES[None, :]
-        enodes = drive_amplitude(PULSE, CAV, tnodes)
-        wnodes = (_GL_WEIGHTS[None, :] * h[:, None]) * np.exp(
-            -kap * h[:, None] * (1.0 - _GL_NODES[None, :])
-        )
-        drive = np.sum(wnodes * enodes, axis=1)
-        decay = np.exp(-kap * h)
-        alpha = [0.0]
-        for d, e in zip(decay, drive):
-            alpha.append(float(alpha[-1] * d + e))
-        assert np.array_equal(trace.photon_number, np.array(alpha) ** 2)
+        # any other grid, bit for bit, and so does the default grid, for both
+        # shapes and at zero peak power
+        gauss = PulseSpec("gaussian", 1e-10, 1.0, 1e-7)
+        dark = PulseSpec("gaussian", 1e-10, 0.0, 1e-7)
+        uniform = np.linspace(0.0, 2e-9, 4001)
+        for pulse in (PULSE, gauss, dark, replace(PULSE, peak_power=0.0)):
+            for grid in (uniform, default_time_grid(pulse, CAV)):
+                trace = intracavity_amplitude(pulse, CAV, grid)
+                photons, drive = full_recursion(pulse, CAV, grid)
+                assert np.array_equal(trace.photon_number, photons)
+                assert not drive[first_undriven(pulse, CAV, grid) :].any()
 
     def test_grid_must_start_at_zero(self):
         with pytest.raises(GridResolutionError, match="start at t=0"):
             intracavity_amplitude(
                 PULSE, CAV, np.arange(1e-12, 1e-10, 1e-12)
             )
+
+
+def full_recursion(pulse, cavity, grid):
+    """The recursion over every step of the grid, as intracavity_amplitude
+    ran it before it stopped at the last driven step: the photon numbers
+    and each step's drive integral."""
+    kap = cavity.kappa
+    h = np.diff(grid)
+    tnodes = grid[:-1, None] + h[:, None] * _GL_NODES[None, :]
+    enodes = drive_amplitude(pulse, cavity, tnodes)
+    wnodes = (_GL_WEIGHTS[None, :] * h[:, None]) * np.exp(
+        -kap * h[:, None] * (1.0 - _GL_NODES[None, :])
+    )
+    drive = np.sum(wnodes * enodes, axis=1)
+    decay = np.exp(-kap * h)
+    alpha = [0.0]
+    for d, e in zip(decay.tolist(), drive.tolist()):
+        alpha.append(alpha[-1] * d + e)
+    return np.array(alpha) ** 2, drive
+
+
+def first_undriven(pulse, cavity, grid):
+    """m: the first grid time at or past the envelope's peak where the drive
+    is exactly 0.0, or the last grid index where there is none."""
+    peak = 0.0 if pulse.shape == "rectangular" else 0.5 * pulse.duration_tau_p
+    off = np.flatnonzero((drive_amplitude(pulse, cavity, grid) == 0.0) & (grid >= peak))
+    return int(off[0]) if off.size else grid.size - 1
+
+
+class TestDrivenSteps:
+    """intracavity_amplitude runs its recursion over the driven steps only
+    and takes the rest as a product of decays: bit for bit the recursion
+    over every step, since every drive integral from m on is 0.0."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(PULSE_SHAPES),
+        tau_p=st.floats(1e-11, 1e-9),
+        kappa_0=st.floats(1e7, 1e10),
+        power=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+        period=st.floats(1.5, 1e4),
+    )
+    @example(shape="rectangular", tau_p=1e-10, kappa_0=1e8, power=1.5e3, period=1e3)
+    @example(shape="gaussian", tau_p=3e-10, kappa_0=1e8, power=1.7e2, period=1e3 / 3)
+    @example(shape="gaussian", tau_p=1e-10, kappa_0=1e8, power=0.0, period=1e3)
+    def test_matches_the_full_recursion(self, shape, tau_p, kappa_0, power, period):
+        assume(tau_p * kappa_0 <= 10.0)  # at most about 10^5 grid points
+        pulse = PulseSpec(shape, tau_p, power, tau_p * period)
+        cavity = replace(CAV, kappa_0=kappa_0)
+        grid = default_time_grid(pulse, cavity)
+        trace = intracavity_amplitude(pulse, cavity)
+        photons, drive = full_recursion(pulse, cavity, grid)
+        assert np.array_equal(trace.times, grid)
+        assert np.array_equal(trace.photon_number, photons)
+        assert trace.peak == float(np.max(photons))
+        assert trace.integral() == float(np.trapezoid(photons, grid))
+        assert not drive[first_undriven(pulse, cavity, grid) :].any()
 
 
 class TestKickStrength:

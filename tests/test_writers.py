@@ -11,6 +11,7 @@ must give repr()'s text for every double and str()'s for every int64.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from springkick import (
     KickNoiseModel,
     MechanicalParams,
     MomentVector,
+    UnphysicalStateError,
     cycle_map,
     intra_period_trace,
     run_ensemble,
@@ -30,13 +32,18 @@ from springkick import (
     stroboscopic_evolve,
     thermal_state,
 )
+from springkick import moments
+from springkick.cli import main
+from springkick.config import read_config
 from springkick.ensemble import TrajectoryResult
 from springkick.moments import Samples, StateMetrics
 from springkick.runner import (
     _CSV_BLOCK,
     ENSEMBLE_COLUMNS,
     OUTPUT_COLUMNS,
-    _csv_body,
+    _shortest_digits,
+    _tables_text,
+    run_config,
     write_ensemble_csv,
     write_intra_csv,
     write_trajectory_csv,
@@ -213,9 +220,18 @@ def with_rows(stats, samples, n_rows):
     )
 
 
+def bodies(tables):
+    """The CSV body of each table, from one pass of _tables_text."""
+    out = [b""] * len(tables)
+    for k, text in _tables_text(tables):
+        out[k] += text
+    return out
+
+
 def formatted_cells(values):
-    """The cells _csv_body writes for a one-column table of values."""
-    body = b"".join(_csv_body([values])).decode("ascii")
+    """The cells _tables_text writes for a one-column table of values."""
+    [body] = bodies([[values]])
+    body = body.decode("ascii")
     assert body.endswith("\n") or not len(values)
     return body.split("\n")[:-1]
 
@@ -290,4 +306,147 @@ class TestCellFormat:
         ]
         cells = [repr_cells(c) for c in table]
         expected = "".join(",".join(row) + "\n" for row in zip(*cells))
-        assert b"".join(_csv_body(table)).decode("ascii") == expected
+        assert bodies([table])[0].decode("ascii") == expected
+
+    def test_powers_of_two_take_their_own_digits(self):
+        # below a power of two the lower rounding gap is half the upper one;
+        # every power of two in the digit search's range, with both of its
+        # neighbours, gets repr's digits from the search itself, but for
+        # exact decimal ties (the upper neighbours of 2**50 and 2**51)
+        x = np.array([y for k in range(-13, 54) for y in neighbours(2.0**k)])
+        assert x.min() >= 1e-4 and x.max() < 1e16
+        certified = _shortest_digits(x)[2]
+        assert [exact_tie(v) for v in x[~certified].tolist()] == [True, True]
+        assert formatted_cells(x) == repr_cells(x)
+
+
+def exact_tie(v):
+    """Whether v lies exactly half-way between two decimals of 16 or of 17
+    significant digits."""
+    scaled = Fraction(v) * Fraction(10) ** (16 - math.floor(math.log10(v)))
+    return scaled.denominator == 2 or (scaled.denominator == 1 and scaled.numerator % 10 == 5)
+
+
+def random_table(width, n_rows, seed):
+    """width columns of n_rows: ints, floats across the formatter's
+    branches, and short decimals."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in rng.integers(0, 3, width):
+        if kind == 0:
+            columns.append(rng.integers(-(10**6), 10**6, n_rows))
+        elif kind == 1:
+            columns.append(rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 18, n_rows))
+        else:
+            columns.append(np.round(rng.uniform(-50, 50, n_rows), 3))
+    return columns
+
+
+def reference_body(columns):
+    cells = [repr_cells(c) for c in columns]
+    return "".join(",".join(row) + "\n" for row in zip(*cells)).encode()
+
+
+# The first table ends exactly on a block edge; the next one crosses one.
+ON_THE_EDGE = [(8, _CSV_BLOCK // 8, 1), (11, _CSV_BLOCK // 11 + 1, 2), (10, 33, 3)]
+
+
+class TestOnePass:
+    """Several tables formatted as one flat run of cells give the bytes of
+    one pass per table."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 13), st.integers(0, 700), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example(ON_THE_EDGE)
+    @example([(1, _CSV_BLOCK, 4), (3, 0, 5), (2, 1, 6)])
+    def test_tables_split_back(self, shapes):
+        tables = [random_table(*shape) for shape in shapes]
+        together = bodies(tables)
+        assert together == [bodies([t])[0] for t in tables]
+        assert together == [reference_body(t) for t in tables]
+
+    def test_ragged_table_raises_before_any_text(self):
+        good = random_table(3, 10, 0)
+        with pytest.raises(ValueError, match=r"differ in length: \[4, 5\]"):
+            bodies([good, [np.arange(4), np.arange(5.0)]])
+
+
+INI = """[mechanical]
+omega_m = {omega_m!r}
+gamma_m = 100.0
+n_bar = {n_bar!r}
+[kick]
+theta = {theta!r}
+[schedule]
+tau = {tau!r}
+n_kicks = 10000
+stride = 100
+intra_samples = 33
+"""
+
+
+def state_text(v, m):
+    return (
+        f"sigma_q = {v.sigma_q!r}, sigma_qp = {v.sigma_qp!r}, sigma_p = {v.sigma_p!r}",
+        ", ".join(f"{name} = {x!r}" for name, x in zip(
+            ("sigma_min", "phi_min_rad", "squeezing_db", "purity", "entropy_nats", "n_eff"), m
+        )),
+    )
+
+
+class TestSummaryMetrics:
+    """One metric_arrays call serves a run's rows, its intra rows and its
+    stationary state; the summary's lines are state_metrics' text."""
+
+    @pytest.mark.parametrize(
+        "omega_m, n_bar, theta, tau",
+        [(5e5, 10.0, 10.0, 1e-7), (5e5, 30.0, 1.0, 2e-7), (3e5, 100.0, 0.5, 5e-8)],
+    )
+    def test_stationary_and_final_lines(self, tmp_path, omega_m, n_bar, theta, tau):
+        ini = tmp_path / "run.ini"
+        ini.write_text(INI.format(omega_m=omega_m, n_bar=n_bar, theta=theta, tau=tau))
+        assert main(["--config", str(ini), "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        summary = (tmp_path / "run.summary.txt").read_text().splitlines()
+        params = MechanicalParams(omega_m=omega_m, gamma_m=100.0, n_bar=n_bar)
+        cyc = cycle_map(params, tau, theta)
+        v_inf = steady_state(cyc)
+        moments_text, metrics_text = state_text(v_inf, state_metrics(v_inf))
+        assert "stationary state: " + moments_text in summary
+        assert "stationary metrics: " + metrics_text in summary
+        n, v = stroboscopic_evolve(thermal_state(params), cyc, 10_000, 100)[-1]
+        m = state_metrics(v)
+        final = (
+            f"final state (kick {n}): " + state_text(v, m)[0]
+            + f", squeezing_db = {m.squeezing_db!r}, purity = {m.purity!r}"
+        )
+        assert final in summary
+        trace = intra_period_trace(v_inf, cyc, 33)
+        assert (tmp_path / "run.intra.csv").read_text() == reference_intra_csv(trace)
+
+    def test_unphysical_intra_row_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        # a flight that shrinks every state inside the period takes the
+        # intra rows below the uncertainty floor; cycle_map's own flight over
+        # the whole period is left alone
+        ini = tmp_path / "run.ini"
+        ini.write_text(INI.format(omega_m=5e5, n_bar=10.0, theta=10.0, tau=1e-7))
+        config = read_config(str(ini))
+        flight = moments._flight
+
+        def shrinking(params, t):
+            if 0.0 < t < 1e-7:
+                return np.array([[0.1, 0.0], [0.0, 0.1]]), np.zeros(3)
+            return flight(params, t)
+
+        monkeypatch.setattr(moments, "_flight", shrinking)
+        cyc = cycle_map(FIG, TAU, 10.0)
+        with pytest.raises(UnphysicalStateError):
+            intra_period_trace(steady_state(cyc), cyc, 33)
+        with pytest.raises(UnphysicalStateError):
+            run_config(config, str(tmp_path / "run"), quiet=True)
+        assert list(tmp_path.iterdir()) == [ini]
