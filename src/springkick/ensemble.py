@@ -148,7 +148,7 @@ def run_trajectory(
     """Iterate one noisy trajectory from the thermal state, sampling at stride.
 
     theta for each kick is drawn from Normal(mean_theta, sqrt(variance));
-    negative draws are legal kicks.  The free propagator is fixed by (params,
+    negative draws are legal kicks.  The flight is fixed by (params,
     tau) and computed once.  It is column 0 of a one-seed _run_block.  Raises
     DivergenceError, naming the kick, when the determinant of a sampled
     state stops being finite, then _check_physical's errors, naming the
@@ -250,8 +250,8 @@ def _segment_maps(
     first = bounds[:-1][order]
     length = (bounds[1:] - bounds[:-1])[order]
     running = np.searchsorted(-length, -np.arange(length[0]))
-    f00, f01, f10, f11 = cycle.propagator.F.ravel().tolist()
-    n00, n01, n11 = cycle.propagator.v_inh.tolist()
+    f00, f01, f10, f11 = cycle.F.ravel().tolist()
+    n00, n01, n11 = cycle.v_inh.tolist()
 
     # rows 0-6 and 7-13 of work: (P00, P01, P10, P11, Q00, Q01, Q11) before
     # and after a kick, swapping each kick; rows 14-19: temporaries

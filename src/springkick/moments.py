@@ -6,12 +6,13 @@ vector of second moments (var q, sym cov qp, var p).  Between kicks the mode
 undergoes damped harmonic evolution in contact with a thermal bath, which is
 linear in the moments; a kick is an instantaneous momentum shear
 p -> p - 2*theta*q produced by a short burst of intracavity light stiffening
-the trap.  Both maps are affine on the moment vector, so one period is a
-3x3 affine map v -> A v + v_inh, kept as the reference route that tests
-check against.  The package evaluates the same period as the 2x2 map
-Sigma -> T Sigma T^T + N on the covariance matrix: a run evaluates its n-th
-power at each sampled kick directly, not kick by kick, the stationary state
-is that evaluator's limit, and rho(A) = max |lambda(T)|^2.
+the trap.  On the covariance matrix Sigma of (q, p) one period is the 2x2
+map Sigma -> T Sigma T^T + N, with T the flight after the shear: a run
+evaluates its n-th power at each sampled kick directly, not kick by kick,
+and the stationary state is that evaluator's limit.  On the moment vector
+the same period is a 3x3 affine map v -> A v + v_inh, with
+rho(A) = max |lambda(T)|^2; tests/oracles.py keeps that route as the
+reference the tests check against.
 """
 
 from __future__ import annotations
@@ -127,43 +128,17 @@ class MomentVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.sigma_q, self.sigma_qp, self.sigma_p])
 
-    @classmethod
-    def from_array(cls, v) -> "MomentVector":
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
-
-@dataclass(frozen=True, eq=False)
-class Propagator:
-    """Free evolution over a fixed duration: moments -> M.moments + v_inh.
-
-    F is the 2x2 flight of the amplitudes (q, p), of which M is the
-    symmetric Kronecker square.
-    """
-
-    M: np.ndarray
-    v_inh: np.ndarray
-    F: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class KickMap:
-    """Moment-space image of the momentum shear p -> p - 2*theta*q."""
-
-    theta: float
-    K: np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class CycleMap:
     """One full period: kick, then free evolution for tau.
 
     On the covariance matrix Sigma the period is Sigma -> T Sigma T^T + N,
-    with T = F S(theta) the flight after the shear
-    S(theta) = [[1, 0], [-2 theta, 1]] and N = v_inh as a 2x2; the package
-    evaluates this map only.  The same map on the moments is
-    moments -> A.moments + v_inh with A = M(tau).K, kept as the 3x3
-    reference route.  The spectral radius of A, max |lambda(T)|^2, decides
-    whether repeated cycles converge to a stationary state.
+    with F the 2x2 flight over tau (_flight), T = F S(theta) the flight after
+    the shear S(theta) = [[1, 0], [-2 theta, 1]], and N = v_inh as a 2x2.
+    The spectral radius rho(A) = max |lambda(T)|^2 of the same period as a
+    3x3 map A on the moments decides whether repeated cycles converge to a
+    stationary state.
 
     The map holds its evaluator, built once with it (see stroboscopic_evolve):
     steady_state reads its limit, and a run adds only its initial state.
@@ -172,9 +147,8 @@ class CycleMap:
     tau: float
     theta: float
     params: MechanicalParams
-    kick: KickMap
-    propagator: Propagator
-    A: np.ndarray
+    F: np.ndarray
+    v_inh: np.ndarray
     spectral_radius: float
     T: np.ndarray
     _evaluator: "_Evaluator" = field(init=False, repr=False)
@@ -290,14 +264,6 @@ def _congruence(P) -> tuple:
     )
 
 
-def make_propagator(params: MechanicalParams, t: float) -> Propagator:
-    """Exact flow of the free-evolution moment equations over duration t:
-    _flight's F and v_inh as arrays, and M, the congruence by F.  Raises
-    ValueError unless t is finite and >= 0."""
-    F, v_inh = _flight(params, t)
-    return Propagator(M=np.array(_congruence(F)), v_inh=np.array(v_inh), F=np.array(F))
-
-
 def _flight(params: MechanicalParams, t: float) -> tuple:
     """The flight F over duration t as nested float pairs, and v_inh as
     three floats, of the free-evolution moment equations.
@@ -331,15 +297,17 @@ def _flight(params: MechanicalParams, t: float) -> tuple:
     if wd2 < 0.0:
         # from F's real eigenvalues -g/2 +- k, so that nothing overflows:
         # with r = g/(2k) = 1 + r1, f00, f11 = ((1 +- r) slow + (1 -+ r) fast)/2,
-        # and r1 and the slow rate g/2 - k = r1 k come without cancellation
+        # and r1 and the slow rate g/2 - k = r1 k come without cancellation;
+        # taken as slow/fast -+ r1 (fast - slow)/2, so that F(0) = I exactly
         k = math.sqrt(-wd2)
         z = 2.0 * k * t
         r1 = 2.0 * w * w / (k * (g + 2.0 * k))
         slow = math.exp(-r1 * k * t)
         fast = math.exp(-0.5 * (u + z))
         s = -slow * math.expm1(-z) / (2.0 * k)
-        f00 = 0.5 * ((2.0 + r1) * slow - r1 * fast)
-        f11 = 0.5 * ((2.0 + r1) * fast - r1 * slow)
+        half_gap = 0.5 * r1 * (slow - fast)
+        f00 = slow + half_gap
+        f11 = fast - half_gap
     else:
         if wd2 > 0.0:
             wd = math.sqrt(wd2)
@@ -374,47 +342,24 @@ def _flight(params: MechanicalParams, t: float) -> tuple:
     return ((f00, f01), (-f01, f11)), (source * j00, source * j01, source * j11)
 
 
-def propagate_free(v: MomentVector, prop: Propagator) -> MomentVector:
-    """Damped free evolution of the moments over the propagator's duration."""
-    return MomentVector.from_array(prop.M @ v.as_array() + prop.v_inh)
+def _kick(q: float, qp: float, p: float, theta: float) -> tuple[float, float, float]:
+    """Moments (q, qp, p) after the momentum shear p -> p - 2*theta*q:
+    var q unchanged."""
+    t4 = 4.0 * theta
+    return q, qp - (2.0 * theta) * q, p - t4 * qp + (t4 * theta) * q
 
 
-def kick_map(theta: float) -> KickMap:
-    """Moment-space matrix of one kick of strength theta."""
+def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
+    """Map of one full period: kick of strength theta, then free decay for tau."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if not math.isfinite(4.0 * theta * theta):
         raise ValueError(f"theta = {theta} overflows the kick map: 4 theta^2 is not finite")
-    K = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [-2.0 * theta, 1.0, 0.0],
-            [4.0 * theta * theta, -4.0 * theta, 1.0],
-        ]
-    )
-    return KickMap(theta=theta, K=K)
-
-
-def apply_kick(v: MomentVector, kick: KickMap) -> MomentVector:
-    """Instantaneous kick: var q unchanged, momentum shears by -2*theta*q."""
-    theta = kick.theta
-    t2 = 2.0 * theta
-    t4 = 4.0 * theta
-    t4sq = t4 * theta
-    return MomentVector(
-        v.sigma_q,
-        v.sigma_qp - t2 * v.sigma_q,
-        v.sigma_p - t4 * v.sigma_qp + t4sq * v.sigma_q,
-    )
-
-
-def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
-    """Affine map of one full period: kick of strength theta, then free decay for tau."""
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
-    prop = make_propagator(params, tau)
-    kick = kick_map(theta)
-    T = prop.F @ np.array([[1.0, 0.0], [-2.0 * theta, 1.0]])
+    F, v_inh = _flight(params, tau)
+    F = np.array(F)
+    T = F @ np.array([[1.0, 0.0], [-2.0 * theta, 1.0]])
     # A's eigenvalues are the pairwise products of T's, whose product is
     # det T = delta^2 = e^{-gamma tau}: so rho(A) = max |lambda(T)|^2, which
     # is delta^2 for a complex pair and (|h| + sqrt(h^2 - delta^2))^2 for a
@@ -431,9 +376,8 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
         tau=tau,
         theta=theta,
         params=params,
-        kick=kick,
-        propagator=prop,
-        A=prop.M @ kick.K,
+        F=F,
+        v_inh=np.array(v_inh),
         spectral_radius=rho,
         T=T,
     )
@@ -580,7 +524,7 @@ def _eigenphase(cycle: CycleMap) -> tuple[tuple[float, float, float], ...]:
     floats.
 
     cos(phi) = tr T e^{gamma tau/2}/2 = C - theta omega_m S, with C and S of
-    make_propagator, here at _PHASE_DIGITS digits from the float inputs;
+    _flight, here at _PHASE_DIGITS digits from the float inputs;
     phi is then math.acos's value after one Newton step.  The caller has
     checked that |cos(phi)| < 1, sin(phi) >= _MIN_SIN_PHI and
     gamma_m tau <= _MAX_DECAY.
@@ -697,8 +641,8 @@ def _closed_form(cycle: CycleMap) -> _Evaluator | None:
     phase = cycle.params.omega_m * cycle.tau
     if not (_has_limit(cycle) and decay <= _MAX_DECAY and phase <= _MAX_PHASE):
         return None
-    # T's entries are below 1e154, since A, whose corners are their squares,
-    # is finite; so U's entries are finite
+    # T's entries, of order 2 theta, are below about 1e154, since cycle_map
+    # keeps 4 theta^2 finite; so U's entries are finite
     U = cycle.T / math.exp(-0.5 * decay)
     cos_phi = 0.5 * float(U[0, 0] + U[1, 1])
     if not (abs(cos_phi) < 1.0 and (1.0 - cos_phi) * (1.0 + cos_phi) >= _MIN_SIN_PHI**2):
@@ -731,7 +675,7 @@ def _closed_form(cycle: CycleMap) -> _Evaluator | None:
     w = 1.0 / complex(2.0 * r * sin_phi * sin_phi - expm1_r, -r * math.sin(2.0 * phi))
     turn = complex(cos_phi, -sin_phi)
     w = np.array([w, w * turn, w * turn * turn])
-    b0, b1, b2 = cycle.propagator.v_inh
+    b0, b1, b2 = cycle.v_inh
     # overflow here is reported by stroboscopic_evolve's DivergenceError,
     # not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -796,7 +740,7 @@ def _powers(cycle: CycleMap) -> _Evaluator:
     SIAM J. Appl. Math. 16:198, 1968): converged where _has_limit holds.
     """
     P = cycle.T.tolist()
-    Q = cycle.propagator.v_inh.tolist()
+    Q = cycle.v_inh.tolist()
     maps = []  # maps[b]: (_congruence(P), Q) of 2^b periods
     for _ in range(53):
         K = _congruence(P)
@@ -932,7 +876,8 @@ def _intra_rows(
     _check_physical's errors, as MomentVector does for each row."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    kicked = apply_kick(v_at_kick, cycle.kick).as_array()
+    v = v_at_kick
+    kicked = MomentVector(*_kick(v.sigma_q, v.sigma_qp, v.sigma_p, cycle.theta)).as_array()
     offsets = [cycle.tau * j / (n_samples - 1) for j in range(n_samples)]
     flights = [_flight(cycle.params, s) for s in offsets]
     # every offset's flight M kicked + v_inh, as one stacked product

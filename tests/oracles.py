@@ -8,6 +8,12 @@ limit, mpmath's eigenvalues of the 3x3 map instead of the 2x2 map's trace,
 high-precision matrix powers of the period map instead of its closed-form
 power, the period map iterated kick by kick instead of powered, and a noisy
 ensemble stepped kick by kick instead of composed from segment maps.
+
+The 3x3 route is the reference those loops run on: the period as an affine
+map v -> A v + b on the moment vector v = (sigma_q, sigma_qp, sigma_p),
+with A = M(tau) K(theta).  M(t) is the congruence by the package's flight F
+(its symmetric Kronecker square), b = v_inh(t) the flight's noise, and
+K(theta) the image of the shear p -> p - 2 theta q on the moments.
 """
 
 import itertools
@@ -25,23 +31,54 @@ from springkick import (
     NoStationaryStateError,
 )
 from springkick.ensemble import RNG_BLOCK, _generator
-from springkick.moments import Samples, _check_finite, _check_physical, _sample_indices
+from springkick.moments import (
+    MechanicalParams,
+    Samples,
+    _check_finite,
+    _check_physical,
+    _congruence,
+    _flight,
+    _sample_indices,
+)
+
+
+def flight_map(params: MechanicalParams, t: float):
+    """(M, v_inh) of the free flight over t on the moments, as arrays: M is
+    the congruence by _flight's F.  Raises ValueError unless t is finite and
+    >= 0."""
+    F, v_inh = _flight(params, t)
+    return np.array(_congruence(F)), np.array(v_inh)
+
+
+def propagate(v: MomentVector, params: MechanicalParams, t: float) -> MomentVector:
+    """v after the free flight over t, M v + v_inh."""
+    M, v_inh = flight_map(params, t)
+    return MomentVector(*(M @ v.as_array() + v_inh).tolist())
+
+
+def kick_matrix(theta: float) -> np.ndarray:
+    """K(theta), the image on the moments of the shear p -> p - 2 theta q."""
+    return np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [-2.0 * theta, 1.0, 0.0],
+            [4.0 * theta * theta, -4.0 * theta, 1.0],
+        ]
+    )
+
+
+def period_map(cycle: CycleMap):
+    """(A, b) of the cycle's period v -> A v + b on the moments:
+    A = M(tau) K(theta) and b = v_inh(tau)."""
+    M = np.array(_congruence(cycle.F.tolist()))
+    return M @ kick_matrix(cycle.theta), cycle.v_inh
 
 
 def _unpack_cycle(cycle: CycleMap):
     # Python floats: same IEEE doubles, but the hot loops run on them faster
     # and overflow to inf silently instead of spamming numpy warnings.
-    M = cycle.propagator.M
-    b = cycle.propagator.v_inh
-    return tuple(
-        float(x)
-        for x in (
-            M[0, 0], M[0, 1], M[0, 2],
-            M[1, 0], M[1, 1], M[1, 2],
-            M[2, 0], M[2, 1], M[2, 2],
-            b[0], b[1], b[2],
-        )
-    )
+    m0, m1, m2 = _congruence(cycle.F.tolist())
+    return (*m0, *m1, *m2, *cycle.v_inh.tolist())
 
 
 # Kicks after which _iterate checks the rows it has sampled since its last
@@ -276,8 +313,8 @@ def lockstep_run_block(
     kicks = _sample_indices(n_kicks, stride)
     # M's columns as (3, 1) arrays: row r of c0*q + c1*qp_k + c2*p_k + b is
     # m_r0*q + m_r1*qp_k + m_r2*p_k + b_r, the scalar loop's sum in its order
-    c0, c1, c2 = np.hsplit(cycle.propagator.M, 3)
-    b = cycle.propagator.v_inh[:, None]
+    c0, c1, c2 = np.hsplit(np.array(_congruence(cycle.F.tolist())), 3)
+    b = cycle.v_inh[:, None]
 
     gens = [_generator(s) for s in seeds]
     mean = noise.mean_theta

@@ -39,8 +39,8 @@ from springkick.moments import (
     _ONSET_CHUNK,
     _closed_form,
     _powers,
+    _flight,
     _sample_indices,
-    make_propagator,
 )
 
 FIG1 = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
@@ -263,7 +263,7 @@ def uncertified_cycles(draw):
         gamma_m = draw(st.sampled_from([0.0, gamma_m]))
         tau = 2 * math.pi / omega_m * 10.0 ** draw(st.floats(-2.0, 0.5))
         # theta that puts cos(phi) = tr T/(2 delta) at c, |c| - 1 tiny
-        (f00, f01), (_, f11) = make_propagator(MechanicalParams(omega_m, gamma_m, n_bar), tau).F
+        (f00, f01), (_, f11) = _flight(MechanicalParams(omega_m, gamma_m, n_bar), tau)[0]
         c = sign * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-13.0, -2.4)))
         theta = (f00 + f11 - 2.0 * math.exp(-0.5 * gamma_m * tau) * c) / (2.0 * f01)
         assume(abs(theta) <= 30.0)

@@ -1,4 +1,4 @@
-"""Free propagator, kick map, cycle iteration, stationary state."""
+"""Free flight, kick, cycle map and its evolve, stationary state, intra trace."""
 
 import math
 import sys
@@ -13,6 +13,10 @@ from conftest import mech_params, moment_vectors, params_and_tau, thetas
 from oracles import (
     _iterate,
     drift_matrix,
+    flight_map,
+    kick_matrix,
+    period_map,
+    propagate,
     mp_radius,
     mp_stationary,
     rk4_free,
@@ -25,23 +29,23 @@ from springkick import (
     MomentVector,
     NoStationaryStateError,
     UnphysicalStateError,
-    apply_kick,
     cycle_map,
     intra_period_trace,
-    kick_map,
-    make_propagator,
-    propagate_free,
     squeezing_onset,
     state_metrics,
     steady_state,
     stroboscopic_evolve,
     thermal_state,
 )
-from springkick.moments import metric_arrays
+from springkick.moments import _congruence, _flight, _kick, metric_arrays
 
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 TAU = 1e-7
 RESONANCE = MechanicalParams(omega_m=1e3, gamma_m=1.532e-3, n_bar=0.0)
+
+
+def kick(v: MomentVector, theta: float) -> MomentVector:
+    return MomentVector(*_kick(v.sigma_q, v.sigma_qp, v.sigma_p, theta))
 
 
 def rel_diff(a, b):
@@ -53,9 +57,11 @@ def rel_diff(a, b):
 
 class TestPropagator:
     def test_identity_at_zero_time(self):
-        prop = make_propagator(FIG, 0.0)
-        assert np.array_equal(prop.M, np.eye(3))
-        assert np.array_equal(prop.v_inh, np.zeros(3))
+        # underdamped, critical, overdamped, and overdamped past g = 4 w
+        for gamma_m in (FIG.gamma_m, 1e6, 1.5e6, 1e8):
+            M, v_inh = flight_map(MechanicalParams(FIG.omega_m, gamma_m, FIG.n_bar), 0.0)
+            assert np.array_equal(M, np.eye(3)), gamma_m
+            assert np.array_equal(v_inh, np.zeros(3)), gamma_m
 
     def test_determinant_equals_trace_formula(self):
         # det(e^{Bt}) = e^{tr(B) t}, tr(B) = -3 gamma
@@ -64,7 +70,7 @@ class TestPropagator:
             w = 10.0 ** rng.uniform(3, 7)
             g = w * 10.0 ** rng.uniform(-6, -1)
             t = (2 * math.pi / w) * 10.0 ** rng.uniform(-2, 0.5)
-            M = make_propagator(MechanicalParams(w, g, 2.0), t).M
+            M = flight_map(MechanicalParams(w, g, 2.0), t)[0]
             assert abs(np.linalg.det(M) - math.exp(-3 * g * t)) <= 1e-9 * math.exp(
                 -3 * g * t
             )
@@ -74,11 +80,11 @@ class TestPropagator:
     def test_semigroup_composition(self, pt, split):
         params, tau = pt
         t1, t2 = split * tau, (1.0 - split) * tau
-        p1 = make_propagator(params, t1)
-        p2 = make_propagator(params, t2)
-        p12 = make_propagator(params, t1 + t2)
-        assert rel_diff(p12.M, p2.M @ p1.M) < 1e-12
-        assert rel_diff(p12.v_inh, p2.M @ p1.v_inh + p2.v_inh) < 1e-11
+        M1, b1 = flight_map(params, t1)
+        M2, b2 = flight_map(params, t2)
+        M12, b12 = flight_map(params, t1 + t2)
+        assert rel_diff(M12, M2 @ M1) < 1e-12
+        assert rel_diff(b12, M2 @ b1 + b2) < 1e-11
 
     def test_v_inh_closed_form(self):
         # For invertible B: integral of e^{B(t-s)} b ds = B^{-1} (M - I) b.
@@ -88,17 +94,15 @@ class TestPropagator:
             g = w * 10.0 ** rng.uniform(-5, -1)
             params = MechanicalParams(w, g, rng.uniform(0.0, 200.0))
             t = (2 * math.pi / w) * 10.0 ** rng.uniform(-2, 0.5)
-            prop = make_propagator(params, t)
+            M, v_inh = flight_map(params, t)
             B, b = drift_matrix(w, g, params.n_bar)
-            ref = np.linalg.solve(B, (prop.M - np.eye(3)) @ b)
-            assert rel_diff(prop.v_inh, ref) < 1e-9
+            ref = np.linalg.solve(B, (M - np.eye(3)) @ b)
+            assert rel_diff(v_inh, ref) < 1e-9
 
     def test_rk4_oracle_reference_parameters(self):
         v0 = (10.5, 0.0, 10.5)
         ref = rk4_free(FIG.omega_m, FIG.gamma_m, FIG.n_bar, v0, TAU, 10_000)
-        out = propagate_free(
-            MomentVector(*v0), make_propagator(FIG, TAU)
-        ).as_array()
+        out = propagate(MomentVector(*v0), FIG, TAU).as_array()
         assert rel_diff(out, ref) < 1e-9
 
     def test_rk4_oracle_randomized(self):
@@ -109,13 +113,13 @@ class TestPropagator:
             nb = rng.uniform(0.0, 200.0)
             params = MechanicalParams(w, g, nb)
             t = (2 * math.pi / w) * 10.0 ** rng.uniform(-1.5, 0.3)
-            prop = make_propagator(params, t)
+            M, v_inh = flight_map(params, t)
             for _ in range(3):
                 sq = 10.0 ** rng.uniform(-1.0, 1.3)
                 sp = (0.25 / sq) * 10.0 ** rng.uniform(0.0, 1.3)
                 qp = rng.uniform(-1.0, 1.0) * math.sqrt(sq * sp - 0.25)
                 ref = rk4_free(w, g, nb, (sq, qp, sp), t, 10_000)
-                out = prop.M @ np.array([sq, qp, sp]) + prop.v_inh
+                out = M @ np.array([sq, qp, sp]) + v_inh
                 assert rel_diff(out, ref) < 1e-9
 
     @settings(max_examples=60, deadline=None)
@@ -123,21 +127,19 @@ class TestPropagator:
     def test_thermal_fixed_point(self, pt):
         params, tau = pt
         v = thermal_state(params)
-        out = propagate_free(v, make_propagator(params, tau))
+        out = propagate(v, params, tau)
         assert rel_diff(out.as_array(), v.as_array()) < 1e-10
 
     def test_rotation_quarter_period_swaps_variances(self):
         params = MechanicalParams(omega_m=5e5, gamma_m=0.0, n_bar=0.0)
         t = (math.pi / 2) / params.omega_m
-        out = propagate_free(
-            MomentVector(2.0, 0.0, 0.5), make_propagator(params, t)
-        )
+        out = propagate(MomentVector(2.0, 0.0, 0.5), params, t)
         assert rel_diff(out.as_array(), [0.5, 0.0, 2.0]) < 1e-12
 
     def test_rotation_full_period_identity(self):
         params = MechanicalParams(omega_m=5e5, gamma_m=0.0, n_bar=0.0)
         t = 2 * math.pi / params.omega_m
-        M = make_propagator(params, t).M
+        M = flight_map(params, t)[0]
         assert rel_diff(M, np.eye(3)) < 1e-9
 
     @pytest.mark.parametrize(
@@ -150,9 +152,7 @@ class TestPropagator:
         params = MechanicalParams(omega_m, gamma_m, 0.0)
         t = 2.0 * math.pi / math.sqrt(omega_m * omega_m - 0.25 * gamma_m * gamma_m)
         n0 = 10.0
-        out = propagate_free(
-            MomentVector(n0 + 0.5, 0.0, n0 + 0.5), make_propagator(params, t)
-        )
+        out = propagate(MomentVector(n0 + 0.5, 0.0, n0 + 0.5), params, t)
         n_eff = state_metrics(out).n_eff
         assert n_eff == pytest.approx(n0 * math.exp(-gamma_m * t), rel=1e-15, abs=0.0)
         assert abs(n_eff / (n0 * math.exp(-0.5 * gamma_m * t)) - 1.0) > 1e-4
@@ -164,7 +164,7 @@ class TestPropagator:
         for v0 in (0.5, 0.6, 1.0, 5.0, 50.0, 300.5):
             prev = None
             for t in np.linspace(0.0, 5e-2, 101):
-                v = propagate_free(MomentVector(v0, 0.0, v0), make_propagator(params, float(t)))
+                v = propagate(MomentVector(v0, 0.0, v0), params, float(t))
                 purity = state_metrics(v).purity
                 assert v.det >= 0.25 - 1e-9
                 if prev is not None:
@@ -173,9 +173,7 @@ class TestPropagator:
 
     def test_vacuum_is_exact_fixed_point_at_zero_occupancy(self):
         params = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=0.0)
-        out = propagate_free(
-            thermal_state(params), make_propagator(params, 3e-3)
-        )
+        out = propagate(thermal_state(params), params, 3e-3)
         assert rel_diff(out.as_array(), [0.5, 0.0, 0.5]) < 1e-10
 
     def test_drift_is_not_completely_positive(self):
@@ -184,9 +182,8 @@ class TestPropagator:
         # output state fails validation.  d(det)/dt = gamma [(2 n_bar + 1)
         # sigma_q - 2 det] = 100 (0.1 - 0.5) < 0 at det = 1/4.
         params = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=0.0)
-        prop = make_propagator(params, 1e-7)
         with pytest.raises(UnphysicalStateError):
-            propagate_free(MomentVector(0.1, 0.0, 2.5), prop)
+            propagate(MomentVector(0.1, 0.0, 2.5), params, 1e-7)
 
 
 def mp_flow(w, g, n_bar, t, dps=50):
@@ -230,31 +227,31 @@ class TestPropagatorAgainstMpmath:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_every_entry(self, case):
         w, g, n_bar, t = self.CASES[case]
-        prop = make_propagator(MechanicalParams(w, g, n_bar), t)
+        got_M, got_v = flight_map(MechanicalParams(w, g, n_bar), t)
         M, v = mp_flow(w, g, n_bar, t)
         for j in range(3):
             col = [M[i][j] for i in range(3)]
-            assert max(entry_errors(prop.M[:, j], col)) < 1e-14, (case, j)
+            assert max(entry_errors(got_M[:, j], col)) < 1e-14, (case, j)
         if g == 0.0:
-            assert prop.v_inh.tolist() == [0.0, 0.0, 0.0]
+            assert got_v.tolist() == [0.0, 0.0, 0.0]
         else:
-            assert max(entry_errors(prop.v_inh, v)) < 1e-14, case
+            assert max(entry_errors(got_v, v)) < 1e-14, case
 
     def test_resonance_k2(self):
         # tau = 2 pi / omega_m, where the off-diagonal flight entries are
         # ~1e-12 of the diagonal ones and carry rounding of omega_d tau
         # relative to their size: M is bounded normwise
         w, g, t = 1e3, 1.532e-3, 2 * math.pi / 1e3
-        prop = make_propagator(MechanicalParams(w, g, 0.0), t)
+        got_M, got_v = flight_map(MechanicalParams(w, g, 0.0), t)
         M, v = mp_flow(w, g, 0.0, t)
-        err = max(abs(prop.M[i, j] - M[i][j]) for i in range(3) for j in range(3))
+        err = max(abs(got_M[i, j] - M[i][j]) for i in range(3) for j in range(3))
         assert float(err / max(abs(x) for row in M for x in row)) < 1e-14
-        assert max(entry_errors(prop.v_inh, v)) < 1e-14
+        assert max(entry_errors(got_v, v)) < 1e-14
 
     def test_bad_time_rejected(self):
         for t in (-1e-7, math.inf, math.nan):
             with pytest.raises(ValueError, match="time"):
-                make_propagator(FIG, t)
+                _flight(FIG, t)
 
     def test_needs_no_scipy(self, monkeypatch):
         # None in sys.modules makes any import of scipy raise ImportError
@@ -267,41 +264,44 @@ class TestPropagatorAgainstMpmath:
 
 class TestKick:
     def test_matrix_values(self):
-        assert np.array_equal(kick_map(0.0).K, np.eye(3))
+        assert np.array_equal(kick_matrix(0.0), np.eye(3))
         assert np.array_equal(
-            kick_map(10.0).K,
+            kick_matrix(10.0),
             np.array([[1.0, 0.0, 0.0], [-20.0, 1.0, 0.0], [400.0, -40.0, 1.0]]),
         )
 
     def test_overflowing_theta_rejected(self):
         # 4 theta^2 = inf would reach the cycle map's eigvals as a bare
         # "infs or NaNs" error
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^theta must be finite"):
+                cycle_map(FIG, TAU, theta)
         for theta in (1e160, -1e200):
-            with pytest.raises(ValueError, match="theta"):
-                kick_map(theta)
-        assert math.isfinite(kick_map(1e150).K[2, 0])
+            with pytest.raises(ValueError, match="theta.*4 theta\\^2 is not finite"):
+                cycle_map(FIG, TAU, theta)
+        assert np.isfinite(cycle_map(FIG, TAU, 1e150).T).all()
 
     @settings(max_examples=100, deadline=None)
     @given(thetas)
     def test_unit_determinant(self, theta):
-        assert np.linalg.det(kick_map(theta).K) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.det(kick_matrix(theta)) == pytest.approx(1.0, rel=1e-12)
 
     def test_worked_examples(self):
-        out = apply_kick(MomentVector(0.5, 0.0, 0.5), kick_map(10.0))
+        out = kick(MomentVector(0.5, 0.0, 0.5), 10.0)
         assert (out.sigma_q, out.sigma_qp, out.sigma_p) == (0.5, -10.0, 200.5)
         assert out.det == 0.25
-        out = apply_kick(MomentVector(1.0, 0.3, 2.0), kick_map(1.0))
+        out = kick(MomentVector(1.0, 0.3, 2.0), 1.0)
         assert (out.sigma_q, out.sigma_qp, out.sigma_p) == (1.0, -1.7, 4.8)
 
     @settings(max_examples=100, deadline=None)
     @given(moment_vectors(), thetas)
     def test_position_variance_unchanged(self, v, theta):
-        assert apply_kick(v, kick_map(theta)).sigma_q == v.sigma_q
+        assert kick(v, theta).sigma_q == v.sigma_q
 
     @settings(max_examples=100, deadline=None)
     @given(moment_vectors(), thetas)
     def test_zero_theta_is_identity(self, v, theta):
-        out = apply_kick(v, kick_map(0.0))
+        out = kick(v, 0.0)
         assert out.as_array() is not None
         assert np.array_equal(out.as_array(), v.as_array())
 
@@ -312,7 +312,7 @@ class TestKick:
         # by the size of the products entering it, not by det itself (the
         # strict det-relative reading is unattainable at large theta, see
         # test below and the float-precision analysis in the project notes).
-        out = apply_kick(v, kick_map(theta))
+        out = kick(v, theta)
         scale = v.sigma_q * out.sigma_p + out.sigma_qp**2
         assert abs(out.det - v.det) <= 1e-12 * scale
 
@@ -337,7 +337,7 @@ class TestKick:
         for sq, qp, sp in ((0.5, 0.0, 0.5), (2.0, 0.5, 4.0), (0.25, 0.0, 1.0)):
             for theta in (-100.0, 100.0, 10.0):
                 v = MomentVector(sq, qp, sp)
-                assert apply_kick(v, kick_map(theta)).det == v.det
+                assert kick(v, theta).det == v.det
 
     @settings(max_examples=100, deadline=None)
     @given(moment_vectors(), thetas)
@@ -345,7 +345,7 @@ class TestKick:
         S = np.array([[1.0, 0.0], [-2.0 * theta, 1.0]])
         cov = np.array([[v.sigma_q, v.sigma_qp], [v.sigma_qp, v.sigma_p]])
         ref = S @ cov @ S.T
-        out = apply_kick(v, kick_map(theta))
+        out = kick(v, theta)
         assert rel_diff(
             [out.sigma_q, out.sigma_qp, out.sigma_p],
             [ref[0, 0], ref[0, 1], ref[1, 1]],
@@ -365,17 +365,21 @@ class TestCycle:
     def test_rates_just_below_2_511(self):
         below = math.nextafter(2.0**511, 0.0)
         for params in (MechanicalParams(below, 1.0, 1.0), MechanicalParams(1e3, below, 1.0)):
-            cyc = cycle_map(params, 1e-3, 1.0)
-            assert np.isfinite(cyc.A).all() and np.isfinite(cyc.propagator.v_inh).all()
+            A, b = period_map(cycle_map(params, 1e-3, 1.0))
+            assert np.isfinite(A).all() and np.isfinite(b).all()
 
     def test_composition_order(self):
+        # kick, then flight: T = F S(theta), whose congruence is the
+        # oracle's A = M(tau) K(theta), and the noise is the flight's alone
         cyc = cycle_map(FIG, TAU, 10.0)
-        assert np.array_equal(cyc.A, cyc.propagator.M @ cyc.kick.K)
-        assert np.array_equal(cyc.propagator.v_inh, cyc.A @ np.zeros(3) + cyc.propagator.v_inh)
+        assert np.array_equal(cyc.T, cyc.F @ np.array([[1.0, 0.0], [-20.0, 1.0]]))
+        A, b = period_map(cyc)
+        assert rel_diff(A, _congruence(cyc.T.tolist())) < 1e-14
+        assert np.array_equal(b, flight_map(FIG, TAU)[1])
 
     def test_zero_theta_reduces_to_free_propagator(self):
         cyc = cycle_map(FIG, TAU, 0.0)
-        assert np.array_equal(cyc.A, cyc.propagator.M)
+        assert np.array_equal(cyc.T, cyc.F)
 
     def test_spectral_radius_reference(self):
         assert cycle_map(FIG, TAU, 10.0).spectral_radius == pytest.approx(
@@ -422,7 +426,8 @@ class TestCycle:
         # the public evolve is the closed form wherever it is certified, so
         # the kick loop it falls back to is held to the 3x3 route as well
         cyc = cycle_map(FIG, TAU, theta)
-        direct = cyc.A @ v.as_array() + cyc.propagator.v_inh
+        A, b = period_map(cyc)
+        direct = A @ v.as_array() + b
         for evolve in (stroboscopic_evolve, _iterate):
             out = evolve(v, cyc, 1)[-1][1]
             assert rel_diff(out.as_array(), direct) < 1e-12, evolve.__name__
@@ -433,7 +438,8 @@ class TestCycle:
         cyc = cycle_map(FIG, TAU, 10.0)
         v0 = thermal_state(FIG)
         eye = np.eye(3)
-        inv = np.linalg.solve(eye - cyc.A, cyc.propagator.v_inh)
+        A, b = period_map(cyc)
+        inv = np.linalg.solve(eye - A, b)
         for evolve in (stroboscopic_evolve, _iterate):
             v = v0
             n_done = 0
@@ -441,7 +447,7 @@ class TestCycle:
                 for _ in range(n - n_done):
                     v = evolve(v, cyc, 1)[-1][1]
                 n_done = n
-                An = np.linalg.matrix_power(cyc.A, n)
+                An = np.linalg.matrix_power(A, n)
                 closed = An @ v0.as_array() + (eye - An) @ inv
                 assert rel_diff(v.as_array(), closed) < 1e-8, evolve.__name__
 
@@ -517,7 +523,8 @@ class TestSteadyState:
             return  # marginal or expanding map
         except UnphysicalStateError:
             return  # fixed point outside the model's validity domain
-        out = cyc.A @ v.as_array() + cyc.propagator.v_inh
+        A, b = period_map(cyc)
+        out = A @ v.as_array() + b
         assert rel_diff(out, v.as_array()) < 1e-10
 
     def test_limit_matches_iteration(self):
@@ -624,12 +631,34 @@ class TestIntraPeriod:
         trace = intra_period_trace(v, cyc, 5)
         s0, first = trace[0]
         assert s0 == 0.0
-        kicked = apply_kick(v, cyc.kick)
+        kicked = kick(v, cyc.theta)
         assert np.array_equal(first.as_array(), kicked.as_array())
         s_end, last = trace[-1]
         assert s_end == TAU
         nxt = stroboscopic_evolve(v, cyc, 1)[-1][1]
         assert rel_diff(last.as_array(), nxt.as_array()) < 1e-10
+
+    @pytest.mark.parametrize(
+        "params, tau, theta",
+        [
+            (FIG, TAU, 10.0),
+            (FIG, TAU, 100.0),
+            (RESONANCE, math.pi / RESONANCE.omega_m, 2.0),
+            (MechanicalParams(1e3, 3e3, 5.0), 1e-3, 1.0),
+        ],
+        ids=["fig1", "theta-100", "res1", "overdamped"],
+    )
+    def test_rows_equal_per_offset_oracle(self, params, tau, theta):
+        # the stacked product of every offset's flight, bit for bit the
+        # oracle's M(s) kicked + v_inh(s) taken one offset at a time
+        cyc = cycle_map(params, tau, theta)
+        v = MomentVector(3.0, 0.7, 2.0)
+        kicked = kick(v, theta).as_array()
+        trace = intra_period_trace(v, cyc, 33)
+        assert np.array_equal(trace[0][1].as_array(), kicked)
+        for s, row in trace:
+            M, v_inh = flight_map(params, s)
+            assert np.array_equal(row.as_array(), M @ kicked + v_inh), s
 
     def test_undamped_trace_conserves_energy(self):
         params = MechanicalParams(5e5, 0.0, 3.0)
