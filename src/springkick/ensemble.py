@@ -9,7 +9,10 @@ segments of at most SEGMENT kicks that end at every sample point, builds all
 their (P, Q) at once, across segments and trajectories, and then chains the
 segments.  The arithmetic is elementwise and the segments depend only on the
 kick count and the stride, so each column depends only on its own seed, and
-a single trajectory is column 0 of a one-seed block.
+a single trajectory is column 0 of a one-seed block.  T(theta), the
+segments' moment maps and the chain's row sums come from the helpers that
+the deterministic evaluators use (moments._shear, _congruence and _dot), so
+no product goes through a BLAS kernel.
 
 The composed rows are not the kick-by-kick iteration bit for bit, so a
 zero-variance ensemble is not bitwise the deterministic run.
@@ -20,7 +23,6 @@ draws, which they match at least as closely as that loop does.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -33,7 +35,10 @@ from .moments import (
     StateMetrics,
     _check_finite,
     _check_physical,
+    _congruence,
+    _dot,
     _sample_indices,
+    _shear,
     cycle_map,
     metric_arrays,
     # unused here; bound because bench/tracing.py patches it on this module
@@ -52,7 +57,7 @@ SEGMENT = 64
 # memory of a build, never its result: each segment's arithmetic is its own.
 _CHUNK = 12288
 # Rows of _segment_maps' work buffer
-_WORK_ROWS = 20
+_WORK_ROWS = 18
 # (P, Q) of an empty segment: P00, P01, P10, P11, Q00, Q01, Q11
 _IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])[:, None, None]
 
@@ -149,15 +154,13 @@ def run_trajectory(
 
     theta for each kick is drawn from Normal(mean_theta, sqrt(variance));
     negative draws are legal kicks.  The flight is fixed by (params,
-    tau) and computed once.  It is column 0 of a one-seed _run_block.  Raises
-    DivergenceError, naming the kick, when the determinant of a sampled
-    state stops being finite, then _check_physical's errors, naming the
-    first unphysical sampled kick.
+    tau) and computed once.  It is column 0 of a one-seed _run_block, whose
+    checks raise DivergenceError or _check_physical's errors, naming the
+    first sampled kick at fault.
     """
-    kicks = np.array(_sample_indices(n_kicks, stride))
+    kicks = _sample_indices(n_kicks, stride)
     cycle = cycle_map(params, tau, noise.mean_theta)
     moments = _run_block(cycle, thermal_state(params), noise, n_kicks, stride, [seed])[:, 0]
-    _check_physical(*moments.T, kicks)
     return TrajectoryResult(seed, kicks, moments)
 
 
@@ -178,8 +181,11 @@ def _run_block(
     (_segment_maps) and the segments are then chained in kick order, writing
     a row at each sample point.  All arithmetic is elementwise and the
     segments do not depend on the width, so the column for seed s depends
-    only on s.  Raises DivergenceError naming the first sampled kick whose
-    determinant sigma_q*sigma_p - sigma_qp^2 is not finite.
+    only on s.  The rows of each chunk of segments are checked as
+    stroboscopic_evolve checks its blocks, across every trajectory: first
+    DivergenceError at the first sampled kick whose determinant float64 no
+    longer holds (_check_finite), then _check_physical's errors, naming the
+    first unphysical sampled kick.
     """
     kicks = _sample_indices(n_kicks, stride)
     width = len(seeds)
@@ -204,24 +210,25 @@ def _run_block(
                 c0, c1, c2, const = maps
                 first = row
                 for end, j in zip(chunk, lanes):
-                    q, qp, p = x
-                    x = c0[:, j] * q + c1[:, j] * qp + c2[:, j] * p + const[:, j]
+                    x = _dot((c0[:, j], c1[:, j], c2[:, j]), x) + const[:, j]
                     if n0 + end == kicks[row]:
                         cube[row] = x.T
                         row += 1
-                _check_finite(kicks[first:row], *cube[first:row].transpose(2, 0, 1))
+                done = cube[first:row].transpose(2, 0, 1)
+                _check_finite(kicks[first:row], *done)
+                _check_physical(*done, kicks[first:row])
     return cube
 
 
-def _segment_ends(n0: int, m: int, kicks: list[int]) -> list[int]:
+def _segment_ends(n0: int, m: int, kicks: np.ndarray) -> list[int]:
     """Ends of the segments of the RNG block of kicks n0 + 1 .. n0 + m.
 
     Offsets into the block: every multiple of SEGMENT, every sample point
     and m.  So a segment holds at most SEGMENT kicks and never crosses a
     sample point or a block boundary.
     """
-    lo, hi = bisect.bisect_right(kicks, n0), bisect.bisect_right(kicks, n0 + m)
-    ends = {k - n0 for k in kicks[lo:hi]}
+    lo, hi = np.searchsorted(kicks, (n0, n0 + m), side="right")
+    ends = set((kicks[lo:hi] - n0).tolist())
     ends.update(range(SEGMENT, m, SEGMENT))
     ends.add(m)
     return sorted(ends)
@@ -237,9 +244,13 @@ def _segment_maps(
     Sigma -> P Sigma P^T + Q, with P the product of the kicks'
     T(theta) = F S(theta), S(theta) = [[1, 0], [-2 theta, 1]], and Q the
     noise it accumulates from N = v_inh as a 2x2.  (P, Q) are built kick by
-    kick, every segment and trajectory at once; the segments are held
-    longest first, so the ones still running are a prefix.  work is a
-    (_WORK_ROWS, >= len(ends), width) buffer that the result lives in.
+    kick, every segment and trajectory at once, with T(theta) from
+    moments._shear at the draws, as cycle_map forms it at mean theta; the
+    segments are held longest first, so the ones still running are a
+    prefix.  P's moment map comes from moments._congruence, so a one-kick
+    segment at the draw theta is the cycle map's own period bit for bit.
+    work is a (_WORK_ROWS, >= len(ends), width) buffer that the result
+    lives in.
     Returns (maps, lanes): for segment i the new moments are
     c0 * sigma_q + c1 * sigma_qp + c2 * sigma_p + const, where c0, c1, c2
     and const are maps[0][:, j] ... maps[3][:, j] with j = lanes[i], each
@@ -250,11 +261,11 @@ def _segment_maps(
     first = bounds[:-1][order]
     length = (bounds[1:] - bounds[:-1])[order]
     running = np.searchsorted(-length, -np.arange(length[0]))
-    f00, f01, f10, f11 = cycle.F.ravel().tolist()
+    F = cycle.F.tolist()
     n00, n01, n11 = cycle.v_inh.tolist()
 
     # rows 0-6 and 7-13 of work: (P00, P01, P10, P11, Q00, Q01, Q11) before
-    # and after a kick, swapping each kick; rows 14-19: temporaries
+    # and after a kick, swapping each kick; rows 14-17: temporaries
     work = work[:, : len(length)]
     work[:7] = _IDENTITY
     mul, add = np.multiply, np.add
@@ -262,38 +273,31 @@ def _segment_maps(
         src, dst = (work[:7], work[7:14]) if k % 2 == 0 else (work[7:14], work[:7])
         p00, p01, p10, p11, u, v, w = src[:, :n]
         new = dst[:, :n]
-        a, c, r0, r1, t0, t1 = work[14:, :n]
-        # T = [[a, f01], [c, f11]] with a = f00 - 2 theta f01, c = f10 - 2 theta f11
+        t0, t1, r0, r1 = work[14:, :n]
         np.take(blk, first[:n] + k, axis=0, out=t0, mode="clip")
-        np.subtract(f00, mul(t0, 2.0 * f01, out=a), out=a)
-        np.subtract(f10, mul(t0, 2.0 * f11, out=c), out=c)
+        (a, b), (c, d) = _shear(F, t0)
         # P -> T P
-        add(mul(a, p00, out=t0), mul(p10, f01, out=t1), out=new[0])
-        add(mul(a, p01, out=t0), mul(p11, f01, out=t1), out=new[1])
-        add(mul(c, p00, out=t0), mul(p10, f11, out=t1), out=new[2])
-        add(mul(c, p01, out=t0), mul(p11, f11, out=t1), out=new[3])
+        add(mul(a, p00, out=t0), mul(p10, b, out=t1), out=new[0])
+        add(mul(a, p01, out=t0), mul(p11, b, out=t1), out=new[1])
+        add(mul(c, p00, out=t0), mul(p10, d, out=t1), out=new[2])
+        add(mul(c, p01, out=t0), mul(p11, d, out=t1), out=new[3])
         # Q -> T Q T^T + N, through the first and then the second row
         # (r0, r1) of T Q
-        add(mul(a, u, out=r0), mul(v, f01, out=t0), out=r0)
-        add(mul(a, v, out=r1), mul(w, f01, out=t0), out=r1)
-        add(add(mul(r0, a, out=t0), mul(r1, f01, out=t1), out=t0), n00, out=new[4])
-        add(add(mul(r0, c, out=t0), mul(r1, f11, out=t1), out=t0), n01, out=new[5])
-        add(mul(c, u, out=r0), mul(v, f11, out=t0), out=r0)
-        add(mul(c, v, out=r1), mul(w, f11, out=t0), out=r1)
-        add(add(mul(r0, c, out=t0), mul(r1, f11, out=t1), out=t0), n11, out=new[6])
+        add(mul(a, u, out=r0), mul(v, b, out=t0), out=r0)
+        add(mul(a, v, out=r1), mul(w, b, out=t0), out=r1)
+        add(add(mul(r0, a, out=t0), mul(r1, b, out=t1), out=t0), n00, out=new[4])
+        add(add(mul(r0, c, out=t0), mul(r1, d, out=t1), out=t0), n01, out=new[5])
+        add(mul(c, u, out=r0), mul(v, d, out=t0), out=r0)
+        add(mul(c, v, out=r1), mul(w, d, out=t0), out=r1)
+        add(add(mul(r0, c, out=t0), mul(r1, d, out=t1), out=t0), n11, out=new[6])
     # a segment of odd length ends in rows 7-13
     odd = length % 2 == 1
     work[:7, odd] = work[7:14, odd]
 
-    # moments (x, y, z) -> P [[x, y], [y, z]] P^T + Q, column by column,
-    # into rows 7-15; the constant column is Q itself, rows 4-6
+    # moments -> P Sigma P^T + Q: _congruence's columns into rows 7-15; the
+    # constant column is Q itself, rows 4-6
     p, q, r, s = work[:4]
-    x0, y0, z0, x1, y1, z1, x2, y2, z2, t = work[7:17]
-    mul(p, p, out=x0), mul(p, r, out=y0), mul(r, r, out=z0)
-    mul(mul(p, q, out=x1), 2.0, out=x1)
-    add(mul(p, s, out=y1), mul(q, r, out=t), out=y1)
-    mul(mul(r, s, out=z1), 2.0, out=z1)
-    mul(q, q, out=x2), mul(q, s, out=y2), mul(s, s, out=z2)
+    np.stack([x for column in zip(*_congruence(((p, q), (r, s)))) for x in column], out=work[7:16])
     maps = (work[7:10], work[10:13], work[13:16], work[4:7])
     return maps, np.argsort(order).tolist()
 
@@ -318,7 +322,7 @@ def run_ensemble(
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    kick_indices = np.array(_sample_indices(n_kicks, stride))
+    kick_indices = _sample_indices(n_kicks, stride)
 
     cycle = cycle_map(params, tau, noise.mean_theta)
     v0 = thermal_state(params)

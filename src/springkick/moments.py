@@ -13,6 +13,13 @@ and the stationary state is that evaluator's limit.  On the moment vector
 the same period is a 3x3 affine map v -> A v + v_inh, with
 rho(A) = max |lambda(T)|^2; tests/oracles.py keeps that route as the
 reference the tests check against.
+
+Every evaluator, here and in the ensemble, forms its 2x2 algebra from the
+same four helpers, one product at a time in a fixed order: T(theta) from
+_shear, the moment maps Sigma -> P Sigma P^T and Sigma -> U Sigma + Sigma U^T
+from _congruence and _lyapunov, and each row applied to a state by _dot.
+None goes through numpy's matrix product, whose rounding depends on the
+BLAS kernel picked at run time, so a run's bytes do not.
 """
 
 from __future__ import annotations
@@ -82,15 +89,15 @@ def _check_physical(q, qp, p, kicks=None) -> None:
     """The one physicality rule: raise unless every state (q, qp, p), floats
     or arrays, has positive variances and det = q*p - qp^2 >= 1/4, up to
     _det_and_tol's rounding.  With kicks, the kick of each state of the
-    arrays, the error names the first offending state and its kick; without,
-    the smallest value."""
+    arrays' rows (with a column per trajectory, if any), the error names the
+    first offending state and its kick; without, the smallest value."""
     any_of = np.any if isinstance(q, np.ndarray) else bool
 
     def first(x, bad):
         if kicks is None:
             return np.min(x), ""
-        i = int(np.argmax(bad))
-        return x[i], f" at kick {kicks[i]}"
+        at = tuple(np.argwhere(bad)[0])
+        return x[at], f" at kick {kicks[at[0]]}"
 
     for name, x in (("sigma_q", q), ("sigma_p", p)):
         if any_of(x <= 0):
@@ -253,6 +260,25 @@ def _slow_mode_j00(g: float, t: float, z: float, r1: float) -> float:
     ) / (2.0 * g)
 
 
+def _dot(row, x):
+    """row[0] x[0] + row[1] x[1] + ..., summed left to right: one row of a
+    map applied to a state.  Floats or arrays, broadcast as numpy does, so
+    row's entries may also be a map's columns, applying every row at once."""
+    total = row[0] * x[0]
+    for a, b in zip(row[1:], x[1:]):
+        total = total + a * b
+    return total
+
+
+def _shear(F, theta) -> tuple:
+    """T = F S(theta), the flight F after the shear S(theta) = [[1, 0],
+    [-2 theta, 1]], as nested pairs, one entry at a time; theta a float or
+    an array of draws.  2 theta f rounds once however it is grouped, so
+    theta (2 f) costs no array operation more than it must."""
+    (f00, f01), (f10, f11) = F
+    return (f00 - theta * (2.0 * f01), f01), (f10 - theta * (2.0 * f11), f11)
+
+
 def _congruence(P) -> tuple:
     """Rows of Sigma -> P Sigma P^T on the moments (sigma_q, sigma_qp,
     sigma_p), for a 2x2 P as nested sequences: P's symmetric Kronecker square."""
@@ -262,6 +288,13 @@ def _congruence(P) -> tuple:
         (a * c, a * d + b * c, b * d),
         (c * c, 2 * c * d, d * d),
     )
+
+
+def _lyapunov(P) -> tuple:
+    """Rows of Sigma -> P Sigma + Sigma P^T on the moments, for a 2x2 P as
+    nested sequences, as _congruence gives those of P Sigma P^T."""
+    (a, b), (c, d) = P
+    return ((2 * a, 2 * b, 0.0), (c, a + d, b), (0.0, 2 * c, 2 * d))
 
 
 def _flight(params: MechanicalParams, t: float) -> tuple:
@@ -358,14 +391,13 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
     if not math.isfinite(4.0 * theta * theta):
         raise ValueError(f"theta = {theta} overflows the kick map: 4 theta^2 is not finite")
     F, v_inh = _flight(params, tau)
-    F = np.array(F)
-    T = F @ np.array([[1.0, 0.0], [-2.0 * theta, 1.0]])
+    T = _shear(F, theta)
     # A's eigenvalues are the pairwise products of T's, whose product is
     # det T = delta^2 = e^{-gamma tau}: so rho(A) = max |lambda(T)|^2, which
     # is delta^2 for a complex pair and (|h| + sqrt(h^2 - delta^2))^2 for a
     # real one, h = tr T/2, with h^2 - delta^2 factored so it does not cancel
     decay = params.gamma_m * tau
-    h = abs(0.5 * float(T[0, 0] + T[1, 1]))
+    h = abs(0.5 * (T[0][0] + T[1][1]))
     delta = math.exp(-0.5 * decay)
     if h < delta:
         rho = math.exp(-decay)
@@ -376,10 +408,10 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
         tau=tau,
         theta=theta,
         params=params,
-        F=F,
+        F=np.array(F),
         v_inh=np.array(v_inh),
         spectral_radius=rho,
-        T=T,
+        T=np.array(T),
     )
 
 
@@ -392,8 +424,9 @@ def cycle_map(params: MechanicalParams, tau: float, theta: float) -> CycleMap:
 # in tests/oracles.py as the reference both are tested against.
 
 
-def _sample_indices(n_kicks: int, stride: int) -> list[int]:
-    """Kicks at which a run records its state: 0, every stride-th, and n_kicks.
+def _sample_indices(n_kicks: int, stride: int) -> np.ndarray:
+    """Kicks at which a run records its state, as an int64 array: 0, every
+    stride-th, and n_kicks.
 
     The one sampling rule of every evolve.  Raises ValueError unless
     n_kicks >= 0 and stride >= 1.
@@ -402,10 +435,9 @@ def _sample_indices(n_kicks: int, stride: int) -> list[int]:
         raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    idx = [0]
-    idx.extend(range(stride, n_kicks + 1, stride))
-    if n_kicks > 0 and idx[-1] != n_kicks:
-        idx.append(n_kicks)
+    idx = np.arange(0, n_kicks + 1, stride, dtype=np.int64)
+    if idx[-1] != n_kicks:
+        idx = np.append(idx, np.int64(n_kicks))
     return idx
 
 
@@ -576,13 +608,14 @@ _ENVELOPE_MARGIN = 1e-6
 
 
 def _squeezed_from(limit, const, weights, phi: float, expm1_r: float, decay: float) -> int | None:
-    """A kick from which every state const + weights @ terms(n) of the
-    closed form (see stroboscopic_evolve) is squeezed with room to spare,
-    or None where the form's limit is not.
+    """A kick from which every state of the closed form (see
+    stroboscopic_evolve), row i const[i] + _dot(weights[i], terms(n)), is
+    squeezed with room to spare, or None where the form's limit is not.
 
-    For the minor axis v of the limit x_inf = const - weights[:, 3]/expm1_r,
-    Rayleigh-Ritz gives sigma_min(Sigma_n) <= v^T Sigma_n v (R. A. Horn and
-    C. R. Johnson, Matrix Analysis, 4.2).  Let g(n) = v^T Sigma_n v +
+    For the minor axis v of the limit x_inf = const - w_3/expm1_r, with w_3
+    the fourth column of weights, Rayleigh-Ritz gives
+    sigma_min(Sigma_n) <= v^T Sigma_n v (R. A. Horn and C. R. Johnson,
+    Matrix Analysis, 4.2).  Let g(n) = v^T Sigma_n v +
     _ENVELOPE_MARGIN tr Sigma_n.  Rewriting the r^n terms through
     sin^2(n phi) = (1 - cos(2n phi))/2 and their kin, and G = (1 - r^n)/(1 - r),
     gives exactly g(n) = g_inf + r^n (c0 + Re(e^{2 i n phi} Z)), with
@@ -593,13 +626,13 @@ def _squeezed_from(limit, const, weights, phi: float, expm1_r: float, decay: flo
     """
     q, qp, p = limit
     h = math.hypot(p - q, 2.0 * qp)
-    # v = (cos a, sin a) with (cos 2a, sin 2a) = (c2, s2); g(n) is rho @ the
-    # state (sigma_q, sigma_qp, sigma_p) after n kicks
+    # v = (cos a, sin a) with (cos 2a, sin 2a) = (c2, s2); g(n) is the row
+    # rho applied to the state (sigma_q, sigma_qp, sigma_p) after n kicks
     c2, s2 = ((p - q) / h, -2.0 * qp / h) if h > 0.0 else (0.0, 0.0)
     m = _ENVELOPE_MARGIN
-    rho = np.array([0.5 * (1.0 + c2) + m, s2, 0.5 * (1.0 - c2) + m])
-    a0, a1, a2, a3, a4, a5 = (rho @ weights).tolist()
-    room = 0.5 - (float(rho @ const) - a3 / expm1_r)
+    rho = (0.5 * (1.0 + c2) + m, s2, 0.5 * (1.0 - c2) + m)
+    a0, a1, a2, a3, a4, a5 = (_dot(rho, column) for column in zip(*weights))
+    room = 0.5 - (_dot(rho, const) - a3 / expm1_r)
     c1, s1 = math.cos(phi), math.sin(phi)
     lead = a3 / expm1_r + 0.5 * (a0 - a1 * c1 + a2) + math.hypot(
         a4 - 0.5 * (a0 - a1 * c1 + a2 * (c1 - s1) * (c1 + s1)),
@@ -643,8 +676,9 @@ def _closed_form(cycle: CycleMap) -> _Evaluator | None:
         return None
     # T's entries, of order 2 theta, are below about 1e154, since cycle_map
     # keeps 4 theta^2 finite; so U's entries are finite
-    U = cycle.T / math.exp(-0.5 * decay)
-    cos_phi = 0.5 * float(U[0, 0] + U[1, 1])
+    delta = math.exp(-0.5 * decay)
+    U = [[x / delta for x in row] for row in cycle.T.tolist()]
+    cos_phi = 0.5 * (U[0][0] + U[1][1])
     if not (abs(cos_phi) < 1.0 and (1.0 - cos_phi) * (1.0 + cos_phi) >= _MIN_SIN_PHI**2):
         return None
     phi_parts, step_parts = _eigenphase(cycle)
@@ -655,13 +689,14 @@ def _closed_form(cycle: CycleMap) -> _Evaluator | None:
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     r = math.exp(-decay)
     expm1_r = math.expm1(-decay)
+    sin2 = sin_phi * sin_phi
+    K, L = _congruence(U), _lyapunov(U)
 
-    def basis(X):
-        """(q, qp, p) of U X U^T, U X + X U^T and X over sin^2(phi), as the
-        columns of a (3, 3) matrix."""
-        UX = U @ X
-        terms = np.array([UX @ U.T, UX + UX.T, X])
-        return terms[:, [0, 0, 1], [0, 1, 1]].T / (sin_phi * sin_phi)
+    def basis(x):
+        """Rows (q, qp, p) of U X U^T, U X + X U^T and X over sin^2(phi),
+        for X of the moments x: a 3x3 of floats, which overflow to inf
+        silently, for stroboscopic_evolve's DivergenceError to report."""
+        return [(_dot(o, x) / sin2, _dot(i, x) / sin2, y / sin2) for o, i, y in zip(K, L, x)]
 
     # sum_{k<n} T^k N T^k^T = (alpha U N U^T - beta (U N + N U^T) + gamma N)
     # / (2 s^2), with s = sin(phi), G = sum_{k<n} r^k and
@@ -672,53 +707,43 @@ def _closed_form(cycle: CycleMap) -> _Evaluator | None:
     # x + i y = e^{-i psi}/(1 - r e^{2 i phi}).  1 - r cos(2 phi) is formed as
     # 2 r s^2 - expm1(-gamma tau) so that it does not cancel.  No float
     # stationary state enters: its rounding would leak into every row.
-    w = 1.0 / complex(2.0 * r * sin_phi * sin_phi - expm1_r, -r * math.sin(2.0 * phi))
+    w = 1.0 / complex(2.0 * r * sin2 - expm1_r, -r * math.sin(2.0 * phi))
     turn = complex(cos_phi, -sin_phi)
-    w = np.array([w, w * turn, w * turn * turn])
-    b0, b1, b2 = cycle.v_inh
-    # overflow here is reported by stroboscopic_evolve's DivergenceError,
-    # not by warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        noise = basis(np.array([[b0, b1], [b1, b2]])) * np.array([0.5, -0.5, 0.5])
-        # state after n kicks = const + weights @ (r^n sin^2(n phi),
-        # -r^n sin(n phi) sin((n-1) phi), r^n sin^2((n-1) phi), G,
-        # r^n cos(2n phi), r^n sin(2n phi))
-        const = -noise @ w.real
-        # weights' last three columns, the ones that v0 leaves alone
-        drive = np.column_stack(
-            [noise @ np.array([1.0, cos_phi, 1.0]), noise @ w.real, -noise @ w.imag]
-        )
-        limit = (const - drive[:, 0] / expm1_r).tolist()
+    w = (w, w * turn, w * turn * turn)
+    w_re, w_im = [z.real for z in w], [z.imag for z in w]
+    noise = [(a * 0.5, b * -0.5, c * 0.5) for a, b, c in basis(cycle.v_inh.tolist())]
+    # row i of the state after n kicks is const[i] + _dot(weights[i],
+    # (r^n sin^2(n phi), -r^n sin(n phi) sin((n-1) phi), r^n sin^2((n-1) phi),
+    # G, r^n cos(2n phi), r^n sin(2n phi)))
+    const = [-_dot(row, w_re) for row in noise]
+    # weights' last three columns, the ones that v0 leaves alone
+    drive = [(_dot(x, (1.0, cos_phi, 1.0)), -c, -_dot(x, w_im)) for x, c in zip(noise, const)]
+    limit = [c - d[0] / expm1_r for c, d in zip(const, drive)]
     try:
         MomentVector(*limit)
     except ValueError:  # not finite, or not physical
         return None
 
     def start(v0):
-        X = np.array([[v0.sigma_q, v0.sigma_qp], [v0.sigma_qp, v0.sigma_p]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = np.column_stack([basis(X), drive])
+        x0 = (v0.sigma_q, v0.sigma_qp, v0.sigma_p)
+        weights = [(*b, *d) for b, d in zip(basis(x0), drive)]
 
         def states(n):
-            if len(n) == 1:
-                # weights @ terms is a gemv for one column, which rounds
-                # otherwise than the gemm of a longer block: take it as two
-                return states(np.repeat(n, 2))[:, :1]
             n_hi = np.floor(n / _PHASE_STEP)
             a = _reduce_phase(n - n_hi * _PHASE_STEP, phi_parts, turns)
             a += _reduce_phase(n_hi, step_parts, step_turns)
             s_n, c_n = np.sin(a), np.cos(a)
             s_m = s_n * cos_phi - c_n * sin_phi
             r_n = np.exp(n * -decay)
-            terms = np.array([
+            terms = (
                 r_n * s_n * s_n,
                 -r_n * s_n * s_m,
                 r_n * s_m * s_m,
                 np.expm1(n * -decay) / expm1_r,
                 r_n * (1.0 - 2.0 * s_n * s_n),
                 r_n * (2.0 * s_n * c_n),
-            ])
-            return const[:, None] + weights @ terms
+            )
+            return np.array([c + _dot(row, terms) for c, row in zip(const, weights)])
 
         return states, _squeezed_from(limit, const, weights, phi, expm1_r, decay)
 
@@ -745,9 +770,8 @@ def _powers(cycle: CycleMap) -> _Evaluator:
     for _ in range(53):
         K = _congruence(P)
         maps.append((K, Q))
-        Q = [k0 * Q[0] + k1 * Q[1] + k2 * Q[2] + x for (k0, k1, k2), x in zip(K, Q)]
-        (a, b), (c, d) = P
-        P = [[a * a + b * c, a * b + b * d], [c * a + d * c, c * b + d * d]]
+        Q = [_dot(k, Q) + x for k, x in zip(K, Q)]
+        P = [[_dot(row, column) for column in zip(*P)] for row in P]
 
     def start(v0):
         def states(n):
@@ -755,11 +779,7 @@ def _powers(cycle: CycleMap) -> _Evaluator:
             state = [np.full(n.shape, x) for x in (v0.sigma_q, v0.sigma_qp, v0.sigma_p)]
             for bit, (K, N) in enumerate(maps[: int(n.max()).bit_length()]):
                 on = (n & (1 << bit)) != 0
-                q, qp, p = state
-                state = [
-                    np.where(on, k0 * q + k1 * qp + k2 * p + x, old)
-                    for (k0, k1, k2), x, old in zip(K, N, state)
-                ]
+                state = [np.where(on, _dot(k, state) + x, old) for k, x, old in zip(K, N, state)]
             return np.array(state)
 
         return states, None
@@ -826,7 +846,7 @@ def stroboscopic_evolve(
     """
     if n_kicks >= 2**53:
         raise ValueError(f"n_kicks must be below 2^53, got {n_kicks}")
-    kicks = np.array(_sample_indices(n_kicks, sample_stride))
+    kicks = _sample_indices(n_kicks, sample_stride)
     states, squeezed_from = cycle._evaluator.start(v0)
     hi = n_kicks if squeezed_from is None else min(n_kicks, squeezed_from)
     q, qp, p = v0.sigma_q, v0.sigma_qp, v0.sigma_p
@@ -879,10 +899,11 @@ def _intra_rows(
     v = v_at_kick
     kicked = MomentVector(*_kick(v.sigma_q, v.sigma_qp, v.sigma_p, cycle.theta)).as_array()
     offsets = [cycle.tau * j / (n_samples - 1) for j in range(n_samples)]
-    flights = [_flight(cycle.params, s) for s in offsets]
-    # every offset's flight M kicked + v_inh, as one stacked product
-    M = np.array([_congruence(F) for F, _ in flights])
-    rows = M @ kicked + np.array([v_inh for _, v_inh in flights])
+    F, v_inh = (np.array(x) for x in zip(*(_flight(cycle.params, s) for s in offsets)))
+    # every offset's flight M kicked + v_inh, each row's sum over every
+    # offset at once: F's entries and v_inh's as columns across the offsets
+    M = _congruence(F.transpose(1, 2, 0))
+    rows = np.column_stack([_dot(m, kicked) + b for m, b in zip(M, v_inh.T)])
     for name, x in zip(("sigma_q", "sigma_qp", "sigma_p"), rows.T):
         if not np.isfinite(x).all():
             raise ValueError(f"{name} must be finite, got {x[~np.isfinite(x)][0]}")

@@ -102,7 +102,7 @@ def _iterate(
     past it, and with _check_physical's error at the first unphysical
     sampled state, iterating about _PHYSICAL_SPAN kicks past it at most.
     """
-    kicks = _sample_indices(n_kicks, sample_stride)
+    kicks = _sample_indices(n_kicks, sample_stride).tolist()
     theta = cycle.theta
     t2 = 2.0 * theta
     t4 = 4.0 * theta
@@ -310,7 +310,7 @@ def lockstep_run_block(
     of the scalar loop _iterate, so a zero-variance block is
     bit-identical to the deterministic iteration.
     """
-    kicks = _sample_indices(n_kicks, stride)
+    kicks = _sample_indices(n_kicks, stride).tolist()
     # M's columns as (3, 1) arrays: row r of c0*q + c1*qp_k + c2*p_k + b is
     # m_r0*q + m_r1*qp_k + m_r2*p_k + b_r, the scalar loop's sum in its order
     c0, c1, c2 = np.hsplit(np.array(_congruence(cycle.F.tolist())), 3)

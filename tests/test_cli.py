@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: exit codes, CSV schema, determinism."""
 
+import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -352,6 +354,63 @@ class TestDeterminism:
                 ["--scenario", "fig1", "--kicks", "3000", "--out", str(tmp_path / name), "--quiet"]
             ) == 0
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+def _openblas_on_x86_64() -> bool:
+    """Whether numpy was built against OpenBLAS and runs on x86-64, where
+    OPENBLAS_CORETYPE picks the BLAS kernel at start-up."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    x86_64 = platform.machine().lower() in ("x86_64", "amd64")
+    return x86_64 and "openblas" in str(blas.get("name", "")).lower()
+
+
+RES1 = """
+[mechanical]
+omega_m = 1000.0
+gamma_m = 0.001532
+n_bar = 0.0
+
+[kick]
+theta = 2.0
+
+[schedule]
+tau = 0.0031415926535897933
+n_kicks = 10000
+stride = 100
+intra_samples = 33
+"""
+
+
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs numpy on OpenBLAS, on x86-64")
+def test_bytes_independent_of_blas_kernel(tmp_path):
+    # no product of the package goes through a BLAS kernel: under
+    # OPENBLAS_CORETYPE=Nehalem fig1's CSV and summary and the physical
+    # run's intra CSV used to differ from a run under the default kernel
+    (tmp_path / "res1.ini").write_text(RES1)
+    physical = readme_physical_example().replace("intra_samples = 0", "intra_samples = 33")
+    (tmp_path / "physical.ini").write_text(physical)
+    runs = [
+        ["--scenario", "fig1", "--kicks", "10000"],
+        ["--config", str(tmp_path / "res1.ini")],
+        ["--config", str(tmp_path / "physical.ini"), "--kicks", "10000", "--trajectories", "4"],
+    ]
+    out = tmp_path / "out"
+    out.mkdir()
+    runs = [[*args, "--out", str(out / f"run{i}"), "--quiet"] for i, args in enumerate(runs)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(springkick.__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = "import sys, json; from springkick.cli import main\n"
+    script += "sys.exit(max(main(args) for args in json.loads(sys.argv[1])))"
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    nehalem = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert len(nehalem) == 8  # fig1 2, res1 3, physical 3
+    for args in runs:
+        assert main(args) == 0
+    assert sorted(name for name, data in nehalem.items() if (out / name).read_bytes() != data) == []
 
 
 class TestIntraTrace:

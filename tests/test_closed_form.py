@@ -331,7 +331,7 @@ class TestPowersAgainstLoop:
         cyc = cycle_map(*cycle)
         assume(_closed_form(cyc) is None)
         got, ref = (outcome(f, v0, cyc, n_kicks, stride) for f in (stroboscopic_evolve, _iterate))
-        kicks = _sample_indices(n_kicks, stride)
+        kicks = _sample_indices(n_kicks, stride).tolist()
         # the powered rows, unchecked, judge the ties below
         with np.errstate(over="ignore", invalid="ignore"):
             rows = _powers(cyc).start(v0)[0](np.array(kicks, dtype=float)).T

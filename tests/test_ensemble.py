@@ -28,6 +28,7 @@ from springkick import (
 )
 from springkick import ensemble
 from springkick.ensemble import RNG_BLOCK, _run_block
+from springkick.moments import _congruence
 
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 TAU = 1e-7
@@ -106,6 +107,15 @@ class TestTrajectory:
         with pytest.raises(UnphysicalStateError, match="< 1/4 at kick 900000$"):
             run_trajectory(FIG, TAU, noise, 1_000_000, 100_000, trajectory_seed(1, 0))
 
+    def test_unphysical_samples_raise_in_the_ensemble(self):
+        # the same draws as trajectory 0 of a two-trajectory ensemble: the
+        # ensemble checks each chunk's rows across every trajectory and names
+        # the first such sample, where it used to report only the smallest
+        # determinant of the whole cube, 0.1778, with no kick
+        noise = KickNoiseModel(20.0, 1e-3)
+        with pytest.raises(UnphysicalStateError, match="< 1/4 at kick 900000$"):
+            run_ensemble(FIG, TAU, noise, 1_000_000, 100_000, n_traj=2, base_seed=1)
+
 
 def seed_draws(seed, n):
     """The first n draws of a trajectory's stream, drawn RNG_BLOCK at a time."""
@@ -179,6 +189,30 @@ class TestComposed:
             worst = max(row_error(r, x) for r, x in zip(composed, ref))
             worst_lockstep = max(row_error(r, x) for r, x in zip(lockstep, ref))
             assert worst <= worst_lockstep, (base, worst, worst_lockstep)
+
+    @pytest.mark.parametrize(
+        "params, tau, theta",
+        [
+            (FIG, TAU, 10.0),
+            (FIG, TAU, -3.7),
+            (MechanicalParams(1e3, 1.532e-3, 0.0), math.pi / 1e3, 2.0),
+            (MechanicalParams(1e3, 3e3, 5.0), 1e-3, 1.0),
+        ],
+        ids=["fig1", "negative", "res1", "overdamped"],
+    )
+    def test_one_kick_segment_is_the_period_map(self, params, tau, theta):
+        # T(theta) of a segment comes from the _shear that cycle_map forms T
+        # with, and its moment map from the same _congruence: a one-kick
+        # segment at the draw theta = cycle.theta is the cycle's period bit
+        # for bit, on every trajectory
+        cyc = cycle_map(params, tau, theta)
+        blk = np.full((1, 3), theta)
+        work = np.empty((ensemble._WORK_ROWS, 1, 3))
+        (c0, c1, c2, const), [j] = ensemble._segment_maps(cyc, blk, 0, [1], work)
+        for i in range(3):
+            got = np.column_stack([c0[:, j, i], c1[:, j, i], c2[:, j, i]])
+            assert np.array_equal(got, np.array(_congruence(cyc.T.tolist()))), i
+            assert np.array_equal(const[:, j, i], cyc.v_inh), i
 
     def test_draws_map_to_kicks(self):
         # which draw drives which kick across an RNG block boundary, at a

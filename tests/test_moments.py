@@ -37,7 +37,14 @@ from springkick import (
     stroboscopic_evolve,
     thermal_state,
 )
-from springkick.moments import _congruence, _flight, _kick, metric_arrays
+from springkick.moments import (
+    _congruence,
+    _flight,
+    _kick,
+    _sample_indices,
+    _shear,
+    metric_arrays,
+)
 
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 TAU = 1e-7
@@ -352,6 +359,20 @@ class TestKick:
         ) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "n_kicks, stride", [(0, 1), (0, 7), (5, 9), (5, 5), (12, 4), (13, 4), (1, 1), (10, 1)]
+)
+def test_sample_indices_follow_the_list_rule(n_kicks, stride):
+    # 0, every stride-th kick and n_kicks, as one int64 array: also at
+    # n_kicks = 0, at a stride past n_kicks and where stride does not divide it
+    want = [0, *range(stride, n_kicks + 1, stride)]
+    if n_kicks > 0 and want[-1] != n_kicks:
+        want.append(n_kicks)
+    got = _sample_indices(n_kicks, stride)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
 class TestCycle:
     @pytest.mark.parametrize(
         "key, params", [("omega_m", (1.3e154, 1.0, 1.0)), ("gamma_m", (5e5, 1e200, 10.0))]
@@ -369,10 +390,11 @@ class TestCycle:
             assert np.isfinite(A).all() and np.isfinite(b).all()
 
     def test_composition_order(self):
-        # kick, then flight: T = F S(theta), whose congruence is the
-        # oracle's A = M(tau) K(theta), and the noise is the flight's alone
+        # kick, then flight: T = F S(theta), formed by _shear alone, whose
+        # congruence is the oracle's A = M(tau) K(theta), and the noise is
+        # the flight's alone
         cyc = cycle_map(FIG, TAU, 10.0)
-        assert np.array_equal(cyc.T, cyc.F @ np.array([[1.0, 0.0], [-20.0, 1.0]]))
+        assert np.array_equal(cyc.T, _shear(cyc.F.tolist(), 10.0))
         A, b = period_map(cyc)
         assert rel_diff(A, _congruence(cyc.T.tolist())) < 1e-14
         assert np.array_equal(b, flight_map(FIG, TAU)[1])
@@ -649,16 +671,20 @@ class TestIntraPeriod:
         ids=["fig1", "theta-100", "res1", "overdamped"],
     )
     def test_rows_equal_per_offset_oracle(self, params, tau, theta):
-        # the stacked product of every offset's flight, bit for bit the
-        # oracle's M(s) kicked + v_inh(s) taken one offset at a time
+        # the row sums over every offset at once, bit for bit the oracle's
+        # M(s) kicked + v_inh(s) taken one offset at a time as the sum of
+        # M's columns in order, and within 1e-15 of its matrix product
         cyc = cycle_map(params, tau, theta)
         v = MomentVector(3.0, 0.7, 2.0)
         kicked = kick(v, theta).as_array()
+        k0, k1, k2 = kicked.tolist()
         trace = intra_period_trace(v, cyc, 33)
         assert np.array_equal(trace[0][1].as_array(), kicked)
         for s, row in trace:
             M, v_inh = flight_map(params, s)
-            assert np.array_equal(row.as_array(), M @ kicked + v_inh), s
+            ref = M[:, 0] * k0 + M[:, 1] * k1 + M[:, 2] * k2 + v_inh
+            assert np.array_equal(row.as_array(), ref), s
+            assert rel_diff(row.as_array(), M @ kicked + v_inh) <= 1e-15, s
 
     def test_undamped_trace_conserves_energy(self):
         params = MechanicalParams(5e5, 0.0, 3.0)
