@@ -4,15 +4,17 @@ Pulse-energy fluctuations make the kick strength vary from kick to kick; each
 trajectory draws an independent theta per kick from a Gaussian.  One period
 maps the covariance as Sigma -> T(theta) Sigma T(theta)^T + N, so a run of
 kicks composes into one map Sigma -> P Sigma P^T + Q.  _run_block does not
-step every kick at the ensemble's width: it cuts each RNG block into
-segments of at most SEGMENT kicks that end at every sample point, builds all
-their (P, Q) at once, across segments and trajectories, and then chains the
-segments.  The arithmetic is elementwise and the segments depend only on the
-kick count and the stride, so each column depends only on its own seed, and
-a single trajectory is column 0 of a one-seed block.  T(theta), the
-segments' moment maps and the chain's row sums come from the helpers that
-the deterministic evaluators use (moments._shear, _congruence and _dot), so
-no product goes through a BLAS kernel.
+step every kick at the ensemble's width: it cuts the run into segments of
+at most SEGMENT kicks that end at every sample point and takes them a chunk
+at a time.  Each chunk draws its own kicks, builds all its segments' (P, Q)
+at once, across segments and trajectories, and then chains the segments.
+The arithmetic is elementwise and the segments depend only on the kick
+count and the stride, never on the width or the chunking, so each column
+depends only on its own seed, and a single trajectory is column 0 of a
+one-seed block.  T(theta), the segments' moment maps and the chain's row
+sums come from the helpers that the deterministic evaluators use
+(moments._shear, _congruence and _dot), so no product goes through a BLAS
+kernel.
 
 The composed rows are not the kick-by-kick iteration bit for bit, so a
 zero-variance ensemble is not bitwise the deterministic run.
@@ -46,16 +48,14 @@ from .moments import (
     thermal_state,
 )
 
-# Kicks per RNG block: one buffered draw per trajectory per block keeps
-# generator call overhead negligible without holding the whole noise
-# history in memory.
-RNG_BLOCK = 4096
-# Longest segment, in kicks; it divides RNG_BLOCK.  Fixed, so that segment
-# boundaries depend on neither the width nor anything but the sample points.
+# Longest segment, in kicks.  Fixed, so that segment boundaries depend on
+# neither the width nor anything but the sample points.
 SEGMENT = 64
-# Segments times trajectories whose maps are built at once.  Bounds the
-# memory of a build, never its result: each segment's arithmetic is its own.
-_CHUNK = 12288
+# Segments times trajectories per chunk: their maps are built at once, from
+# the chunk's own draws.  Bounds the memory of a chunk, never its result:
+# each segment's arithmetic is its own.  At fig3's width and stride (100,
+# 100) a chunk is 102 segments, about 4,096 kicks.
+_CHUNK = 10240
 # Rows of _segment_maps' work buffer
 _WORK_ROWS = 18
 # (P, Q) of an empty segment: P00, P01, P10, P11, Q00, Q01, Q11
@@ -176,16 +176,17 @@ def _run_block(
 
     Returns the sampled cube with shape (n_samples, len(seeds), 3), one row
     per kick of _sample_indices(n_kicks, stride).  Kick n uses draw n - 1 of
-    its seed's generator, drawn RNG_BLOCK at a time.  Each RNG block is cut
-    into segments (_segment_ends); every segment's map is built at once
-    (_segment_maps) and the segments are then chained in kick order, writing
-    a row at each sample point.  All arithmetic is elementwise and the
-    segments do not depend on the width, so the column for seed s depends
-    only on s.  The rows of each chunk of segments are checked as
-    stroboscopic_evolve checks its blocks, across every trajectory: first
-    DivergenceError at the first sampled kick whose determinant float64 no
-    longer holds (_check_finite), then _check_physical's errors, naming the
-    first unphysical sampled kick.
+    its seed's generator.  The run is cut into segments (_segment_ends),
+    taken a chunk of at most _CHUNK // width segments at a time: each
+    generator draws exactly the chunk's kicks, every segment's map is built
+    at once (_segment_maps), and the segments are then chained in kick
+    order, writing a row at each sample point.  All arithmetic is
+    elementwise and the segments depend on neither the width nor the
+    chunking, so the column for seed s depends only on s.  The rows of each
+    chunk are checked as stroboscopic_evolve checks its blocks, across every
+    trajectory: first DivergenceError at the first sampled kick whose
+    determinant float64 no longer holds (_check_finite), then
+    _check_physical's errors, naming the first unphysical sampled kick.
     """
     kicks = _sample_indices(n_kicks, stride)
     width = len(seeds)
@@ -194,55 +195,58 @@ def _run_block(
     cube = np.empty((len(kicks), width, 3))
     cube[0] = x.T
     row = 1
-    blk = np.empty((RNG_BLOCK, width))
-    per_chunk = max(1, min(_CHUNK // width, RNG_BLOCK, n_kicks))
+    per_chunk = max(1, min(_CHUNK // width, n_kicks))
     work = np.empty((_WORK_ROWS, per_chunk, width))
+    start = 0
     # overflow is reported by the DivergenceError below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for n0 in range(0, n_kicks, RNG_BLOCK):
+        while start < n_kicks:
+            ends = _segment_ends(start, per_chunk, kicks)
+            m = ends[-1] - start
+            draws = np.empty((m, width))
             for i, g in enumerate(gens):
-                blk[:, i] = g.normal(noise.mean_theta, noise.std, size=RNG_BLOCK)
-            ends = _segment_ends(n0, min(RNG_BLOCK, n_kicks - n0), kicks)
-            for c in range(0, len(ends), per_chunk):
-                start = ends[c - 1] if c else 0
-                chunk = ends[c : c + per_chunk]
-                maps, lanes = _segment_maps(cycle, blk, start, chunk, work)
-                c0, c1, c2, const = maps
-                first = row
-                for end, j in zip(chunk, lanes):
-                    x = _dot((c0[:, j], c1[:, j], c2[:, j]), x) + const[:, j]
-                    if n0 + end == kicks[row]:
-                        cube[row] = x.T
-                        row += 1
-                done = cube[first:row].transpose(2, 0, 1)
-                _check_finite(kicks[first:row], *done)
-                _check_physical(*done, kicks[first:row])
+                draws[:, i] = g.normal(noise.mean_theta, noise.std, size=m)
+            maps, lanes = _segment_maps(cycle, draws, np.subtract(ends, start), work)
+            # so that two chunks' draws are never held at once
+            del draws
+            c0, c1, c2, const = maps
+            first = row
+            for end, j in zip(ends, lanes):
+                x = _dot((c0[:, j], c1[:, j], c2[:, j]), x) + const[:, j]
+                if end == kicks[row]:
+                    cube[row] = x.T
+                    row += 1
+            done = cube[first:row].transpose(2, 0, 1)
+            _check_finite(kicks[first:row], *done)
+            _check_physical(*done, kicks[first:row])
+            start += m
     return cube
 
 
-def _segment_ends(n0: int, m: int, kicks: np.ndarray) -> list[int]:
-    """Ends of the segments of the RNG block of kicks n0 + 1 .. n0 + m.
+def _segment_ends(start: int, count: int, kicks: np.ndarray) -> list[int]:
+    """Ends of the next count segments after kick start, fewer at the run's
+    end kicks[-1].
 
-    Offsets into the block: every multiple of SEGMENT, every sample point
-    and m.  So a segment holds at most SEGMENT kicks and never crosses a
-    sample point or a block boundary.
+    A segment ends at every multiple of SEGMENT and every sample point, so
+    it holds at most SEGMENT kicks and never crosses a sample point.  The
+    first count ends lie among the next count sample points and the next
+    count multiples of SEGMENT, so nothing here grows with the run.
     """
-    lo, hi = np.searchsorted(kicks, (n0, n0 + m), side="right")
-    ends = set((kicks[lo:hi] - n0).tolist())
-    ends.update(range(SEGMENT, m, SEGMENT))
-    ends.add(m)
-    return sorted(ends)
+    lo = np.searchsorted(kicks, start, side="right")
+    ends = set(kicks[lo : lo + count].tolist())
+    stop = min(start + count * SEGMENT, int(kicks[-1]))
+    ends.update(range((start // SEGMENT + 1) * SEGMENT, stop + 1, SEGMENT))
+    return sorted(ends)[:count]
 
 
-def _segment_maps(
-    cycle: CycleMap, blk: np.ndarray, start: int, ends: list[int], work: np.ndarray
-):
-    """Moment-space maps of consecutive segments of an RNG block.
+def _segment_maps(cycle: CycleMap, draws: np.ndarray, ends, work: np.ndarray):
+    """Moment-space maps of the consecutive segments of a chunk.
 
-    The segments run from start to ends[0], ends[0] to ends[1], ... (offsets
-    into blk).  Over one segment the covariance evolves as
-    Sigma -> P Sigma P^T + Q, with P the product of the kicks'
-    T(theta) = F S(theta), S(theta) = [[1, 0], [-2 theta, 1]], and Q the
+    The segments run from 0 to ends[0], ends[0] to ends[1], ... (offsets
+    into draws, the chunk's thetas, one column per trajectory).  Over one
+    segment the covariance evolves as Sigma -> P Sigma P^T + Q, with P the
+    product of the kicks' T(theta) = F S(theta),
+    S(theta) = [[1, 0], [-2 theta, 1]], and Q the
     noise it accumulates from N = v_inh as a 2x2.  (P, Q) are built kick by
     kick, every segment and trajectory at once, with T(theta) from
     moments._shear at the draws, as cycle_map forms it at mean theta; the
@@ -256,7 +260,7 @@ def _segment_maps(
     and const are maps[0][:, j] ... maps[3][:, j] with j = lanes[i], each
     of shape (3, width).
     """
-    bounds = np.array([start, *ends])
+    bounds = np.array([0, *ends])
     order = np.argsort(bounds[:-1] - bounds[1:], kind="stable")
     first = bounds[:-1][order]
     length = (bounds[1:] - bounds[:-1])[order]
@@ -274,7 +278,7 @@ def _segment_maps(
         p00, p01, p10, p11, u, v, w = src[:, :n]
         new = dst[:, :n]
         t0, t1, r0, r1 = work[14:, :n]
-        np.take(blk, first[:n] + k, axis=0, out=t0, mode="clip")
+        np.take(draws, first[:n] + k, axis=0, out=t0, mode="clip")
         (a, b), (c, d) = _shear(F, t0)
         # P -> T P
         add(mul(a, p00, out=t0), mul(p10, b, out=t1), out=new[0])

@@ -25,8 +25,9 @@ BLAS kernel picked at run time, so a run's bytes do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -147,8 +148,10 @@ class CycleMap:
     3x3 map A on the moments decides whether repeated cycles converge to a
     stationary state.
 
-    The map holds its evaluator, built once with it (see stroboscopic_evolve):
-    steady_state reads its limit, and a run adds only its initial state.
+    The map holds its evaluator, built on first use and then kept (see
+    stroboscopic_evolve): steady_state reads its limit, and a run adds only
+    its initial state.  A map read only for F and v_inh, as the ensemble
+    reads it, never builds one.
     """
 
     tau: float
@@ -158,10 +161,10 @@ class CycleMap:
     v_inh: np.ndarray
     spectral_radius: float
     T: np.ndarray
-    _evaluator: "_Evaluator" = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_evaluator", _closed_form(self) or _powers(self))
+    @cached_property
+    def _evaluator(self) -> "_Evaluator":
+        return _closed_form(self) or _powers(self)
 
 
 class StateMetrics(NamedTuple):

@@ -30,7 +30,7 @@ from springkick import (
     MomentVector,
     NoStationaryStateError,
 )
-from springkick.ensemble import RNG_BLOCK, _generator
+from springkick.ensemble import _generator
 from springkick.moments import (
     MechanicalParams,
     Samples,
@@ -325,28 +325,26 @@ def lockstep_run_block(
     cube[0] = x.T
     row = 1
 
-    blk = np.empty((RNG_BLOCK, len(seeds)))
+    # each trajectory's n_kicks draws in one call: the stream does not
+    # depend on how it is cut
+    draws = np.empty((n_kicks, len(seeds)))
+    for i, g in enumerate(gens):
+        draws[:, i] = g.normal(mean, std, size=n_kicks)
     n = 0
-    while n < n_kicks:
-        for i, g in enumerate(gens):
-            blk[:, i] = g.normal(mean, std, size=RNG_BLOCK)
-        used = blk[: n_kicks - n]
-        for j in range(0, len(used), THETA_ROWS):
-            th = used[j : j + THETA_ROWS]
-            t4s = 4.0 * th
-            for t2, t4, t4sq in zip(2.0 * th, t4s, t4s * th):
-                q, qp, p = x
-                qp_k = qp - t2 * q
-                p_k = p - t4 * qp + t4sq * q
-                x = c0 * q + c1 * qp_k + c2 * p_k + b
-                n += 1
-                if n == kicks[row]:
-                    if not np.isfinite(x).all():
-                        raise DivergenceError(
-                            f"moments diverged (non-finite) at kick {n}"
-                        )
-                    cube[row] = x.T
-                    row += 1
+    for j in range(0, n_kicks, THETA_ROWS):
+        th = draws[j : j + THETA_ROWS]
+        t4s = 4.0 * th
+        for t2, t4, t4sq in zip(2.0 * th, t4s, t4s * th):
+            q, qp, p = x
+            qp_k = qp - t2 * q
+            p_k = p - t4 * qp + t4sq * q
+            x = c0 * q + c1 * qp_k + c2 * p_k + b
+            n += 1
+            if n == kicks[row]:
+                if not np.isfinite(x).all():
+                    raise DivergenceError(f"moments diverged (non-finite) at kick {n}")
+                cube[row] = x.T
+                row += 1
     return cube
 
 

@@ -27,7 +27,7 @@ from springkick import (
     trajectory_seed,
 )
 from springkick import ensemble
-from springkick.ensemble import RNG_BLOCK, _run_block
+from springkick.ensemble import _run_block
 from springkick.moments import _congruence
 
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
@@ -83,10 +83,9 @@ class TestTrajectory:
         assert np.array_equal(cube[:, 0], ref_arr)
 
     def test_noisy_draws_map_to_kicks_bitwise(self):
-        # pins which draw drives which kick in the lockstep oracle across an
-        # RNG block boundary, at a stride that divides neither the block nor
-        # the run
-        n_kicks, stride = RNG_BLOCK + 5, 7
+        # pins which draw drives which kick in the lockstep oracle, at a
+        # stride that divides neither SEGMENT nor the run
+        n_kicks, stride = 4101, 7
         cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
         v0 = thermal_state(FIG)
         for seeds in ([11], [11, 12, 13]):
@@ -118,16 +117,13 @@ class TestTrajectory:
 
 
 def seed_draws(seed, n):
-    """The first n draws of a trajectory's stream, drawn RNG_BLOCK at a time."""
-    rng = np.random.default_rng(seed)
-    blocks = range(0, n, RNG_BLOCK)
-    draws = [rng.normal(NOISE.mean_theta, NOISE.std, size=RNG_BLOCK) for _ in blocks]
-    return np.concatenate(draws)[:n]
+    """The first n draws of a trajectory's stream, in one call."""
+    return np.random.default_rng(seed).normal(NOISE.mean_theta, NOISE.std, size=n)
 
 
 def scalar_noisy_run(cyc, v0, n_kicks, stride, seed, skip_from=None):
     """One noisy trajectory, kick by kick on Python floats: kick n uses draw
-    n - 1 of the seed's stream, drawn RNG_BLOCK at a time.  With skip_from,
+    n - 1 of the seed's stream (seed_draws).  With skip_from,
     kicks from that one on use the draw after their own: a one-draw
     misalignment."""
     m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = _unpack_cycle(cyc)
@@ -157,11 +153,11 @@ def rel_diff(a, b) -> float:
 
 
 # The composed path against a kick-by-kick loop over the same draws.  Both
-# round differently, by up to 8.2e-11 at RNG_BLOCK + 5 kicks (seeds 11-13).
-# A one-draw misalignment moves the rows by 6.1e-5 (seed 11, last kick
-# alone) to 2.4e-2 (seed 12, from the second block on); the test measures it.
+# round differently, by up to 8.2e-11 at 4101 kicks (seeds 11-13).  A
+# one-draw misalignment moves the rows by 6.1e-5 (seed 11, last kick alone)
+# to 2.4e-2 (seed 12, from kick 4097 on); the test measures it.
 DRAW_MAP_BOUND = 1e-9
-# Property bound against the lockstep oracle, up to 3 RNG blocks of kicks:
+# Property bound against the lockstep oracle, up to 12,288 kicks:
 # the examples below differ by at most 1.1e-10.  The oracle alone drifts
 # from 30 digits by 8.7e-11 over 4101 kicks (base seed 12345).
 ORACLE_BOUND = 1e-9
@@ -206,18 +202,20 @@ class TestComposed:
         # segment at the draw theta = cycle.theta is the cycle's period bit
         # for bit, on every trajectory
         cyc = cycle_map(params, tau, theta)
-        blk = np.full((1, 3), theta)
+        draws = np.full((1, 3), theta)
         work = np.empty((ensemble._WORK_ROWS, 1, 3))
-        (c0, c1, c2, const), [j] = ensemble._segment_maps(cyc, blk, 0, [1], work)
+        (c0, c1, c2, const), [j] = ensemble._segment_maps(cyc, draws, [1], work)
         for i in range(3):
             got = np.column_stack([c0[:, j, i], c1[:, j, i], c2[:, j, i]])
             assert np.array_equal(got, np.array(_congruence(cyc.T.tolist()))), i
             assert np.array_equal(const[:, j, i], cyc.v_inh), i
 
-    def test_draws_map_to_kicks(self):
-        # which draw drives which kick across an RNG block boundary, at a
-        # stride that divides neither the block nor the run
-        n_kicks, stride = RNG_BLOCK + 5, 7
+    def test_draws_map_to_kicks(self, monkeypatch):
+        # which draw drives which kick across chunk boundaries (192 and 64
+        # segments a chunk at widths 1 and 3), at a stride that divides
+        # neither SEGMENT nor the run
+        monkeypatch.setattr(ensemble, "_CHUNK", 192)
+        n_kicks, stride = 4101, 7
         cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
         v0 = thermal_state(FIG)
         for seeds in ([11], [11, 12, 13]):
@@ -228,9 +226,9 @@ class TestComposed:
         solo = run_trajectory(FIG, TAU, NOISE, n_kicks, stride, seed=11)
         ref = scalar_noisy_run(cyc, v0, n_kicks, stride, 11)
         assert rel_diff(moments_of(solo), ref) <= DRAW_MAP_BOUND
-        # a one-draw misalignment from the first kick of the second block, or
-        # at the last kick alone, moves the rows far beyond the bound
-        for skip_from in (RNG_BLOCK + 1, n_kicks):
+        # a one-draw misalignment from kick 4097 on, or at the last kick
+        # alone, moves the rows far beyond the bound
+        for skip_from in (4097, n_kicks):
             shifted = scalar_noisy_run(cyc, v0, n_kicks, stride, 11, skip_from)
             assert rel_diff(shifted, ref) > 10 * DRAW_MAP_BOUND, skip_from
 
@@ -238,7 +236,7 @@ class TestComposed:
     def test_columns_independent_of_width(self, stride, monkeypatch):
         # column i of a block is bitwise the one-seed run of seed i, also when
         # the segment maps are built a few segments at a time
-        n_kicks = RNG_BLOCK + 77
+        n_kicks = 4173
         cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
         v0 = thermal_state(FIG)
         seeds = [21, 22, 23, 24, 25]
@@ -251,29 +249,69 @@ class TestComposed:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
-        n_kicks=st.integers(0, 3 * RNG_BLOCK),
-        stride=st.integers(1, 3 * RNG_BLOCK + 10),
-        width=st.integers(1, 3),
+        n_kicks=st.integers(0, 12_288),
+        stride=st.integers(1, 12_298),
+        width=st.integers(1, 5),
+        chunk=st.sampled_from([1, 7, 64, ensemble._CHUNK]),
         variance=st.sampled_from([0.0, 1e-6, 1e-3]),
         base=st.integers(0, 2**32 - 1),
     )
-    @example(n_kicks=0, stride=1, width=2, variance=1e-3, base=1)
-    @example(n_kicks=1, stride=1, width=2, variance=1e-3, base=1)
-    @example(n_kicks=RNG_BLOCK - 1, stride=1, width=2, variance=1e-3, base=1)
-    @example(n_kicks=RNG_BLOCK, stride=1, width=2, variance=1e-3, base=1)
-    @example(n_kicks=RNG_BLOCK + 1, stride=1, width=2, variance=1e-3, base=1)
-    @example(n_kicks=RNG_BLOCK + 1, stride=RNG_BLOCK + 2, width=2, variance=1e-3, base=1)
-    @example(n_kicks=50, stride=51, width=1, variance=1e-3, base=2)
-    def test_matches_lockstep_oracle(self, n_kicks, stride, width, variance, base):
+    @example(n_kicks=0, stride=1, width=2, chunk=7, variance=1e-3, base=1)
+    @example(n_kicks=1, stride=1, width=2, chunk=7, variance=1e-3, base=1)
+    # one segment short of a chunk, a whole chunk, and one segment past it
+    @example(n_kicks=63, stride=1, width=1, chunk=64, variance=1e-3, base=1)
+    @example(n_kicks=64, stride=1, width=1, chunk=64, variance=1e-3, base=1)
+    @example(n_kicks=65, stride=1, width=1, chunk=64, variance=1e-3, base=1)
+    # segments of SEGMENT kicks only: chunks end at kicks 2048 and 4096
+    @example(n_kicks=4101, stride=4102, width=2, chunk=64, variance=1e-3, base=1)
+    # one segment a chunk, at a stride that divides neither SEGMENT nor the run
+    @example(n_kicks=200, stride=7, width=5, chunk=1, variance=1e-3, base=1)
+    # 4101 segments against 3413 a chunk
+    @example(n_kicks=4101, stride=1, width=3, chunk=ensemble._CHUNK, variance=1e-3, base=1)
+    @example(n_kicks=50, stride=51, width=1, chunk=ensemble._CHUNK, variance=1e-3, base=2)
+    def test_matches_lockstep_oracle(self, n_kicks, stride, width, chunk, variance, base):
         noise = KickNoiseModel(mean_theta=10.0, variance=variance)
         cyc = cycle_map(FIG, TAU, noise.mean_theta)
         v0 = thermal_state(FIG)
         seeds = [trajectory_seed(base, i) for i in range(width)]
-        composed = _run_block(cyc, v0, noise, n_kicks, stride, seeds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "_CHUNK", chunk)
+            composed = _run_block(cyc, v0, noise, n_kicks, stride, seeds)
         lockstep = lockstep_run_block(cyc, v0, noise, n_kicks, stride, seeds)
         assert composed.shape == lockstep.shape
         for i in range(width):
             assert rel_diff(composed[:, i], lockstep[:, i]) <= ORACLE_BOUND
+
+    @pytest.mark.parametrize(
+        "n_kicks, stride, width, chunk",
+        [(0, 1, 2, None), (1, 1, 1, None), (4101, 7, 1, None), (4101, 1, 3, None),
+         (4101, 7, 3, 7), (20_000, 100, 100, None)],
+    )
+    def test_each_trajectory_draws_n_kicks(self, n_kicks, stride, width, chunk, monkeypatch):
+        # each generator draws exactly the run's kicks, across every chunk,
+        # and no draw past the end
+        counts = []
+        make = ensemble._generator
+
+        class Counting:
+            def __init__(self, seed):
+                self.g = make(seed)
+                self.n = 0
+                counts.append(self)
+
+            def normal(self, loc, scale, size):
+                self.n += size
+                return self.g.normal(loc, scale, size)
+
+        if chunk is not None:
+            monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+        cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
+        seeds = [trajectory_seed(3, i) for i in range(width)]
+        ref = _run_block(cyc, thermal_state(FIG), NOISE, n_kicks, stride, seeds)
+        monkeypatch.setattr(ensemble, "_generator", Counting)
+        cube = _run_block(cyc, thermal_state(FIG), NOISE, n_kicks, stride, seeds)
+        assert np.array_equal(cube, ref)
+        assert [c.n for c in counts] == [n_kicks] * width
 
     def test_divergence_names_the_kick(self):
         # the scalar loop's per-sample determinant test: at n_bar = 1e153 the
