@@ -33,9 +33,16 @@ PULSE_SHAPES = ("rectangular", "gaussian")
 GRID_RESOLUTION_FACTOR = 50.0
 
 # Gauss-Legendre nodes/weights on [0, 1], 8 points; exact through degree 15.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# The reprs of numpy.polynomial.legendre.leggauss(8) mapped from [-1, 1],
+# written out so that the import runs no LAPACK solve.
+_GL_NODES = np.array([
+    0.019855071751231912, 0.10166676129318664, 0.2372337950418355, 0.4082826787521751,
+    0.5917173212478248, 0.7627662049581645, 0.8983332387068134, 0.9801449282487681,
+])
+_GL_WEIGHTS = np.array([
+    0.05061426814518853, 0.11119051722668721, 0.15685332293894344, 0.18134189168918083,
+    0.18134189168918083, 0.15685332293894344, 0.11119051722668721, 0.05061426814518853,
+])
 
 
 class GridResolutionError(ValueError):

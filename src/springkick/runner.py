@@ -202,9 +202,12 @@ def _csv_row(cells) -> str:
 
 
 # Cells per block of _tables_text, which takes whole rows, of one table or
-# several.  A block's temporaries take a few hundred bytes per cell; a few
-# thousand cells per block amortise numpy's per-call overhead.
-_CSV_BLOCK = 4096
+# several.  At its peak _cells_text holds about 115 bytes of temporaries per
+# cell (tracemalloc), 1.4 MB at this size.  Larger blocks amortise numpy's
+# per-call overhead: on a 2-core Xeon, bench/run.py's deterministic
+# workload (fig1 and fig2 through the CLI) took 10-14% less wall time at
+# 12,288 cells than at 4,096, and about the same as at 8,192.
+_CSV_BLOCK = 12288
 # Bytes per cell: the longest float and int reprs
 # ('-2.2250738585072014e-308', '-9223372036854775808') have 24, their
 # separator one more, and a cell's window starts one byte early.
@@ -287,23 +290,32 @@ def _shortest_digits(a):
     p, p_hi, p_lo = _POW10[s], _POW10_HI[s], _POW10_LO[s]
     a_hi, a_lo = _split(a)
     hi = a * p
+    del p
     lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    del p_hi, p_lo, a_hi, a_lo
     lo_int = np.floor(lo)
     # in [0, 1]; it may round up to 1.0 from below, never down to 0.0 or
     # onto 0.5 from a value that is not 0.5
     frac = lo - lo_int
+    del lo
     b17 = hi.astype(np.int64) + lo_int.astype(np.int64)
+    del hi, lo_int
     # log10 can put a number next to a power of ten a decade off: fall back
     ok = (b17 >= _E16) & (b17 < _E17)
     b16, d17 = _divmod(b17, 10)
     b15, r15 = _divmod(b17, 100)
     rest = frac > 0.0
     c17 = b17 + (frac > 0.5)
+    del b17
     c16 = b16 + ((d17 > 5) | ((d17 == 5) & rest))
+    del b16
     c15 = b15 + ((r15 > 50) | ((r15 == 50) & rest))
+    del b15, r15
     e = _POW10[s - 1]
+    del s
     is15 = (c15 * 10).astype(float) / e == a
     is16 = (c16 > 2**53) | (c16.astype(float) / e == a)
+    del e
     # a kept candidate half-way between two decimals of its length falls
     # back: its other neighbour reads back too
     tie16 = (d17 == 5) & ~rest
@@ -322,36 +334,53 @@ def _cells_text(x, is_int, seps, big):
     below 2**53 stay exact in x; big maps the index of every other int cell
     to its exact value.  A float with 1e-4 <= |x| < 1e16 gets repr's digits
     from _shortest_digits, an int with 1 <= |x| < 2**53 its own digits the
-    same way, and each is laid out in a uint8 row of _CELL bytes.  Every
-    other cell (zeros, exponent notation, ints from 2**53, non-finite
-    values, digits that are not certified) takes repr(float) or str(int).
-    Returns the text as a uint8 array and each cell's length with its
-    separator.
+    same way, and each is laid out in a window of _CELL bytes.  Every other
+    cell (zeros, exponent notation, ints from 2**53, non-finite values,
+    digits that are not certified) takes repr(float) or str(int).
+
+    Each cell's text and separator open its window, and the windows are
+    packed by offset: a cell's offset is the running sum of the lengths
+    before it, and one assignment, in cell order, writes every whole window
+    at its offset.  A window runs on past its cell's end over up to 12 later
+    cells (of two bytes each, at the least), and each of those cells'
+    windows overwrites the bytes past the previous cell's end.  So the text
+    is right only because numpy assigns a 1-d integer index into a 1-d array
+    in index order, the order in which a repeated index keeps its last
+    value; numpy's indexing notes do not promise that order for advanced
+    assignment in general, and test_table_across_blocks pins it.  Returns
+    the text as a uint8 array and the n + 1 offsets: the bytes before each
+    cell, and after the last.
     """
     n = len(x)
     a = np.abs(x)
     ok = (a >= np.where(is_int, 1.0, 1e-4)) & (a < np.where(is_int, 2.0**53, 1e16))
     np.copyto(a, 1.0, where=~ok)
     digits, decpt, certified = _shortest_digits(a)
+    del a
     ok &= certified
     decpt = np.where(ok, decpt, 1)  # keeps a falling-back cell's layout in range
 
     # The digits as ASCII: a lead digit and four 4-digit groups.
     lead, rest = _divmod(digits, _E16)
+    del digits
     halves = np.empty((n, 2), np.int64)
     halves[:, 0], halves[:, 1] = _divmod(rest, 10**8)
+    del rest
     groups = np.empty((n, 4), np.int64)
     groups[:, 0::2], groups[:, 1::2] = _divmod(halves, 10**4)
+    del halves
     zeros = _GROUP_ZEROS[groups]
     trailing = zeros[:, 0]
     for j in (1, 2, 3):
         trailing = np.where(zeros[:, j] == 4, trailing + 4, zeros[:, j])
+    del zeros
     n_digits = 17 - trailing  # the lead digit is never 0
     # Each cell's digits in a row of '0' padding, after two bytes of margin.
     buf = np.full(2 + n * _ROW + _CELL, ord("0"), np.uint8)
     rows = buf[2 : 2 + n * _ROW].reshape(n, _ROW)
     rows[:, _DIGITS_AT] += lead.astype(np.uint8)
     rows[:, _DIGITS_AT + 1 :] = _GROUP_TEXT[groups].view(np.uint8)
+    del lead, groups, rows
 
     # A cell's text less its '.' is a run of its row, from the units digit
     # (the 0 of 0.00ddd) to the last digit, with one byte in front for a
@@ -361,18 +390,22 @@ def _cells_text(x, is_int, seps, big):
     start = np.minimum(decpt, 1) + (_DIGITS_AT - 1) - neg
     dot = np.maximum(decpt, 1) + neg
     end = dot + ~is_int * (1 + np.maximum(n_digits - decpt, 1))
+    del decpt, n_digits
     windows = np.ndarray((len(buf) - _CELL + 1,), _CELL_ITEM, buf, strides=(1,))
     after = windows[np.arange(1, 1 + n * _ROW, _ROW) + start].view(np.uint8)
+    del buf, windows, start
     flat = np.empty_like(after)
     np.subtract(after[1:], after[:-1], out=flat[:-1])
     flat[:-1] *= _PREFIX[dot].view(np.uint8)[:-1]
     flat[:-1] += after[:-1]
+    del after
     text = flat.reshape(n, _CELL)
     cell_at = np.arange(0, n * _CELL, _CELL)
     flat[cell_at + dot] = ord(".")  # an int's is overwritten next
     flat[cell_at + end] = seps
     flat[cell_at[neg]] = ord("-")
-    # The cells that fall back, written over their rows in one scatter.
+    del cell_at, dot, neg
+    # The cells that fall back, written over their windows in one scatter.
     fall = np.flatnonzero(~ok)
     if fall.size:
         cells = [
@@ -386,7 +419,14 @@ def _cells_text(x, is_int, seps, big):
         text[fall, width] = seps[fall]
         end[fall] = width
     end += 1
-    return flat[_PREFIX[end].view(bool)], end
+    offsets = np.zeros(n + 1, np.intp)
+    np.cumsum(end, out=offsets[1:])
+    del end
+    size = int(offsets[-1])
+    packed = np.empty(size + _CELL, np.uint8)
+    windows = np.ndarray((size + 1,), _CELL_ITEM, packed, strides=(1,))
+    windows[offsets[:-1]] = flat.view(_CELL_ITEM)
+    return packed[:size], offsets
 
 
 def _block_text(tables, block):
@@ -412,9 +452,8 @@ def _block_text(tables, block):
                 for row in np.flatnonzero((c >= 2**53) | (c <= -(2**53))).tolist():
                     big[at + row * n_cols + j] = int(c[row])
         ends.append(cells.stop)
-    text, width = _cells_text(x, is_int, seps, big)
-    # bytes before each cell, and after the last
-    offsets = np.concatenate([[0], np.cumsum(width)])[[0] + ends].tolist()
+    text, offsets = _cells_text(x, is_int, seps, big)
+    offsets = offsets[[0] + ends].tolist()
     for (k, _, _), lo, hi in zip(block, offsets, offsets[1:]):
         yield k, text[lo:hi].tobytes()
 

@@ -346,13 +346,25 @@ def test_constants_match_scipy_bitwise():
         assert float(ours).hex() == float(theirs).hex()
 
 
+def test_gauss_legendre_literals():
+    # the written-out rule is leggauss(8) mapped to [0, 1], to within 4 ulp
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    for ours, theirs in ((_GL_NODES, 0.5 * (nodes + 1.0)), (_GL_WEIGHTS, 0.5 * weights)):
+        assert np.all(np.abs(ours - theirs) <= 4 * np.spacing(theirs))
+    # and it integrates x**k over [0, 1] through degree 15
+    for k in range(16):
+        assert abs(math.fsum((_GL_WEIGHTS * _GL_NODES**k).tolist()) - 1.0 / (k + 1)) <= 1e-15
+
+
 def test_import_leaves_scipy_out():
+    # nor numpy.polynomial, whose Gauss-Legendre rule pulses writes out
     src = os.path.dirname(os.path.dirname(os.path.abspath(springkick.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = (
         "import sys, springkick, springkick.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -32,7 +32,7 @@ from springkick import (
     stroboscopic_evolve,
     thermal_state,
 )
-from springkick import moments
+from springkick import moments, runner
 from springkick.cli import main
 from springkick.config import read_config
 from springkick.ensemble import TrajectoryResult
@@ -263,6 +263,15 @@ DECIMAL_TIES = [
 # Short decimals; the last two round at 16 digits to something other than
 # their repr padded with a zero, so only the 15-digit candidate finds it.
 SHORT_DECIMALS = [0.1, 0.3, 0.7, 9.87654321098765, 98765.4321098765, 0.000987654321]
+# Cells of every text length: ints of 1 to 20 characters, and floats of 3 to
+# 24, from the digit search (0.5 to 17-digit negatives) and from repr.
+INT_LENGTHS = np.array([7, -7] + [10**k for k in range(19)] + [-(2**63)])
+FLOAT_LENGTHS = np.array(
+    [0.0, 0.5, -0.5]
+    + [sign * round(1 / 7, d) for d in range(1, 18) for sign in (1, -1)]
+    + [1e-05, -1.25e-05, 1.234567890123456e-05, 1.4285714285714285e16, -1.4285714285714285e16]
+    + [-2.2250738585072014e-308]
+)
 FORMAT_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 
@@ -295,18 +304,27 @@ class TestCellFormat:
         x = np.array(values, dtype=np.int64)
         assert formatted_cells(x) == repr_cells(x)
 
-    def test_table_across_blocks(self):
-        rng = np.random.default_rng(7)
-        n = 2 * _CSV_BLOCK + 3
-        table = [
-            np.arange(n) * 100,
-            rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n),
-            np.round(rng.uniform(-50, 50, n), 3),
-            np.where(rng.random(n) < 0.1, 0.0, rng.random(n)),
-        ]
-        cells = [repr_cells(c) for c in table]
-        expected = "".join(",".join(row) + "\n" for row in zip(*cells))
-        assert bodies([table])[0].decode("ascii") == expected
+    def test_table_across_blocks(self, monkeypatch):
+        # Each cell's whole 26-byte window is written at its offset and runs
+        # on over the next cells, whose own windows then put them right.
+        # Cells of every length, and one-digit cells whose every window
+        # overlaps 12 later ones, pin that the windows go in cell order.
+        assert sorted({len(c) for c in repr_cells(INT_LENGTHS)}) == list(range(1, 21))
+        assert sorted({len(c) for c in repr_cells(FLOAT_LENGTHS)}) == list(range(3, 25))
+        for block in (1, 7, 4096, _CSV_BLOCK):
+            monkeypatch.setattr(runner, "_CSV_BLOCK", block)
+            rng = np.random.default_rng(7)
+            n = 2 * block + len(FLOAT_LENGTHS)
+            table = [
+                np.arange(n) * 100,
+                rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n),
+                np.round(rng.uniform(-50, 50, n), 3),
+                np.where(rng.random(n) < 0.1, 0.0, rng.random(n)),
+                np.resize(INT_LENGTHS, n),
+                np.resize(FLOAT_LENGTHS, n),
+            ]
+            digits = [np.arange(n) % 10]
+            assert bodies([table, digits]) == [reference_body(table), reference_body(digits)]
 
     def test_powers_of_two_take_their_own_digits(self):
         # below a power of two the lower rounding gap is half the upper one;
