@@ -200,11 +200,17 @@ def _series(z: float, n: int, step: int) -> float:
     """sum_{k>=0} z^k / (n + step*k)!, summed until the terms stop counting."""
     term = 1.0 / math.factorial(n)
     total = term
+    # one loop per step, each with the divisions and the product in the
+    # order of a loop over the step's factors
+    if step == 2:
+        while abs(term) > 1e-17 * abs(total):
+            term = term / (n + 1) / (n + 2) * z
+            n += 2
+            total += term
+        return total
     while abs(term) > 1e-17 * abs(total):
-        for _ in range(step):
-            n += 1
-            term /= n
-        term *= z
+        term = term / (n + 1) * z
+        n += 1
         total += term
     return total
 
@@ -753,17 +759,24 @@ def _closed_form(cycle: CycleMap) -> _Evaluator | None:
     return _Evaluator(limit, start)
 
 
+# _powers applies the maps of n's low bits per residue modulo 2^_RESIDUE_BITS
+_RESIDUE_BITS = 10
+
+
 def _powers(cycle: CycleMap) -> _Evaluator:
     """The evaluator where the closed form is not certified, by binary
     powering of the period map, with no onset envelope.
 
     The map of 2^b periods is Sigma -> P Sigma P^T + Q, which squares as
     (P, Q) -> (P P, P Q P^T + Q) from (P, Q) = (T, N), N = v_inh as a 2x2.
-    The state after n kicks applies the maps of n's set bits to Sigma_0, on
-    every entry of n at once (D. E. Knuth, The Art of Computer Programming,
-    vol. 2, 4.6.3), so its rounding builds up over log2(n) maps, not over n
-    kicks.  The 53 squarings, enough for every n below 2^53, run on Python
-    floats, which overflow to inf without a warning.  The last Q is
+    The state after n kicks applies the maps of n's set bits to Sigma_0, in
+    bit order (D. E. Knuth, The Art of Computer Programming, vol. 2,
+    4.6.3), so its rounding builds up over log2(n) maps, not over n kicks.
+    The low _RESIDUE_BITS bits are applied once per residue r of n modulo
+    2^_RESIDUE_BITS, and each n gathers its residue's state; each higher
+    bit's map is then applied only at the n whose bit is set.  The 53
+    squarings, enough for every n below 2^53, run on Python floats, which
+    overflow to inf without a warning.  The last Q is
     sum_{k<2^53} T^k N T^k^T, Smith's doubling of the limit (R. A. Smith,
     SIAM J. Appl. Math. 16:198, 1968): converged where _has_limit holds.
     """
@@ -779,11 +792,20 @@ def _powers(cycle: CycleMap) -> _Evaluator:
     def start(v0):
         def states(n):
             n = n.astype(np.int64)
-            state = [np.full(n.shape, x) for x in (v0.sigma_q, v0.sigma_qp, v0.sigma_p)]
-            for bit, (K, N) in enumerate(maps[: int(n.max()).bit_length()]):
-                on = (n & (1 << bit)) != 0
-                state = [np.where(on, _dot(k, state) + x, old) for k, x, old in zip(K, N, state)]
-            return np.array(state)
+            low = n & ((1 << _RESIDUE_BITS) - 1)
+            r = np.arange(int(low.max()) + 1)
+            table = [np.full(r.shape, x) for x in (v0.sigma_q, v0.sigma_qp, v0.sigma_p)]
+            for bit, (K, N) in enumerate(maps[: int(r[-1]).bit_length()]):
+                on = (r & (1 << bit)) != 0
+                table = [np.where(on, _dot(k, table) + x, old) for k, x, old in zip(K, N, table)]
+            state = np.array([column[low] for column in table])
+            for bit in range(_RESIDUE_BITS, int(n.max()).bit_length()):
+                K, N = maps[bit]
+                at = np.flatnonzero(n & (1 << bit))
+                before = state[:, at]
+                for row, k, x in zip(state, K, N):
+                    row[at] = _dot(k, before) + x
+            return state
 
         return states, None
 

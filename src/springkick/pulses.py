@@ -5,9 +5,10 @@ square of a membrane's position (membrane at a field node).  While photons
 occupy the cavity, the membrane feels a stiffened potential; the net impulse
 of one pulse is summarized by the dimensionless kick strength
 theta = 2 g2 integral |alpha(t)|^2 dt.  This module evaluates the quadratic
-coupling g2 from cavity and membrane data, integrates the intracavity
-amplitude alpha(t) driven by a rectangular or gaussian pulse envelope, and
-reports the dimensionless ratios behind the delta-kick approximation
+coupling g2 from cavity and membrane data; for a rectangular or gaussian
+pulse envelope, that integral and the peak of |alpha|^2 to PHOTON_RTOL
+without a time grid (photon_integral), and alpha(t) on a grid for plotting;
+and it reports the dimensionless ratios behind the delta-kick approximation
 (pulse much shorter than the cavity lifetime, cavity empty again well before
 the next pulse).
 """
@@ -45,8 +46,22 @@ _GL_WEIGHTS = np.array([
 ])
 
 
+# Bound on the panel-halving estimate of photon_integral's relative error.
+PHOTON_RTOL = 1e-12
+# A gaussian pulse is driven up to this many tau_p past its peak, where its
+# amplitude is e^{-72 ln 2} ~ 2e-22 of the peak's; photon_integral takes the
+# rest of its span as undriven decay.
+_GAUSS_DRIVEN = 6.0
+# Most panels one pass of photon_integral's gaussian rule may take (its
+# halving pass takes twice as many), so that its node arrays stay below
+# 8,192 x 9 x 8 doubles; past it the panels outgrow the cavity's lifetime
+# and the halving estimate says so.
+_MAX_PANELS = 4096
+
+
 class GridResolutionError(ValueError):
-    """Raised when a time grid is too coarse to resolve pulse or cavity decay."""
+    """Raised when a time grid or photon_integral's panels are too coarse to
+    resolve pulse or cavity decay."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +174,12 @@ class PhotonTrace:
         return float(np.max(self.photon_number))
 
     def integral(self) -> float:
-        """Trapezoidal integral of |alpha(t)|^2 dt."""
+        """Trapezoidal integral of |alpha(t)|^2 dt over the trace's own grid.
+
+        On default_time_grid this is about 3e-7 relative above the exact
+        integral (the tail step's (2 kappa h)^2/12); photon_integral gives
+        the integral to PHOTON_RTOL.
+        """
         return float(np.trapezoid(self.photon_number, self.times))
 
 
@@ -328,8 +348,159 @@ def intracavity_amplitude(
     return PhotonTrace(times=grid, photon_number=alpha * alpha)
 
 
+def photon_integral(pulse: PulseSpec, cavity: CavityParams) -> tuple[float, float]:
+    """(integral of |alpha(t)|^2 dt, peak of |alpha(t)|^2) for one pulse,
+    without a time grid, to PHOTON_RTOL relative.
+
+    The span is the one default_time_grid covers, [0, T] with
+    T = min(period_tau, envelope_end + 40/kappa).  With x = kappa tau_p and
+    E the drive's peak amplitude, a rectangular pulse gives
+    (E^2/kappa^3) (f(x) + expm1(-x)^2 (-expm1(-2 kappa (T - tau_p)))/2),
+    f(x) = integral_0^x (1 - e^{-s})^2 ds, and the peak
+    (E expm1(-x)/kappa)^2 at tau_p.  A gaussian pulse takes _gaussian_photons.
+    """
+    kappa = cavity.kappa
+    tau_p = pulse.duration_tau_p
+    span = min(pulse.period_tau, pulse.envelope_end + 40.0 / kappa)
+    drive2 = 2.0 * pulse.peak_power * cavity.kappa_0 / (HBAR * cavity.omega_c)
+    if pulse.shape == "gaussian":
+        integral, peak = _gaussian_photons(tau_p, kappa, span)
+    else:
+        x = kappa * tau_p
+        a2 = math.expm1(-x) ** 2
+        tail = -0.5 * math.expm1(-2.0 * kappa * (span - tau_p)) * a2
+        integral = (_rectangular_on(x) + tail) / kappa**3
+        peak = a2 / kappa**2
+    return drive2 * integral, drive2 * peak
+
+
+def _rectangular_on(x: float) -> float:
+    """f(x) = integral_0^x (1 - e^{-s})^2 ds = x + 2 expm1(-x) - expm1(-2x)/2.
+
+    Below x = 1, where those terms cancel, its series
+    sum_{k>=3} (-1)^(k+1) (2^(k-1) - 2) x^k / k!, whose terms fall by 2x/k.
+    """
+    if x > 1.0:
+        return x + 2.0 * math.expm1(-x) - 0.5 * math.expm1(-2.0 * x)
+    term = x * x * x / 6.0  # x^k / k!, k = 3
+    total = 2.0 * term
+    k = 3
+    while True:
+        k += 1
+        term *= -x / k
+        step = term * (2.0 ** (k - 1) - 2.0)
+        total += step
+        if abs(step) <= 1e-17 * total:
+            return total
+
+
+def _gaussian_panels(tau_p: float, kappa: float, end: float, n: int):
+    """alpha at the n + 1 ends of n equal panels of [0, end] and the
+    integral of alpha^2 over them, for a gaussian drive of unit amplitude.
+
+    Each panel is a step of intracavity_amplitude's recursion, exact in the
+    decay: alpha(t_j + u) = alpha_j e^{-kappa u} + the integral over
+    [t_j, t_j + u] of E0(s) e^{-kappa (t_j + u - s)} ds, taken by the
+    8-point rule on [0, u] at u = h (the panel's end) and at the rule's
+    nodes u = x_i h, where the panel's own 8-point rule then sums alpha^2.
+    """
+    c = 2.0 * math.log(2.0) / tau_p**2
+    h = end / n
+    u = h * np.append(_GL_NODES, 1.0)
+    # x_k u_i from the envelope's peak, and w_k u_i e^{-kappa u_i (1 - x_k)}
+    offsets = u[:, None] * _GL_NODES
+    weights = (u[:, None] * _GL_WEIGHTS) * np.exp(-kappa * (u[:, None] - offsets))
+    x = (np.arange(n) * h - 0.5 * tau_p)[:, None, None] + offsets
+    driven = np.sum(np.exp(-c * x * x) * weights, axis=2)  # (n, 9)
+    decay = math.exp(-kappa * h)
+    ends = [0.0]
+    a = 0.0
+    for drive in driven[:, 8].tolist():
+        a = a * decay + drive
+        ends.append(a)
+    ends = np.array(ends)
+    nodes = ends[:-1, None] * np.exp(-kappa * u[:8]) + driven[:, :8]
+    return ends, float(np.sum(nodes * nodes * (h * _GL_WEIGHTS)))
+
+
+def _gaussian_photons(tau_p: float, kappa: float, span: float) -> tuple[float, float]:
+    """photon_integral's (integral, peak) of a gaussian pulse of unit amplitude.
+
+    Up to _GAUSS_DRIVEN tau_p past the envelope's peak (or to the span's end)
+    the field comes from _gaussian_panels, twice: on n panels of at most
+    half the shorter of tau_p and 1/kappa (n at most _MAX_PANELS), and on
+    2n, whose values are returned; past it, the field decays undriven,
+    alpha^2 e^{-2 kappa t}, in closed form.  The difference of the two
+    passes, in the integral and in alpha at their common ends, estimates
+    the error of the coarser: GridResolutionError past PHOTON_RTOL.  The
+    field peaks where alpha' = E0 - kappa alpha = 0, once, past the
+    envelope's peak, at a root bracketed by the panel ends and found by
+    Newton steps kept in the bracket; alpha^2 is stationary there.
+    """
+    end = min(span, (0.5 + _GAUSS_DRIVEN) * tau_p)
+    n = min(_MAX_PANELS, max(2, math.ceil(2.0 * end / min(tau_p, 1.0 / kappa))))
+    coarse, coarse_integral = _gaussian_panels(tau_p, kappa, end, n)
+    ends, integral = _gaussian_panels(tau_p, kappa, end, 2 * n)
+    error = max(
+        abs(integral - coarse_integral) / integral,
+        float(np.max(np.abs(ends[::2] - coarse))) / float(np.max(ends)),
+    )
+    if not error <= PHOTON_RTOL:
+        raise GridResolutionError(
+            f"photon integral not resolved: panel-halving estimate {error:.3e} exceeds "
+            f"{PHOTON_RTOL:.0e} with {n} and {2 * n} panels over {end:.3e} s "
+            f"(kappa*tau_p = {kappa * tau_p:.3e})"
+        )
+    tail = -0.5 * math.expm1(-2.0 * kappa * (span - end)) / kappa * float(ends[-1]) ** 2
+
+    c = 2.0 * math.log(2.0) / tau_p**2
+    m = 0.5 * tau_p
+    h = end / (2 * n)
+    # alpha' = E0 - kappa alpha at the panel ends, from the envelope's peak
+    times = np.arange(2 * n + 1) * h - m
+    slopes = np.exp(-c * times * times) - kappa * ends
+    falls = np.flatnonzero(slopes[1:] <= 0.0)
+    if falls.size == 0:  # still rising where the drive ends
+        return integral + tail, float(ends[-1]) ** 2
+    j = int(falls[0])
+    x0, a0 = float(times[j]), float(ends[j])
+    nodes = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+
+    def slope(s):
+        """(alpha', alpha) at s past the bracket's start, by the panels' rule."""
+        total = 0.0
+        for x, w in nodes:
+            y = x0 + s * x
+            total += w * math.exp(-c * y * y - kappa * (s - s * x))
+        a = a0 * math.exp(-kappa * s) + s * total
+        return math.exp(-c * (x0 + s) ** 2) - kappa * a, a
+
+    lo, hi = 0.0, h
+    g_lo, g_hi = float(slopes[j]), float(slopes[j + 1])
+    s = h * g_lo / (g_lo - g_hi)
+    for _ in range(100):
+        g, a = slope(s)
+        if g > 0.0:
+            lo = s
+        else:
+            hi = s
+        # alpha'' = -2 c (t - m) E0 - kappa alpha', negative at the root
+        curve = -2.0 * c * (x0 + s) * (g + kappa * a) - kappa * g
+        step = g / curve if curve < 0.0 else s - 0.5 * (lo + hi)
+        if not lo < s - step < hi:
+            step = s - 0.5 * (lo + hi)
+        s -= step
+        if abs(step) <= 1e-10 * h:
+            break
+    return integral + tail, slope(s)[1] ** 2
+
+
 def kick_strength(g2: float, trace: PhotonTrace) -> float:
-    """theta = 2 * g2 * integral |alpha(t)|^2 dt over the sampled trace."""
+    """theta = 2 * g2 * trace.integral(), the sampled trace's own trapezoid.
+
+    theta_from_physical's theta, 2 g2 photon_integral(...)[0], is the
+    certified one; this is the trace's estimate of it.
+    """
     if not math.isfinite(g2):
         raise ValueError(f"g2 must be finite, got {g2}")
     return 2.0 * g2 * trace.integral()
@@ -342,10 +513,15 @@ def theta_from_physical(
     omega_m: float,
     grid: np.ndarray | None = None,
 ) -> tuple[float, PhotonTrace]:
-    """Full chain pulse -> field -> kick strength; returns (theta, trace)."""
+    """Full chain pulse -> field -> kick strength; returns (theta, trace).
+
+    theta = 2 g2 photon_integral(pulse, cavity)[0], to PHOTON_RTOL whatever
+    the grid; the trace is intracavity_amplitude's on the grid, for callers
+    that plot it.
+    """
     g2 = coupling_g2(cavity, membrane, omega_m)
-    trace = intracavity_amplitude(pulse, cavity, grid)
-    return kick_strength(g2, trace), trace
+    integral, _ = photon_integral(pulse, cavity)
+    return 2.0 * g2 * integral, intracavity_amplitude(pulse, cavity, grid)
 
 
 def temperature_for_occupancy(omega_m: float, n_bar: float) -> float:

@@ -1,9 +1,9 @@
 """Run orchestration: named presets, trajectory/ensemble CSVs, summary report.
 
-A run resolves the kick strength (direct theta, or the pulse -> intracavity
-field -> theta chain plus a validity report), evolves the stroboscopic map
-(in closed form where it is certified, else by binary powers; one noisy
-ensemble when configured), and writes:
+A run resolves the kick strength (direct theta, or theta from the pulse's
+photon integral, evaluated without a time grid, plus a validity report),
+evolves the stroboscopic map (in closed form where it is certified, else by
+binary powers; one noisy ensemble when configured), and writes:
 
   <base>.csv           sampled trajectory, columns in OUTPUT_COLUMNS order
   <base>.summary.txt   parameters, rho(A), stationary-state metrics, onset,
@@ -56,10 +56,13 @@ from .pulses import (
     MembraneParams,
     PulseSpec,
     coupling_g2,
+    photon_integral,
     regime_check,
     temperature_for_occupancy,
-    theta_from_physical,
 )
+# bound for bench/tracing.py's PATCHES as above: resolve_kick takes theta
+# from photon_integral and builds no trace
+from .pulses import theta_from_physical  # noqa: F401
 
 OUTPUT_COLUMNS = (
     "kick_index",
@@ -139,7 +142,8 @@ def resolve_kick(config: RunConfig) -> tuple[float, list[str]]:
     """Kick strength for a run, with provenance lines for the summary.
 
     Direct theta passes through (no cavity, so no validity report).  The
-    physical route computes g2 and the intracavity trace, grades the model
+    physical route computes g2 and photon_integral's integral and peak,
+    without a time grid, takes theta = 2 g2 integral, grades the model
     inequalities against the bath (defaults: cutoff 100*kappa, temperature
     from the Bose inversion at n_bar), and reports both.
     """
@@ -167,7 +171,8 @@ def resolve_kick(config: RunConfig) -> tuple[float, list[str]]:
     )
     membrane = MembraneParams(mass=phys.mass, reflectivity_R=phys.reflectivity)
     g2 = coupling_g2(cavity, membrane, mech.omega_m)
-    theta, trace = theta_from_physical(pulse, cavity, membrane, mech.omega_m)
+    integral, peak = photon_integral(pulse, cavity)
+    theta = 2.0 * g2 * integral
 
     cutoff = temperature = None
     if config.bath is not None:
@@ -186,8 +191,8 @@ def resolve_kick(config: RunConfig) -> tuple[float, list[str]]:
     lines = [
         f"kick theta = {_fmt(theta)}  (from pulse chain)",
         f"coupling g2 = {_fmt(g2)}",
-        f"peak intracavity photon number = {_fmt(trace.peak)}",
-        f"photon number integral = {_fmt(trace.integral())}",
+        f"peak intracavity photon number = {_fmt(peak)}",
+        f"photon number integral = {_fmt(integral)}",
         f"bath: omega_c_cutoff = {_fmt(bath.omega_c_cutoff)}, temperature ="
         f" {_fmt(bath.temperature)}",
         "validity report:",

@@ -37,6 +37,7 @@ from springkick.moments import (
     _check_finite,
     _check_physical,
     _congruence,
+    _dot,
     _flight,
     _sample_indices,
 )
@@ -382,3 +383,102 @@ def mp_noisy_states(omega_m, gamma_m, n_bar, tau, thetas, v0, kicks, dps=30):
             if n in want:
                 out.append((q, qp, p))
         return out
+
+
+def series_loop(z: float, n: int, step: int) -> float:
+    """moments._series as a loop over each step's factors: sum_{k>=0}
+    z^k / (n + step*k)!, summed until the terms stop counting."""
+    term = 1.0 / math.factorial(n)
+    total = term
+    while abs(term) > 1e-17 * abs(total):
+        for _ in range(step):
+            n += 1
+            term /= n
+        term *= z
+        total += term
+    return total
+
+
+def powers_per_bit(cycle: CycleMap, v0: MomentVector, n: np.ndarray) -> np.ndarray:
+    """The (3, len(n)) states after n kicks by binary powers of the period
+    map, each bit's map applied to every entry of n with np.where: the
+    squarings of moments._powers, written out again."""
+    P = cycle.T.tolist()
+    Q = cycle.v_inh.tolist()
+    maps = []
+    for _ in range(53):
+        K = _congruence(P)
+        maps.append((K, Q))
+        Q = [_dot(k, Q) + x for k, x in zip(K, Q)]
+        P = [[_dot(row, column) for column in zip(*P)] for row in P]
+    n = n.astype(np.int64)
+    state = [np.full(n.shape, x) for x in (v0.sigma_q, v0.sigma_qp, v0.sigma_p)]
+    for bit, (K, N) in enumerate(maps[: int(n.max()).bit_length()]):
+        on = (n & (1 << bit)) != 0
+        state = [np.where(on, _dot(k, state) + x, old) for k, x, old in zip(K, N, state)]
+    return np.array(state)
+
+
+def _mp_si():
+    """(hbar, c) at the working precision; both are exact in SI since 2019."""
+    return mp.mpf("6.62607015e-34") / (2 * mp.pi), mp.mpf(299792458)
+
+
+def mp_coupling_g2(cavity, membrane, omega_m, dps=40):
+    """g2 = (16 pi^2 c hbar / (lambda^2 L m omega_m)) sqrt(R / (1 - R)) at dps digits."""
+    with mp.workdps(dps):
+        hbar, c = _mp_si()
+        R = mp.mpf(membrane.reflectivity_R)
+        pref = 16 * mp.pi**2 * c * hbar / (
+            mp.mpf(cavity.wavelength) ** 2 * mp.mpf(cavity.length_L)
+            * mp.mpf(membrane.mass) * mp.mpf(omega_m)
+        )
+        return pref * mp.sqrt(R / (1 - R))
+
+
+def mp_photons(pulse, cavity, dps=40):
+    """(integral of |alpha|^2 dt, peak |alpha|^2) over [0, T] at dps digits,
+    T = min(period_tau, envelope_end + 40/kappa), alpha' = -kappa alpha + E0.
+
+    A rectangular pulse in closed form.  A gaussian one from the erf solution
+    alpha = pref e^{-kappa t} (erf(sqrt(c) (t - s0)) + erf(sqrt(c) s0)),
+    integrated by mpmath's quadrature between the envelope's and the
+    cavity's break points; its peak where alpha' = E0 - kappa alpha = 0,
+    bisected, not solved with the package's panels.
+    """
+    with mp.workdps(dps):
+        hbar, c_light = _mp_si()
+        omega_c = 2 * mp.pi * c_light / mp.mpf(cavity.wavelength)
+        kappa = mp.mpf(cavity.kappa_0) + mp.mpf(cavity.kappa_loss)
+        tp = mp.mpf(pulse.duration_tau_p)
+        E = mp.sqrt(2 * mp.mpf(pulse.peak_power) * mp.mpf(cavity.kappa_0) / (hbar * omega_c))
+        rect = pulse.shape == "rectangular"
+        T = min(mp.mpf(pulse.period_tau), (tp if rect else 4 * tp) + 40 / kappa)
+        if rect:
+            a_end = E / kappa * -mp.expm1(-kappa * tp)
+            on = (E / kappa) ** 2 * (
+                tp + 2 * mp.expm1(-kappa * tp) / kappa - mp.expm1(-2 * kappa * tp) / (2 * kappa)
+            )
+            tail = -(a_end**2) * mp.expm1(-2 * kappa * (T - tp)) / (2 * kappa)
+            return on + tail, a_end**2
+        m = tp / 2
+        c = 2 * mp.log(2) / tp**2
+        s0 = m + kappa / (2 * c)
+        pref = E * mp.exp(kappa * m + kappa**2 / (4 * c)) * mp.sqrt(mp.pi / c) / 2
+        rc = mp.sqrt(c)
+
+        def alpha(t):
+            return pref * mp.exp(-kappa * t) * (mp.erf(rc * (t - s0)) + mp.erf(rc * s0))
+
+        cuts = [0, m, 2 * m, 4 * tp] + [4 * tp + j / kappa for j in (1, 4, 16)] + [T]
+        integral = mp.quad(lambda t: alpha(t) ** 2, sorted({x for x in cuts if x <= T}))
+        lo, hi = m, min(T, m + 7 * tp)
+        if E * mp.exp(-c * (hi - m) ** 2) > kappa * alpha(hi):
+            return integral, alpha(hi) ** 2
+        for _ in range(dps * 4):
+            mid = (lo + hi) / 2
+            if E * mp.exp(-c * (mid - m) ** 2) > kappa * alpha(mid):
+                lo = mid
+            else:
+                hi = mid
+        return integral, alpha((lo + hi) / 2) ** 2

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import moment_vectors, thetas
-from oracles import _iterate, mp_period_states, row_error
+from oracles import _iterate, mp_period_states, powers_per_bit, row_error
 from springkick import (
     DivergenceError,
     MechanicalParams,
@@ -717,6 +717,33 @@ class TestLimit:
         samples = stroboscopic_evolve(v0, cyc, 2**20, 2**20)
         assert samples.onset is None
         assert row_error(samples.moments[-1], steady_state(cyc).as_array()) <= 1e-15
+
+
+class TestPowersByResidue:
+    """_powers applies the maps of n's low bits once per residue and the
+    higher bits only where they are set: bit for bit the per-bit form."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_resonance_scan(self, k):
+        cyc = cycle_map(RESONANCE, k * math.pi / RESONANCE.omega_m, 2.0)
+        v0 = thermal_state(RESONANCE)
+        n = np.arange(1, 10**4 + 1)
+        got = _powers(cyc).start(v0)[0](n.astype(float))
+        assert np.array_equal(got, powers_per_bit(cyc, v0, n))
+
+    def test_random_indices_to_2_53(self):
+        rng = np.random.default_rng(29)
+        for k in (1, 2, 3):
+            cyc = cycle_map(RESONANCE, k * math.pi / RESONANCE.omega_m, 2.0)
+            v0 = thermal_state(RESONANCE)
+            for size in (1, 7, 5000):
+                n = rng.integers(0, 2**53, size=size, endpoint=False)
+                n[0] = 0
+                n[-1] = 2**53 - 1 if size > 1 else n[-1]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _powers(cyc).start(v0)[0](n.astype(float))
+                    ref = powers_per_bit(cyc, v0, n)
+                assert np.array_equal(got, ref, equal_nan=True)
 
 
 class TestOneKickBlocks:

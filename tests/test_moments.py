@@ -21,6 +21,7 @@ from oracles import (
     mp_stationary,
     rk4_free,
     row_error,
+    series_loop,
     steady_state_iterative,
 )
 from springkick import (
@@ -38,10 +39,13 @@ from springkick import (
     thermal_state,
 )
 from springkick.moments import (
+    _SERIES_DAMPING,
+    _SERIES_PHASE,
     _congruence,
     _flight,
     _kick,
     _sample_indices,
+    _series,
     _shear,
     metric_arrays,
 )
@@ -60,6 +64,21 @@ def rel_diff(a, b):
     b = np.asarray(b, dtype=float)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return np.max(np.abs(a - b)) / scale
+
+
+class TestSeries:
+    def test_matches_the_loop_over_factors(self):
+        # _series' steps, unrolled, are the loop's divisions and product in
+        # its order: every flight's J keeps its bits
+        rng = np.random.default_rng(29)
+        args = [(z, 3, 2) for z in rng.uniform(-_SERIES_PHASE, _SERIES_PHASE, 3000)]
+        args += [(z, 4, 2) for z in rng.uniform(-_SERIES_PHASE, _SERIES_PHASE, 3000)]
+        args += [(u, 3, 1) for u in rng.uniform(0.0, _SERIES_DAMPING, 2000)]
+        args += [(z, n, step) for z in (0.0, -0.0, 1e-300, -_SERIES_PHASE, _SERIES_PHASE)
+                 for n, step in ((3, 2), (4, 2), (3, 1))]
+        for z, n, step in args:
+            z = float(z)
+            assert _series(z, n, step) == series_loop(z, n, step), (z, n, step)
 
 
 class TestPropagator:

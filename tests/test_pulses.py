@@ -28,12 +28,16 @@ from springkick import (
     drive_amplitude,
     intracavity_amplitude,
     kick_strength,
+    photon_integral,
     regime_check,
     temperature_for_occupancy,
     theta_from_physical,
 )
 import springkick
+from conftest import readme_physical_example
+from oracles import mp_coupling_g2, mp_photons
 from springkick import pulses
+from springkick.cli import main
 from springkick.pulses import PULSE_SHAPES, _GL_NODES, _GL_WEIGHTS, _grade
 
 # Membrane-in-the-middle reference set: 0.1 mm cavity, 1550 nm drive,
@@ -119,12 +123,15 @@ class TestIntracavityField:
         assert trace.photon_number[0] == 0.0
 
     def test_grid_refinement_converged(self):
+        # the traces' own trapezoids converge; theta does not depend on the grid
         g = default_time_grid(PULSE, CAV)
         fine = np.unique(np.concatenate([g, 0.5 * (g[1:] + g[:-1])]))
         fine[0] = 0.0
-        th_a, _ = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
-        th_b, _ = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m, grid=fine)
-        assert abs(th_a - th_b) / th_a < 1e-6
+        th_a, trace_a = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
+        th_b, trace_b = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m, grid=fine)
+        assert trace_b.times.size == 2 * trace_a.times.size - 1
+        assert abs(trace_a.integral() - trace_b.integral()) / trace_a.integral() < 1e-6
+        assert th_a == th_b
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(GridResolutionError, match="too coarse"):
@@ -214,9 +221,12 @@ class TestDrivenSteps:
 
 class TestKickStrength:
     def test_reference_chain(self):
+        # theta is the certified integral's, not the trace's trapezoid, which
+        # kick_strength still takes (1.2928610462e-3, 3.3e-7 above)
         theta, trace = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
         g2 = coupling_g2(CAV, MEM, MECH.omega_m)
-        assert theta == kick_strength(g2, trace)
+        assert theta == 2.0 * g2 * photon_integral(PULSE, CAV)[0]
+        assert kick_strength(g2, trace) == 2.0 * g2 * trace.integral()
         assert theta == pytest.approx(1.2928610462e-3, rel=1e-6)
 
     def test_linear_in_power(self):
@@ -243,6 +253,63 @@ class TestKickStrength:
             PulseSpec("gaussian", tau_p, P_gauss, 1e-7), CAV, MEM, MECH.omega_m
         )
         assert abs(th_gauss - th_rect) / th_rect < 0.02
+
+
+class TestPhotonIntegral:
+    """photon_integral and theta against 40-digit references, to 1e-12."""
+
+    @pytest.mark.parametrize(
+        "shape, tau_p",
+        [("rectangular", 1e-10), ("rectangular", 1e-9), ("rectangular", 3e-8),
+         ("gaussian", 1e-10), ("gaussian", 1e-9)],
+    )
+    def test_against_references(self, shape, tau_p):
+        pulse = PulseSpec(shape, tau_p, 1.0, 1e-7)
+        integral, peak = photon_integral(pulse, CAV)
+        ref_integral, ref_peak = mp_photons(pulse, CAV)
+        theta, _ = theta_from_physical(pulse, CAV, MEM, MECH.omega_m)
+        ref_theta = 2 * mp_coupling_g2(CAV, MEM, MECH.omega_m) * ref_integral
+        for got, ref in ((integral, ref_integral), (peak, ref_peak), (theta, ref_theta)):
+            assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+    def test_trace_trapezoid_is_the_estimate(self):
+        # the trace's own integral and peak lie within its grid's error
+        for shape in PULSE_SHAPES:
+            pulse = PulseSpec(shape, 1e-10, 1.0, 1e-7)
+            integral, peak = photon_integral(pulse, CAV)
+            trace = intracavity_amplitude(pulse, CAV)
+            assert abs(trace.integral() - integral) <= 5e-7 * integral
+            assert abs(trace.peak - peak) <= 1e-6 * peak
+            assert trace.peak <= peak * (1 + 1e-12)
+
+    def test_zero_power(self):
+        for shape in PULSE_SHAPES:
+            assert photon_integral(PulseSpec(shape, 1e-10, 0.0, 1e-7), CAV) == (0.0, 0.0)
+
+    def test_unresolved_panels_raise(self):
+        # kappa tau_p = 1e4: the capped panels outgrow the cavity's lifetime
+        with pytest.raises(GridResolutionError, match="panel-halving estimate"):
+            photon_integral(PulseSpec("gaussian", 1e-4, 1.0, 1e-2), CAV)
+
+    def test_physical_run_builds_no_trace(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(name):
+            def fail(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(name)
+            return fail
+
+        for name in ("default_time_grid", "intracavity_amplitude"):
+            monkeypatch.setattr(pulses, name, spy(name))
+        cfg = tmp_path / "physical.ini"
+        for shape in PULSE_SHAPES:
+            text = readme_physical_example()
+            cfg.write_text(text.replace("shape = rectangular", f"shape = {shape}"))
+            out = tmp_path / shape
+            assert main(["--config", str(cfg), "--kicks", "100", "--out", str(out), "--quiet"]) == 0
+            assert "from pulse chain" in (tmp_path / f"{shape}.summary.txt").read_text()
+        assert calls == []
 
 
 class TestTemperature:
