@@ -1,10 +1,10 @@
-"""Print a sha256 digest of the noisy ensemble's sampled cubes.
+"""Print a sha256 digest of the noisy ensemble's sampled rows.
 
 Runs springkick.ensemble._run_block on fig3's physics (omega_m = 5e5,
 gamma_m = 1e2, n_bar = 10, tau = 1e-7, theta = 10, variance 1e-3) over a
 grid of widths, strides and kick counts, and prints one line per case and a
 digest of them all.  Run it on two checkouts to check that a change to the
-ensemble keeps every cube bit for bit:
+ensemble keeps every row bit for bit:
 
     PYTHONPATH=src python3 scripts/cube_digest.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/cube_digest.py > old.txt
@@ -38,8 +38,12 @@ def main() -> None:
         seeds = [trajectory_seed(12345, i) for i in range(width)]
         for n_kicks in counts:
             for stride in STRIDES:
-                cube = _run_block(cyc, v0, NOISE, n_kicks, stride, seeds)
-                digest = hashlib.sha256(cube.tobytes()).hexdigest()
+                rows = hashlib.sha256()
+                # the sampled rows in order, whether _run_block yields them a
+                # block at a time or returns them as one cube
+                for block in _run_block(cyc, v0, NOISE, n_kicks, stride, seeds):
+                    rows.update(block.tobytes())
+                digest = rows.hexdigest()
                 total.update(digest.encode())
                 print(f"width {width} kicks {n_kicks} stride {stride} {digest[:16]}")
     print(f"all {total.hexdigest()}")

@@ -56,6 +56,11 @@ SEGMENT = 64
 # each segment's arithmetic is its own.  At fig3's width and stride (100,
 # 100) a chunk is 102 segments, about 4,096 kicks.
 _CHUNK = 10240
+# Sampled rows times trajectories per block that _run_block hands on: the
+# statistics are reduced a block at a time, so no array grows with the run
+# times the width.  fig3's 201 x 100 rows at the benchmark's length are one
+# block; full fig3 (10,001 x 100) is 16.
+_BLOCK_CELLS = 65536
 # Rows of _segment_maps' work buffer
 _WORK_ROWS = 18
 # (P, Q) of an empty segment: P00, P01, P10, P11, Q00, Q01, Q11
@@ -160,8 +165,8 @@ def run_trajectory(
     """
     kicks = _sample_indices(n_kicks, stride)
     cycle = cycle_map(params, tau, noise.mean_theta)
-    moments = _run_block(cycle, thermal_state(params), noise, n_kicks, stride, [seed])[:, 0]
-    return TrajectoryResult(seed, kicks, moments)
+    blocks = _run_block(cycle, thermal_state(params), noise, n_kicks, stride, [seed])
+    return TrajectoryResult(seed, kicks, np.concatenate([b[:, 0] for b in blocks]))
 
 
 def _run_block(
@@ -171,36 +176,41 @@ def _run_block(
     n_kicks: int,
     stride: int,
     seeds: list[int],
-) -> np.ndarray:
+):
     """Noisy evolution of a group of trajectories, one column per seed.
 
-    Returns the sampled cube with shape (n_samples, len(seeds), 3), one row
-    per kick of _sample_indices(n_kicks, stride).  Kick n uses draw n - 1 of
-    its seed's generator.  The run is cut into segments (_segment_ends),
-    taken a chunk of at most _CHUNK // width segments at a time: each
-    generator draws exactly the chunk's kicks, every segment's map is built
-    at once (_segment_maps), and the segments are then chained in kick
-    order, writing a row at each sample point.  All arithmetic is
-    elementwise and the segments depend on neither the width nor the
-    chunking, so the column for seed s depends only on s.  The rows of each
-    chunk are checked as stroboscopic_evolve checks its blocks, across every
-    trajectory: first DivergenceError at the first sampled kick whose
-    determinant float64 no longer holds (_check_finite), then
-    _check_physical's errors, naming the first unphysical sampled kick.
+    Yields the sampled rows, one per kick of _sample_indices(n_kicks,
+    stride), in order and in blocks of shape (rows, len(seeds), 3): each
+    block _BLOCK_CELLS // len(seeds) rows (at least 1), the last 1 to that many.
+    Kick n uses draw n - 1 of its seed's generator.  The run is cut into
+    segments (_segment_ends), taken a chunk of at most _CHUNK // width
+    segments at a time: each generator draws exactly the chunk's kicks,
+    every segment's map is built at once (_segment_maps), and the segments
+    are then chained in kick order, writing a row at each sample point.
+    All arithmetic is elementwise and the segments depend on neither the
+    width nor the chunking, so the column for seed s depends only on s.
+    The rows of each chunk are checked as stroboscopic_evolve checks its
+    blocks, across every trajectory, before any of them is yielded: first
+    DivergenceError at the first sampled kick whose determinant float64 no
+    longer holds (_check_finite), then _check_physical's errors, naming the
+    first unphysical sampled kick.
     """
     kicks = _sample_indices(n_kicks, stride)
     width = len(seeds)
     gens = [_generator(s) for s in seeds]
     x = np.repeat(v0.as_array()[:, None], width, axis=1)
-    cube = np.empty((len(kicks), width, 3))
-    cube[0] = x.T
-    row = 1
     per_chunk = max(1, min(_CHUNK // width, n_kicks))
+    block = max(1, _BLOCK_CELLS // width)
+    # a chunk samples at most per_chunk rows on top of a part-filled block
+    rows = np.empty((min(block + per_chunk, len(kicks)), width, 3))
+    rows[0] = x.T
+    filled = 1
     work = np.empty((_WORK_ROWS, per_chunk, width))
     start = 0
-    # overflow is reported by the DivergenceError below, not by warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        while start < n_kicks:
+    while start < n_kicks:
+        # overflow is reported by the DivergenceError below, not by warnings;
+        # the errstate ends before a block is yielded
+        with np.errstate(over="ignore", invalid="ignore"):
             ends = _segment_ends(start, per_chunk, kicks)
             m = ends[-1] - start
             draws = np.empty((m, width))
@@ -210,17 +220,24 @@ def _run_block(
             # so that two chunks' draws are never held at once
             del draws
             c0, c1, c2, const = maps
-            first = row
+            first = filled
             for end, j in zip(ends, lanes):
                 x = _dot((c0[:, j], c1[:, j], c2[:, j]), x) + const[:, j]
-                if end == kicks[row]:
-                    cube[row] = x.T
-                    row += 1
-            done = cube[first:row].transpose(2, 0, 1)
-            _check_finite(kicks[first:row], *done)
-            _check_physical(*done, kicks[first:row])
-            start += m
-    return cube
+                if end == kicks[filled]:
+                    rows[filled] = x.T
+                    filled += 1
+            done = rows[first:filled].transpose(2, 0, 1)
+            _check_finite(kicks[first:filled], *done)
+            _check_physical(*done, kicks[first:filled])
+        start += m
+        # a full block goes once a later row is sampled, so the last
+        # block is never empty; kicks and rows drop what has gone
+        while filled > block:
+            yield rows[:block].copy()
+            kicks = kicks[block:]
+            filled -= block
+            rows[:filled] = rows[block : block + filled]
+    yield rows[:filled]
 
 
 def _segment_ends(start: int, count: int, kicks: np.ndarray) -> list[int]:
@@ -319,8 +336,10 @@ def run_ensemble(
     """Average the noisy stroboscopic dynamics over n_traj trajectories.
 
     Trajectory i uses trajectory_seed(base_seed, i); all run in one
-    _run_block, aggregated in index order.  Single-threaded: n_jobs is
-    checked to be >= 1 for compatibility and otherwise ignored.
+    _run_block, whose blocks are reduced to the per-row mean and std as they
+    come, so memory grows with the rows, not with rows times n_traj.
+    Single-threaded: n_jobs is checked to be >= 1 for compatibility and
+    otherwise ignored.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -332,15 +351,21 @@ def run_ensemble(
     v0 = thermal_state(params)
     seeds = [trajectory_seed(base_seed, i) for i in range(n_traj)]
 
-    cube = _run_block(cycle, v0, noise, n_kicks, stride, seeds)
-
-    metrics = metric_arrays(cube[:, :, 0], cube[:, :, 1], cube[:, :, 2])
+    row0 = np.empty((len(kick_indices), 3))
+    mean, std = np.empty((2, len(StateMetrics._fields), len(kick_indices)))
+    part = slice(0, 0)
+    for rows in _run_block(cycle, v0, noise, n_kicks, stride, seeds):
+        part = slice(part.stop, part.stop + len(rows))
+        row0[part] = rows[:, 0]
+        for i, x in enumerate(metric_arrays(rows[:, :, 0], rows[:, :, 1], rows[:, :, 2])):
+            mean[i, part] = np.mean(x, axis=1)
+            std[i, part] = np.std(x, axis=1)
     return EnsembleStats(
         n_traj=n_traj,
         kick_indices=kick_indices,
-        mean=StateMetrics._make(np.mean(x, axis=1) for x in metrics),
-        std=StateMetrics._make(np.std(x, axis=1) for x in metrics),
-        trajectory0=TrajectoryResult(seeds[0], kick_indices, cube[:, 0].copy()),
+        mean=StateMetrics._make(mean),
+        std=StateMetrics._make(std),
+        trajectory0=TrajectoryResult(seeds[0], kick_indices, row0),
     )
 
 

@@ -164,23 +164,11 @@ class BathParams:
 
 @dataclass(frozen=True, eq=False)
 class PhotonTrace:
-    """Sampled intracavity photon number |alpha(t)|^2 on a time grid."""
+    """Sampled intracavity photon number |alpha(t)|^2 on a time grid, for
+    plotting; the integral and the peak come from photon_integral."""
 
     times: np.ndarray
     photon_number: np.ndarray
-
-    @property
-    def peak(self) -> float:
-        return float(np.max(self.photon_number))
-
-    def integral(self) -> float:
-        """Trapezoidal integral of |alpha(t)|^2 dt over the trace's own grid.
-
-        On default_time_grid this is about 3e-7 relative above the exact
-        integral (the tail step's (2 kappa h)^2/12); photon_integral gives
-        the integral to PHOTON_RTOL.
-        """
-        return float(np.trapezoid(self.photon_number, self.times))
 
 
 @dataclass(frozen=True)
@@ -295,13 +283,39 @@ def _check_grid(pulse: PulseSpec, cavity: CavityParams, grid: np.ndarray) -> Non
         )
 
 
+def _drive_steps(envelope, start, u, kappa: float) -> np.ndarray:
+    """The drive's part of the field a step u after start: the integral over
+    [start, start + u] of E(s) e^{-kappa (start + u - s)} ds, by the 8-point
+    rule, for start and u that broadcast together.
+
+    The step is exact in the decay, alpha(start + u) =
+    alpha(start) e^{-kappa u} + this.  envelope maps an array of times to
+    E there; the nodes are start + u x_k with weights
+    (u w_k) e^{-kappa (u - u x_k)}, summed over the last axis.
+    """
+    u = u[..., None]
+    offsets = u * _GL_NODES
+    weights = (u * _GL_WEIGHTS) * np.exp(-kappa * (u - offsets))
+    return np.sum(envelope(start[..., None] + offsets) * weights, axis=-1)
+
+
+def _field(decays, drives) -> list[float]:
+    """alpha from 0 after each step, alpha -> alpha * decay + drive, in
+    order: the n + 1 values of n steps."""
+    a, field = 0.0, [0.0]
+    for d, e in zip(decays, drives):
+        a = a * d + e
+        field.append(a)
+    return field
+
+
 def intracavity_amplitude(
     pulse: PulseSpec, cavity: CavityParams, grid: np.ndarray | None = None
 ) -> PhotonTrace:
     """Integrate alpha' = -kappa*alpha + E0(t) from alpha(0)=0 on the grid.
 
     Per step the update is exact in the decay and Gauss-Legendre in the
-    drive: alpha[j+1] = alpha[j]*exp(-kappa*h) + integral of
+    drive: alpha[j+1] = alpha[j]*exp(-kappa*h) + _drive_steps' integral of
     E0(t_j+s)*exp(-kappa*(h-s)) ds, so accuracy is set by how well 8-point
     quadrature captures the envelope across one step, not by the decay rate.
 
@@ -328,21 +342,11 @@ def intracavity_amplitude(
     peak = 0.0 if pulse.shape == "rectangular" else 0.5 * pulse.duration_tau_p
     off = (drive_amplitude(pulse, cavity, grid) == 0.0) & (grid >= peak)
     m = int(np.argmax(off)) if off.any() else h.size
-    # Node times of every driven step at once: t[j] + x[i]*h[j], shape (m, 8).
-    h_on = h[:m, None]
-    tnodes = grid[:m, None] + h_on * _GL_NODES[None, :]
-    enodes = drive_amplitude(pulse, cavity, tnodes)
-    wnodes = (_GL_WEIGHTS[None, :] * h_on) * np.exp(-kappa * h_on * (1.0 - _GL_NODES[None, :]))
-    drive_integrals = np.sum(wnodes * enodes, axis=1)
+    drives = _drive_steps(lambda t: drive_amplitude(pulse, cavity, t), grid[:m], h[:m], kappa)
 
     alpha = np.empty(grid.size)
-    alpha[0] = 0.0
-    a = 0.0
-    for j, (d, drive) in enumerate(zip(decay[:m].tolist(), drive_integrals.tolist())):
-        a = a * d + drive
-        alpha[j + 1] = a
+    alpha[: m + 1] = _field(decay[:m].tolist(), drives.tolist())
     # the undriven tail, ((alpha[m] d[m]) d[m+1]) ..., in the recursion's order
-    alpha[m] = a
     alpha[m + 1 :] = decay[m:]
     np.multiply.accumulate(alpha[m:], out=alpha[m:])
     return PhotonTrace(times=grid, photon_number=alpha * alpha)
@@ -398,27 +402,17 @@ def _gaussian_panels(tau_p: float, kappa: float, end: float, n: int):
     """alpha at the n + 1 ends of n equal panels of [0, end] and the
     integral of alpha^2 over them, for a gaussian drive of unit amplitude.
 
-    Each panel is a step of intracavity_amplitude's recursion, exact in the
-    decay: alpha(t_j + u) = alpha_j e^{-kappa u} + the integral over
-    [t_j, t_j + u] of E0(s) e^{-kappa (t_j + u - s)} ds, taken by the
-    8-point rule on [0, u] at u = h (the panel's end) and at the rule's
+    Each panel is a step of intracavity_amplitude's recursion, _drive_steps
+    from the panel's start t_j, at u = h (the panel's end) and at the rule's
     nodes u = x_i h, where the panel's own 8-point rule then sums alpha^2.
     """
     c = 2.0 * math.log(2.0) / tau_p**2
     h = end / n
     u = h * np.append(_GL_NODES, 1.0)
-    # x_k u_i from the envelope's peak, and w_k u_i e^{-kappa u_i (1 - x_k)}
-    offsets = u[:, None] * _GL_NODES
-    weights = (u[:, None] * _GL_WEIGHTS) * np.exp(-kappa * (u[:, None] - offsets))
-    x = (np.arange(n) * h - 0.5 * tau_p)[:, None, None] + offsets
-    driven = np.sum(np.exp(-c * x * x) * weights, axis=2)  # (n, 9)
-    decay = math.exp(-kappa * h)
-    ends = [0.0]
-    a = 0.0
-    for drive in driven[:, 8].tolist():
-        a = a * decay + drive
-        ends.append(a)
-    ends = np.array(ends)
+    # times from the envelope's peak
+    starts = (np.arange(n) * h - 0.5 * tau_p)[:, None]
+    driven = _drive_steps(lambda x: np.exp(-c * x * x), starts, u, kappa)  # (n, 9)
+    ends = np.array(_field([math.exp(-kappa * h)] * n, driven[:, 8].tolist()))
     nodes = ends[:-1, None] * np.exp(-kappa * u[:8]) + driven[:, :8]
     return ends, float(np.sum(nodes * nodes * (h * _GL_WEIGHTS)))
 
@@ -467,7 +461,8 @@ def _gaussian_photons(tau_p: float, kappa: float, span: float) -> tuple[float, f
     nodes = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 
     def slope(s):
-        """(alpha', alpha) at s past the bracket's start, by the panels' rule."""
+        """(alpha', alpha) at s past the bracket's start: _drive_steps' rule
+        restated for one step of scalar floats."""
         total = 0.0
         for x, w in nodes:
             y = x0 + s * x
@@ -493,17 +488,6 @@ def _gaussian_photons(tau_p: float, kappa: float, span: float) -> tuple[float, f
         if abs(step) <= 1e-10 * h:
             break
     return integral + tail, slope(s)[1] ** 2
-
-
-def kick_strength(g2: float, trace: PhotonTrace) -> float:
-    """theta = 2 * g2 * trace.integral(), the sampled trace's own trapezoid.
-
-    theta_from_physical's theta, 2 g2 photon_integral(...)[0], is the
-    certified one; this is the trace's estimate of it.
-    """
-    if not math.isfinite(g2):
-        raise ValueError(f"g2 must be finite, got {g2}")
-    return 2.0 * g2 * trace.integral()
 
 
 def theta_from_physical(

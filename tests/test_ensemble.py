@@ -3,6 +3,7 @@ oracle, the scalar loop and a 30-digit replay, aggregation."""
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,11 @@ from springkick.moments import _congruence
 FIG = MechanicalParams(omega_m=5e5, gamma_m=1e2, n_bar=10.0)
 TAU = 1e-7
 NOISE = KickNoiseModel(mean_theta=10.0, variance=1e-3)
+
+
+def run_cube(*args):
+    """_run_block's blocks joined into the sampled (rows, width, 3) cube."""
+    return np.concatenate(list(_run_block(*args)))
 
 
 def moments_of(result):
@@ -180,7 +186,7 @@ class TestComposed:
                 FIG.omega_m, FIG.gamma_m, FIG.n_bar, TAU, seed_draws(seed, n_kicks),
                 v0.as_array(), list(range(0, n_kicks + 1, stride)),
             )
-            composed = _run_block(cyc, v0, NOISE, n_kicks, stride, [seed])[:, 0]
+            composed = run_cube(cyc, v0, NOISE, n_kicks, stride, [seed])[:, 0]
             lockstep = lockstep_run_block(cyc, v0, NOISE, n_kicks, stride, [seed])[:, 0]
             worst = max(row_error(r, x) for r, x in zip(composed, ref))
             worst_lockstep = max(row_error(r, x) for r, x in zip(lockstep, ref))
@@ -219,7 +225,7 @@ class TestComposed:
         cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
         v0 = thermal_state(FIG)
         for seeds in ([11], [11, 12, 13]):
-            cube = _run_block(cyc, v0, NOISE, n_kicks, stride, seeds)
+            cube = run_cube(cyc, v0, NOISE, n_kicks, stride, seeds)
             for i, seed in enumerate(seeds):
                 ref = scalar_noisy_run(cyc, v0, n_kicks, stride, seed)
                 assert rel_diff(cube[:, i], ref) <= DRAW_MAP_BOUND, (len(seeds), i)
@@ -240,11 +246,11 @@ class TestComposed:
         cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
         v0 = thermal_state(FIG)
         seeds = [21, 22, 23, 24, 25]
-        wide = _run_block(cyc, v0, NOISE, n_kicks, stride, seeds)
+        wide = run_cube(cyc, v0, NOISE, n_kicks, stride, seeds)
         monkeypatch.setattr(ensemble, "_CHUNK", 7)
-        assert np.array_equal(_run_block(cyc, v0, NOISE, n_kicks, stride, seeds), wide)
+        assert np.array_equal(run_cube(cyc, v0, NOISE, n_kicks, stride, seeds), wide)
         for i, seed in enumerate(seeds):
-            solo = _run_block(cyc, v0, NOISE, n_kicks, stride, [seed])
+            solo = run_cube(cyc, v0, NOISE, n_kicks, stride, [seed])
             assert np.array_equal(solo[:, 0], wide[:, i]), seed
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -276,7 +282,7 @@ class TestComposed:
         seeds = [trajectory_seed(base, i) for i in range(width)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ensemble, "_CHUNK", chunk)
-            composed = _run_block(cyc, v0, noise, n_kicks, stride, seeds)
+            composed = run_cube(cyc, v0, noise, n_kicks, stride, seeds)
         lockstep = lockstep_run_block(cyc, v0, noise, n_kicks, stride, seeds)
         assert composed.shape == lockstep.shape
         for i in range(width):
@@ -307,9 +313,9 @@ class TestComposed:
             monkeypatch.setattr(ensemble, "_CHUNK", chunk)
         cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
         seeds = [trajectory_seed(3, i) for i in range(width)]
-        ref = _run_block(cyc, thermal_state(FIG), NOISE, n_kicks, stride, seeds)
+        ref = run_cube(cyc, thermal_state(FIG), NOISE, n_kicks, stride, seeds)
         monkeypatch.setattr(ensemble, "_generator", Counting)
-        cube = _run_block(cyc, thermal_state(FIG), NOISE, n_kicks, stride, seeds)
+        cube = run_cube(cyc, thermal_state(FIG), NOISE, n_kicks, stride, seeds)
         assert np.array_equal(cube, ref)
         assert [c.n for c in counts] == [n_kicks] * width
 
@@ -405,6 +411,62 @@ class TestEnsemble:
         draws = rng.normal(NOISE.mean_theta, NOISE.std, size=1_000_000)
         assert abs(float(np.mean(draws)) - 10.0) < 4e-4
         assert abs(float(np.var(draws)) - 1e-3) / 1e-3 < 0.05
+
+
+def traced_peak(run):
+    """tracemalloc's peak of the memory that run() allocates, in bytes."""
+    outer = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
+class TestBlocks:
+    """run_ensemble reduces _run_block's rows a block at a time."""
+
+    @pytest.mark.parametrize("cells", [1, 7 * 500, None], ids=["one-row", "mid-chunk", "default"])
+    def test_statistics_independent_of_block(self, cells, monkeypatch):
+        # mean, std and trajectory 0 bit for bit as reduced over the whole
+        # sampled cube at once: with one row a block, with 500 rows a block
+        # (a chunk at width 7 samples 1,462 rows at stride 1), and with the
+        # default, one block for these 2,001 rows
+        n_kicks, stride, seeds = 2000, 1, [trajectory_seed(9, i) for i in range(7)]
+        cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
+        cube = run_cube(cyc, thermal_state(FIG), NOISE, n_kicks, stride, seeds)
+        metrics = metric_arrays(cube[:, :, 0], cube[:, :, 1], cube[:, :, 2])
+        if cells is not None:
+            monkeypatch.setattr(ensemble, "_BLOCK_CELLS", cells)
+        stats = run_ensemble(FIG, TAU, NOISE, n_kicks, stride, n_traj=7, base_seed=9)
+        for got, x in zip(stats.mean, metrics):
+            assert np.array_equal(got, np.mean(x, axis=1))
+        for got, x in zip(stats.std, metrics):
+            assert np.array_equal(got, np.std(x, axis=1))
+        assert np.array_equal(stats.trajectory0.moments, cube[:, 0])
+
+    def test_blocks_leave_the_errstate(self, monkeypatch):
+        # the segment arithmetic ignores overflow; the caller, handed a
+        # block, runs under its own errstate
+        monkeypatch.setattr(ensemble, "_BLOCK_CELLS", 1)
+        cyc = cycle_map(FIG, TAU, NOISE.mean_theta)
+        errs = [np.geterr() for _ in _run_block(cyc, thermal_state(FIG), NOISE, 300, 100, [1])]
+        assert errs == [np.geterr()] * 4
+
+    def test_memory_bounded_by_the_block(self):
+        # at width 20 and stride 1, four times the kicks cost little more
+        # than the 128 bytes a row of the result holds: 12.8 -> 15.0 MB for
+        # 4,000 -> 16,000 kicks, where reducing one (rows x width x 3) cube
+        # took 10.9 -> 43.7 MB
+        run = lambda n: run_ensemble(FIG, TAU, NOISE, n, 1, n_traj=20, base_seed=4)
+        run(100)
+        small = traced_peak(lambda: run(4000))
+        large = traced_peak(lambda: run(16_000))
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestTailMean:

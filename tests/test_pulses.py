@@ -27,7 +27,6 @@ from springkick import (
     default_time_grid,
     drive_amplitude,
     intracavity_amplitude,
-    kick_strength,
     photon_integral,
     regime_check,
     temperature_for_occupancy,
@@ -38,7 +37,7 @@ from conftest import readme_physical_example
 from oracles import mp_coupling_g2, mp_photons
 from springkick import pulses
 from springkick.cli import main
-from springkick.pulses import PULSE_SHAPES, _GL_NODES, _GL_WEIGHTS, _grade
+from springkick.pulses import PULSE_SHAPES, _GL_NODES, _GL_WEIGHTS, _drive_steps, _grade
 
 # Membrane-in-the-middle reference set: 0.1 mm cavity, 1550 nm drive,
 # 2.5 pg membrane of moderate reflectivity, 0.1 ns rectangular pulses.
@@ -109,13 +108,13 @@ class TestIntracavityField:
 
     def test_field_decays_by_period_end(self):
         trace = intracavity_amplitude(PULSE, CAV)
-        assert trace.photon_number[-1] / trace.peak < 1e-8
+        assert trace.photon_number[-1] / trace.photon_number.max() < 1e-8
 
     def test_long_pulse_plateaus_at_drive_over_decay(self):
         pl = PulseSpec("rectangular", 1e-6, 1.0, 1e-5)
         E0 = drive_amplitude(pl, CAV, np.array([0.0]))[0]
         trace = intracavity_amplitude(pl, CAV)
-        assert trace.peak == pytest.approx((E0 / CAV.kappa) ** 2, rel=1e-6)
+        assert trace.photon_number.max() == pytest.approx((E0 / CAV.kappa) ** 2, rel=1e-6)
 
     def test_starts_empty(self):
         trace = intracavity_amplitude(PULSE, CAV)
@@ -130,7 +129,9 @@ class TestIntracavityField:
         th_a, trace_a = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
         th_b, trace_b = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m, grid=fine)
         assert trace_b.times.size == 2 * trace_a.times.size - 1
-        assert abs(trace_a.integral() - trace_b.integral()) / trace_a.integral() < 1e-6
+        integral_a = np.trapezoid(trace_a.photon_number, trace_a.times)
+        integral_b = np.trapezoid(trace_b.photon_number, trace_b.times)
+        assert abs(integral_a - integral_b) / integral_a < 1e-6
         assert th_a == th_b
 
     def test_coarse_grid_rejected(self):
@@ -164,16 +165,12 @@ class TestIntracavityField:
 
 def full_recursion(pulse, cavity, grid):
     """The recursion over every step of the grid, as intracavity_amplitude
-    ran it before it stopped at the last driven step: the photon numbers
-    and each step's drive integral."""
+    ran it before it stopped at the last driven step, each step's drive from
+    the shared _drive_steps: the photon numbers and each step's drive
+    integral."""
     kap = cavity.kappa
     h = np.diff(grid)
-    tnodes = grid[:-1, None] + h[:, None] * _GL_NODES[None, :]
-    enodes = drive_amplitude(pulse, cavity, tnodes)
-    wnodes = (_GL_WEIGHTS[None, :] * h[:, None]) * np.exp(
-        -kap * h[:, None] * (1.0 - _GL_NODES[None, :])
-    )
-    drive = np.sum(wnodes * enodes, axis=1)
+    drive = _drive_steps(lambda t: drive_amplitude(pulse, cavity, t), grid[:-1], h, kap)
     decay = np.exp(-kap * h)
     alpha = [0.0]
     for d, e in zip(decay.tolist(), drive.tolist()):
@@ -214,20 +211,26 @@ class TestDrivenSteps:
         photons, drive = full_recursion(pulse, cavity, grid)
         assert np.array_equal(trace.times, grid)
         assert np.array_equal(trace.photon_number, photons)
-        assert trace.peak == float(np.max(photons))
-        assert trace.integral() == float(np.trapezoid(photons, grid))
         assert not drive[first_undriven(pulse, cavity, grid) :].any()
 
 
 class TestKickStrength:
     def test_reference_chain(self):
-        # theta is the certified integral's, not the trace's trapezoid, which
-        # kick_strength still takes (1.2928610462e-3, 3.3e-7 above)
+        # theta is the certified integral's, not the trace's trapezoid
+        # (1.2928610462e-3, 3.3e-7 above)
         theta, trace = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
         g2 = coupling_g2(CAV, MEM, MECH.omega_m)
         assert theta == 2.0 * g2 * photon_integral(PULSE, CAV)[0]
-        assert kick_strength(g2, trace) == 2.0 * g2 * trace.integral()
+        assert 2.0 * g2 * np.trapezoid(trace.photon_number, trace.times) > theta
         assert theta == pytest.approx(1.2928610462e-3, rel=1e-6)
+
+    def test_one_certified_answer(self):
+        # theta, the integral and the peak come from photon_integral alone;
+        # the trace is the sampled field, with no estimate of its own
+        assert not hasattr(pulses, "kick_strength")
+        assert "kick_strength" not in springkick.__all__
+        assert not hasattr(pulses.PhotonTrace, "integral")
+        assert not hasattr(pulses.PhotonTrace, "peak")
 
     def test_linear_in_power(self):
         th1, _ = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
@@ -273,14 +276,16 @@ class TestPhotonIntegral:
             assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
 
     def test_trace_trapezoid_is_the_estimate(self):
-        # the trace's own integral and peak lie within its grid's error
+        # the sampled field's trapezoid and maximum lie within its grid's
+        # error of the certified integral and peak
         for shape in PULSE_SHAPES:
             pulse = PulseSpec(shape, 1e-10, 1.0, 1e-7)
             integral, peak = photon_integral(pulse, CAV)
             trace = intracavity_amplitude(pulse, CAV)
-            assert abs(trace.integral() - integral) <= 5e-7 * integral
-            assert abs(trace.peak - peak) <= 1e-6 * peak
-            assert trace.peak <= peak * (1 + 1e-12)
+            trapezoid = np.trapezoid(trace.photon_number, trace.times)
+            assert abs(trapezoid - integral) <= 5e-7 * integral
+            assert abs(trace.photon_number.max() - peak) <= 1e-6 * peak
+            assert trace.photon_number.max() <= peak * (1 + 1e-12)
 
     def test_zero_power(self):
         for shape in PULSE_SHAPES:
