@@ -7,16 +7,15 @@ of one pulse is summarized by the dimensionless kick strength
 theta = 2 g2 integral |alpha(t)|^2 dt.  This module evaluates the quadratic
 coupling g2 from cavity and membrane data; for a rectangular or gaussian
 pulse envelope, that integral and the peak of |alpha|^2 to PHOTON_RTOL
-without a time grid (photon_integral), and alpha(t) on a grid for plotting;
-and it reports the dimensionless ratios behind the delta-kick approximation
-(pulse much shorter than the cavity lifetime, cavity empty again well before
-the next pulse).
+without a time grid (photon_integral); and it reports the dimensionless
+ratios behind the delta-kick approximation (pulse much shorter than the
+cavity lifetime, cavity empty again well before the next pulse).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +28,6 @@ HBAR = PLANCK / (2 * math.pi)
 BOLTZMANN = 1.380649e-23  # J/K
 
 PULSE_SHAPES = ("rectangular", "gaussian")
-
-# Max grid step must stay below the fastest local timescale divided by this.
-GRID_RESOLUTION_FACTOR = 50.0
 
 # Gauss-Legendre nodes/weights on [0, 1], 8 points; exact through degree 15.
 # The reprs of numpy.polynomial.legendre.leggauss(8) mapped from [-1, 1],
@@ -60,8 +56,8 @@ _MAX_PANELS = 4096
 
 
 class GridResolutionError(ValueError):
-    """Raised when a time grid or photon_integral's panels are too coarse to
-    resolve pulse or cavity decay."""
+    """Raised when photon_integral's panels are too coarse to resolve the
+    pulse or the cavity decay: their halving estimate exceeds PHOTON_RTOL."""
 
 
 @dataclass(frozen=True)
@@ -162,15 +158,6 @@ class BathParams:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class PhotonTrace:
-    """Sampled intracavity photon number |alpha(t)|^2 on a time grid, for
-    plotting; the integral and the peak come from photon_integral."""
-
-    times: np.ndarray
-    photon_number: np.ndarray
-
-
 @dataclass(frozen=True)
 class RegimeCheck:
     """One inequality behind the kick model, with its dimensionless margin."""
@@ -215,74 +202,6 @@ def coupling_g2(cavity: CavityParams, membrane: MembraneParams, omega_m: float) 
     return pref * math.sqrt(R / (1.0 - R))
 
 
-def drive_amplitude(pulse: PulseSpec, cavity: CavityParams, t) -> np.ndarray:
-    """Cavity input amplitude E0(t) = sqrt(2 P0(t) kappa_0 / (hbar omega_c)).
-
-    Vectorized over t.  Rectangular pulses are on for 0 <= t < tau_p; the
-    gaussian power envelope peaks at tau_p/2 with FWHM tau_p and is never
-    truncated.
-    """
-    t = np.asarray(t, dtype=float)
-    if pulse.shape == "rectangular":
-        power = np.where((t >= 0.0) & (t < pulse.duration_tau_p), pulse.peak_power, 0.0)
-    else:
-        x = t - 0.5 * pulse.duration_tau_p
-        power = pulse.peak_power * np.exp(-4.0 * math.log(2.0) * x * x / pulse.duration_tau_p**2)
-    return np.sqrt(2.0 * power * cavity.kappa_0 / (HBAR * cavity.omega_c))
-
-
-def default_time_grid(pulse: PulseSpec, cavity: CavityParams) -> np.ndarray:
-    """Two-segment grid: dense across the pulse, cavity-lifetime steps in the tail.
-
-    The pulse segment runs to the envelope end with steps
-    min(tau_p, 1/kappa)/1000; the tail continues to
-    min(period_tau, envelope_end + 40/kappa) with steps (1/kappa)/1000, by
-    which point the field has decayed to ~e^-40 of its peak.
-    """
-    kappa = cavity.kappa
-    t_pulse = pulse.envelope_end
-    h_pulse = min(pulse.duration_tau_p, 1.0 / kappa) / 1000.0
-    n_pulse = max(int(math.ceil(t_pulse / h_pulse)), 2)
-    seg1 = np.linspace(0.0, t_pulse, n_pulse + 1)
-
-    t_end = min(pulse.period_tau, t_pulse + 40.0 / kappa)
-    if t_end <= t_pulse:
-        return seg1
-    h_tail = (1.0 / kappa) / 1000.0
-    n_tail = max(int(math.ceil((t_end - t_pulse) / h_tail)), 2)
-    seg2 = np.linspace(t_pulse, t_end, n_tail + 1)
-    return np.concatenate([seg1, seg2[1:]])
-
-
-def _check_grid(pulse: PulseSpec, cavity: CavityParams, grid: np.ndarray) -> None:
-    if grid.ndim != 1 or grid.size < 2:
-        raise GridResolutionError("grid must be a 1-d array of at least 2 times")
-    steps = np.diff(grid)
-    if not np.all(steps > 0):
-        raise GridResolutionError("grid times must be strictly increasing")
-    if grid[0] != 0.0:
-        raise GridResolutionError(f"grid must start at t=0, got {grid[0]}")
-    kappa = cavity.kappa
-    t_pulse = pulse.envelope_end
-    # Inside the pulse both the envelope and the cavity response must be
-    # resolved; past it only the kappa decay remains.
-    bound_pulse = min(pulse.duration_tau_p, 1.0 / kappa) / GRID_RESOLUTION_FACTOR
-    bound_tail = (1.0 / kappa) / GRID_RESOLUTION_FACTOR
-    in_pulse = grid[:-1] < t_pulse
-    if np.any(steps[in_pulse] > bound_pulse):
-        raise GridResolutionError(
-            "grid too coarse: pulse-segment step "
-            f"{np.max(steps[in_pulse]):.3e} exceeds {bound_pulse:.3e} "
-            f"(min(tau_p, 1/kappa)/{GRID_RESOLUTION_FACTOR:.0f})"
-        )
-    if np.any(steps[~in_pulse] > bound_tail):
-        raise GridResolutionError(
-            "grid too coarse: tail step "
-            f"{np.max(steps[~in_pulse]):.3e} exceeds {bound_tail:.3e} "
-            f"((1/kappa)/{GRID_RESOLUTION_FACTOR:.0f})"
-        )
-
-
 def _drive_steps(envelope, start, u, kappa: float) -> np.ndarray:
     """The drive's part of the field a step u after start: the integral over
     [start, start + u] of E(s) e^{-kappa (start + u - s)} ds, by the 8-point
@@ -309,56 +228,14 @@ def _field(decays, drives) -> list[float]:
     return field
 
 
-def intracavity_amplitude(
-    pulse: PulseSpec, cavity: CavityParams, grid: np.ndarray | None = None
-) -> PhotonTrace:
-    """Integrate alpha' = -kappa*alpha + E0(t) from alpha(0)=0 on the grid.
-
-    Per step the update is exact in the decay and Gauss-Legendre in the
-    drive: alpha[j+1] = alpha[j]*exp(-kappa*h) + _drive_steps' integral of
-    E0(t_j+s)*exp(-kappa*(h-s)) ds, so accuracy is set by how well 8-point
-    quadrature captures the envelope across one step, not by the decay rate.
-
-    The recursion runs only over the driven steps, those below m, the first
-    grid time at or past the envelope's peak (t = 0 for a rectangular pulse,
-    tau_p/2 for a gaussian one) where E0 is exactly 0.0.  Past its peak the
-    envelope does not increase, in floating point too: t - tau_p/2, its
-    square, the scaling, exp and sqrt each round monotonically.  Every node
-    of a step j >= m lies at or after t_m, so E0 is 0.0 there, and so is the
-    step's drive integral, a sum of finite weights times 0.0.  The update
-    a*d + 0.0 is then a*d, and the tail is a sequential product of the
-    decays from alpha[m] on, bit for bit what the full recursion gives.  A
-    rectangular pulse is driven up to tau_p; a gaussian one until exp
-    underflows, at about 16 tau_p past its peak.
-    """
-    if grid is None:
-        grid = default_time_grid(pulse, cavity)
-    grid = np.asarray(grid, dtype=float)
-    _check_grid(pulse, cavity, grid)
-
-    kappa = cavity.kappa
-    h = np.diff(grid)
-    decay = np.exp(-kappa * h)
-    peak = 0.0 if pulse.shape == "rectangular" else 0.5 * pulse.duration_tau_p
-    off = (drive_amplitude(pulse, cavity, grid) == 0.0) & (grid >= peak)
-    m = int(np.argmax(off)) if off.any() else h.size
-    drives = _drive_steps(lambda t: drive_amplitude(pulse, cavity, t), grid[:m], h[:m], kappa)
-
-    alpha = np.empty(grid.size)
-    alpha[: m + 1] = _field(decay[:m].tolist(), drives.tolist())
-    # the undriven tail, ((alpha[m] d[m]) d[m+1]) ..., in the recursion's order
-    alpha[m + 1 :] = decay[m:]
-    np.multiply.accumulate(alpha[m:], out=alpha[m:])
-    return PhotonTrace(times=grid, photon_number=alpha * alpha)
-
-
 def photon_integral(pulse: PulseSpec, cavity: CavityParams) -> tuple[float, float]:
     """(integral of |alpha(t)|^2 dt, peak of |alpha(t)|^2) for one pulse,
     without a time grid, to PHOTON_RTOL relative.
 
-    The span is the one default_time_grid covers, [0, T] with
-    T = min(period_tau, envelope_end + 40/kappa).  With x = kappa tau_p and
-    E the drive's peak amplitude, a rectangular pulse gives
+    The span is [0, T], T = min(period_tau, envelope_end + 40/kappa), by
+    which the undriven field has decayed to ~e^-40 of its peak.  With
+    x = kappa tau_p and E = sqrt(2 P0 kappa_0 / (hbar omega_c)) the drive's
+    peak amplitude, a rectangular pulse gives
     (E^2/kappa^3) (f(x) + expm1(-x)^2 (-expm1(-2 kappa (T - tau_p)))/2),
     f(x) = integral_0^x (1 - e^{-s})^2 ds, and the peak
     (E expm1(-x)/kappa)^2 at tau_p.  A gaussian pulse takes _gaussian_photons.
@@ -402,9 +279,10 @@ def _gaussian_panels(tau_p: float, kappa: float, end: float, n: int):
     """alpha at the n + 1 ends of n equal panels of [0, end] and the
     integral of alpha^2 over them, for a gaussian drive of unit amplitude.
 
-    Each panel is a step of intracavity_amplitude's recursion, _drive_steps
-    from the panel's start t_j, at u = h (the panel's end) and at the rule's
-    nodes u = x_i h, where the panel's own 8-point rule then sums alpha^2.
+    Each panel is one field step, exact in the decay: alpha at its start t_j
+    times e^{-kappa u} plus _drive_steps from t_j, at u = h (the panel's end)
+    and at the rule's nodes u = x_i h, where the panel's own 8-point rule
+    then sums alpha^2.
     """
     c = 2.0 * math.log(2.0) / tau_p**2
     h = end / n
@@ -491,21 +369,11 @@ def _gaussian_photons(tau_p: float, kappa: float, span: float) -> tuple[float, f
 
 
 def theta_from_physical(
-    pulse: PulseSpec,
-    cavity: CavityParams,
-    membrane: MembraneParams,
-    omega_m: float,
-    grid: np.ndarray | None = None,
-) -> tuple[float, PhotonTrace]:
-    """Full chain pulse -> field -> kick strength; returns (theta, trace).
-
-    theta = 2 g2 photon_integral(pulse, cavity)[0], to PHOTON_RTOL whatever
-    the grid; the trace is intracavity_amplitude's on the grid, for callers
-    that plot it.
-    """
-    g2 = coupling_g2(cavity, membrane, omega_m)
-    integral, _ = photon_integral(pulse, cavity)
-    return 2.0 * g2 * integral, intracavity_amplitude(pulse, cavity, grid)
+    pulse: PulseSpec, cavity: CavityParams, membrane: MembraneParams, omega_m: float
+) -> float:
+    """Full chain pulse -> field -> kick strength:
+    theta = 2 g2 photon_integral(pulse, cavity)[0], to PHOTON_RTOL."""
+    return 2.0 * coupling_g2(cavity, membrane, omega_m) * photon_integral(pulse, cavity)[0]
 
 
 def temperature_for_occupancy(omega_m: float, n_bar: float) -> float:

@@ -61,7 +61,7 @@ from .pulses import (
     temperature_for_occupancy,
 )
 # bound for bench/tracing.py's PATCHES as above: resolve_kick takes theta
-# from photon_integral and builds no trace
+# from photon_integral, so no run calls it
 from .pulses import theta_from_physical  # noqa: F401
 
 OUTPUT_COLUMNS = (

@@ -1,7 +1,7 @@
 """Shared strategies: physical moment vectors and underdamped parameter sets.
 
 Also the README's INI example, as documented and in its physical kick form,
-and its library quick start.
+its library quick start and its pulse-chain example.
 """
 
 import math
@@ -66,10 +66,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+def _readme_blocks(language: str) -> list[str]:
+    """The ```language blocks of README.md, verbatim, in order."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return [part.split("```", 1)[0] for part in text.split(f"```{language}\n")[1:]]
+
+
 def _readme_block(language: str) -> str:
     """The first ```language block of README.md, verbatim."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+    return _readme_blocks(language)[0]
 
 
 def readme_ini_example() -> str:
@@ -80,6 +85,12 @@ def readme_ini_example() -> str:
 def readme_quick_start() -> str:
     """The first ```python block of README.md, the library quick start."""
     return _readme_block("python")
+
+
+def readme_pulse_chain() -> str:
+    """The ```python block of README.md that runs the physical pulse chain."""
+    (block,) = [b for b in _readme_blocks("python") if "theta_from_physical(" in b]
+    return block
 
 
 def readme_physical_example() -> str:

@@ -1,4 +1,4 @@
-"""Coupling rate, intracavity field integration, kick strength, regime checks."""
+"""Coupling rate, intracavity field, kick strength, regime checks."""
 
 import math
 import os
@@ -8,8 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 import scipy.constants
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import hbar as HBAR
@@ -24,20 +22,15 @@ from springkick import (
     MembraneParams,
     PulseSpec,
     coupling_g2,
-    default_time_grid,
-    drive_amplitude,
-    intracavity_amplitude,
     photon_integral,
     regime_check,
     temperature_for_occupancy,
     theta_from_physical,
 )
 import springkick
-from conftest import readme_physical_example
 from oracles import mp_coupling_g2, mp_photons
 from springkick import pulses
-from springkick.cli import main
-from springkick.pulses import PULSE_SHAPES, _GL_NODES, _GL_WEIGHTS, _drive_steps, _grade
+from springkick.pulses import PULSE_SHAPES, _GL_NODES, _GL_WEIGHTS, _drive_steps, _field, _grade
 
 # Membrane-in-the-middle reference set: 0.1 mm cavity, 1550 nm drive,
 # 2.5 pg membrane of moderate reflectivity, 0.1 ns rectangular pulses.
@@ -73,170 +66,75 @@ class TestCoupling:
         )
 
 
-class TestDrive:
-    def test_amplitude_formula(self):
-        ref = math.sqrt(2.0 * PULSE.peak_power * CAV.kappa_0 / (HBAR * CAV.omega_c))
-        assert drive_amplitude(PULSE, CAV, np.array([5e-11]))[0] == ref
-        assert ref == pytest.approx(3.9504128e13, rel=1e-6)
-
-    def test_rectangular_support(self):
-        t = np.array([-1e-12, 0.0, 5e-11, 1e-10, 2e-10])
-        E = drive_amplitude(PULSE, CAV, t)
-        assert E[0] == 0.0 and E[3] == 0.0 and E[4] == 0.0
-        assert E[1] > 0.0 and E[2] == E[1]
-
-    def test_gaussian_fwhm(self):
-        gp = PulseSpec("gaussian", 1e-10, 1.0, 1e-7)
-        t0 = 0.5 * gp.duration_tau_p
-        power = lambda t: drive_amplitude(gp, CAV, np.array([t]))[0] ** 2
-        assert power(t0 + 0.5 * gp.duration_tau_p) == pytest.approx(
-            0.5 * power(t0), rel=1e-12
-        )
-
-
 class TestIntracavityField:
-    def test_rectangular_closed_form(self):
-        trace = intracavity_amplitude(PULSE, CAV)
-        kap = CAV.kappa
-        E0 = drive_amplitude(PULSE, CAV, np.array([0.0]))[0]
-        t = trace.times
-        tp = PULSE.duration_tau_p
-        a_on = (E0 / kap) * (1.0 - np.exp(-kap * t))
-        a_off = (E0 / kap) * (1.0 - math.exp(-kap * tp)) * np.exp(-kap * (t - tp))
-        ref = np.where(t <= tp, a_on, a_off) ** 2
-        assert np.max(np.abs(trace.photon_number - ref)) / np.max(ref) < 1e-8
+    """The field alpha' = -kappa alpha + E0(t) from alpha(0) = 0, as
+    photon_integral's panels step it."""
 
-    def test_field_decays_by_period_end(self):
-        trace = intracavity_amplitude(PULSE, CAV)
-        assert trace.photon_number[-1] / trace.photon_number.max() < 1e-8
+    def test_rectangular_closed_form(self):
+        # a constant envelope's drive integral is -expm1(-kappa u)/kappa, to
+        # within 4 ulp for kappa u up to 1/2, the largest panel
+        kap = CAV.kappa
+        u = np.linspace(0.0, 0.5, 2001)[1:] / kap
+        drive = _drive_steps(np.ones_like, np.zeros_like(u), u, kap)
+        ref = -np.expm1(-kap * u) / kap
+        assert np.all(np.abs(drive - ref) <= 4 * np.spacing(ref))
+        # and the steps from an empty cavity give (1 - e^{-kappa t})/kappa, E0 = 1
+        n, h = 50, 0.01 / kap
+        steps = _drive_steps(np.ones_like, np.arange(n) * h, np.full(n, h), kap)
+        alpha = np.array(_field([math.exp(-kap * h)] * n, steps.tolist()))
+        ref = -np.expm1(-kap * h * np.arange(n + 1)) / kap
+        assert alpha[0] == 0.0
+        assert np.all(np.abs(alpha[1:] - ref[1:]) <= 1e-14 * ref[1:])
 
     def test_long_pulse_plateaus_at_drive_over_decay(self):
-        pl = PulseSpec("rectangular", 1e-6, 1.0, 1e-5)
-        E0 = drive_amplitude(pl, CAV, np.array([0.0]))[0]
-        trace = intracavity_amplitude(pl, CAV)
-        assert trace.photon_number.max() == pytest.approx((E0 / CAV.kappa) ** 2, rel=1e-6)
+        # E0 = sqrt(2 P0 kappa_0 / (hbar omega_c)) by hand; a long pulse's
+        # field settles where the drive balances the decay, alpha = E0/kappa
+        E0 = math.sqrt(2.0 * PULSE.peak_power * CAV.kappa_0 / (HBAR * CAV.omega_c))
+        assert E0 == pytest.approx(3.9504128e13, rel=1e-6)
+        plateau = (E0 / CAV.kappa) ** 2
+        rect = PulseSpec("rectangular", 100.0 / CAV.kappa, 1.0, 1e-5)
+        assert photon_integral(rect, CAV)[1] == pytest.approx(plateau, rel=1e-12)
+        # a gaussian one lags its envelope: the peak sits where
+        # E0(t) = kappa alpha(t), 4 ln 2 / (kappa tau_p)^2 below the plateau
+        for x in (100.0, 1000.0):
+            gauss = PulseSpec("gaussian", x / CAV.kappa, 1.0, 100.0 * x / CAV.kappa)
+            lag = -4.0 * math.log(2.0) / x**2
+            got = photon_integral(gauss, CAV)[1] / plateau - 1.0
+            assert abs(got - lag) <= 0.01 * abs(lag), (x, got, lag)
 
-    def test_starts_empty(self):
-        trace = intracavity_amplitude(PULSE, CAV)
-        assert trace.times[0] == 0.0
-        assert trace.photon_number[0] == 0.0
-
-    def test_grid_refinement_converged(self):
-        # the traces' own trapezoids converge; theta does not depend on the grid
-        g = default_time_grid(PULSE, CAV)
-        fine = np.unique(np.concatenate([g, 0.5 * (g[1:] + g[:-1])]))
-        fine[0] = 0.0
-        th_a, trace_a = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
-        th_b, trace_b = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m, grid=fine)
-        assert trace_b.times.size == 2 * trace_a.times.size - 1
-        integral_a = np.trapezoid(trace_a.photon_number, trace_a.times)
-        integral_b = np.trapezoid(trace_b.photon_number, trace_b.times)
-        assert abs(integral_a - integral_b) / integral_a < 1e-6
-        assert th_a == th_b
-
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(GridResolutionError, match="too coarse"):
-            intracavity_amplitude(PULSE, CAV, np.linspace(0.0, 1e-7, 50))
-
-    def test_non_monotone_grid_rejected(self):
-        with pytest.raises(GridResolutionError, match="increasing"):
-            intracavity_amplitude(PULSE, CAV, np.array([0.0, 2e-12, 1e-12]))
-
-    def test_uniform_grid_runs_the_recursion(self):
-        # a caller-supplied uniform grid takes the same per-step recursion as
-        # any other grid, bit for bit, and so does the default grid, for both
-        # shapes and at zero peak power
-        gauss = PulseSpec("gaussian", 1e-10, 1.0, 1e-7)
-        dark = PulseSpec("gaussian", 1e-10, 0.0, 1e-7)
-        uniform = np.linspace(0.0, 2e-9, 4001)
-        for pulse in (PULSE, gauss, dark, replace(PULSE, peak_power=0.0)):
-            for grid in (uniform, default_time_grid(pulse, CAV)):
-                trace = intracavity_amplitude(pulse, CAV, grid)
-                photons, drive = full_recursion(pulse, CAV, grid)
-                assert np.array_equal(trace.photon_number, photons)
-                assert not drive[first_undriven(pulse, CAV, grid) :].any()
-
-    def test_grid_must_start_at_zero(self):
-        with pytest.raises(GridResolutionError, match="start at t=0"):
-            intracavity_amplitude(
-                PULSE, CAV, np.arange(1e-12, 1e-10, 1e-12)
-            )
-
-
-def full_recursion(pulse, cavity, grid):
-    """The recursion over every step of the grid, as intracavity_amplitude
-    ran it before it stopped at the last driven step, each step's drive from
-    the shared _drive_steps: the photon numbers and each step's drive
-    integral."""
-    kap = cavity.kappa
-    h = np.diff(grid)
-    drive = _drive_steps(lambda t: drive_amplitude(pulse, cavity, t), grid[:-1], h, kap)
-    decay = np.exp(-kap * h)
-    alpha = [0.0]
-    for d, e in zip(decay.tolist(), drive.tolist()):
-        alpha.append(alpha[-1] * d + e)
-    return np.array(alpha) ** 2, drive
-
-
-def first_undriven(pulse, cavity, grid):
-    """m: the first grid time at or past the envelope's peak where the drive
-    is exactly 0.0, or the last grid index where there is none."""
-    peak = 0.0 if pulse.shape == "rectangular" else 0.5 * pulse.duration_tau_p
-    off = np.flatnonzero((drive_amplitude(pulse, cavity, grid) == 0.0) & (grid >= peak))
-    return int(off[0]) if off.size else grid.size - 1
-
-
-class TestDrivenSteps:
-    """intracavity_amplitude runs its recursion over the driven steps only
-    and takes the rest as a product of decays: bit for bit the recursion
-    over every step, since every drive integral from m on is 0.0."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        shape=st.sampled_from(PULSE_SHAPES),
-        tau_p=st.floats(1e-11, 1e-9),
-        kappa_0=st.floats(1e7, 1e10),
-        power=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
-        period=st.floats(1.5, 1e4),
-    )
-    @example(shape="rectangular", tau_p=1e-10, kappa_0=1e8, power=1.5e3, period=1e3)
-    @example(shape="gaussian", tau_p=3e-10, kappa_0=1e8, power=1.7e2, period=1e3 / 3)
-    @example(shape="gaussian", tau_p=1e-10, kappa_0=1e8, power=0.0, period=1e3)
-    def test_matches_the_full_recursion(self, shape, tau_p, kappa_0, power, period):
-        assume(tau_p * kappa_0 <= 10.0)  # at most about 10^5 grid points
-        pulse = PulseSpec(shape, tau_p, power, tau_p * period)
-        cavity = replace(CAV, kappa_0=kappa_0)
-        grid = default_time_grid(pulse, cavity)
-        trace = intracavity_amplitude(pulse, cavity)
-        photons, drive = full_recursion(pulse, cavity, grid)
-        assert np.array_equal(trace.times, grid)
-        assert np.array_equal(trace.photon_number, photons)
-        assert not drive[first_undriven(pulse, cavity, grid) :].any()
+    def test_field_decays_by_period_end(self):
+        # the cavity empties between pulses: a period 100 times longer moves
+        # the integral by under 1e-8, and none past envelope_end + 40/kappa
+        for shape in PULSE_SHAPES:
+            pulse = PulseSpec(shape, 1e-10, 1.0, 1e-7)
+            integral, peak = photon_integral(pulse, CAV)
+            longer = photon_integral(replace(pulse, period_tau=1e-5), CAV)
+            assert abs(longer[0] - integral) <= 1e-8 * integral and longer[1] == peak
+            assert photon_integral(replace(pulse, period_tau=1e-4), CAV) == longer
 
 
 class TestKickStrength:
     def test_reference_chain(self):
-        # theta is the certified integral's, not the trace's trapezoid
-        # (1.2928610462e-3, 3.3e-7 above)
-        theta, trace = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
+        theta = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
         g2 = coupling_g2(CAV, MEM, MECH.omega_m)
         assert theta == 2.0 * g2 * photon_integral(PULSE, CAV)[0]
-        assert 2.0 * g2 * np.trapezoid(trace.photon_number, trace.times) > theta
         assert theta == pytest.approx(1.2928610462e-3, rel=1e-6)
 
     def test_one_certified_answer(self):
         # theta, the integral and the peak come from photon_integral alone;
-        # the trace is the sampled field, with no estimate of its own
-        assert not hasattr(pulses, "kick_strength")
-        assert "kick_strength" not in springkick.__all__
-        assert not hasattr(pulses.PhotonTrace, "integral")
-        assert not hasattr(pulses.PhotonTrace, "peak")
+        # no sampled field of the pulse is left beside it
+        for name in (
+            "kick_strength", "PhotonTrace", "default_time_grid", "_check_grid",
+            "GRID_RESOLUTION_FACTOR", "intracavity_amplitude", "drive_amplitude",
+        ):
+            assert not hasattr(pulses, name), name
+            assert name not in springkick.__all__, name
 
     def test_linear_in_power(self):
-        th1, _ = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
+        th1 = theta_from_physical(PULSE, CAV, MEM, MECH.omega_m)
         for P in (0.2, 0.5, 2.0, 5.0):
             p = PulseSpec("rectangular", 1e-10, P, 1e-7)
-            th, _ = theta_from_physical(p, CAV, MEM, MECH.omega_m)
+            th = theta_from_physical(p, CAV, MEM, MECH.omega_m)
             assert abs(th / P - th1) / th1 < 1e-9
 
     def test_shape_independent_in_impulsive_limit(self):
@@ -249,10 +147,10 @@ class TestKickStrength:
             math.sqrt(math.pi / b) / 2.0 * (1.0 + erf(math.sqrt(b) * tau_p / 2.0))
         )
         P_gauss = (tau_p / area_gauss_unit) ** 2
-        th_rect, _ = theta_from_physical(
+        th_rect = theta_from_physical(
             PulseSpec("rectangular", tau_p, 1.0, 1e-7), CAV, MEM, MECH.omega_m
         )
-        th_gauss, _ = theta_from_physical(
+        th_gauss = theta_from_physical(
             PulseSpec("gaussian", tau_p, P_gauss, 1e-7), CAV, MEM, MECH.omega_m
         )
         assert abs(th_gauss - th_rect) / th_rect < 0.02
@@ -270,22 +168,10 @@ class TestPhotonIntegral:
         pulse = PulseSpec(shape, tau_p, 1.0, 1e-7)
         integral, peak = photon_integral(pulse, CAV)
         ref_integral, ref_peak = mp_photons(pulse, CAV)
-        theta, _ = theta_from_physical(pulse, CAV, MEM, MECH.omega_m)
+        theta = theta_from_physical(pulse, CAV, MEM, MECH.omega_m)
         ref_theta = 2 * mp_coupling_g2(CAV, MEM, MECH.omega_m) * ref_integral
         for got, ref in ((integral, ref_integral), (peak, ref_peak), (theta, ref_theta)):
             assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
-
-    def test_trace_trapezoid_is_the_estimate(self):
-        # the sampled field's trapezoid and maximum lie within its grid's
-        # error of the certified integral and peak
-        for shape in PULSE_SHAPES:
-            pulse = PulseSpec(shape, 1e-10, 1.0, 1e-7)
-            integral, peak = photon_integral(pulse, CAV)
-            trace = intracavity_amplitude(pulse, CAV)
-            trapezoid = np.trapezoid(trace.photon_number, trace.times)
-            assert abs(trapezoid - integral) <= 5e-7 * integral
-            assert abs(trace.photon_number.max() - peak) <= 1e-6 * peak
-            assert trace.photon_number.max() <= peak * (1 + 1e-12)
 
     def test_zero_power(self):
         for shape in PULSE_SHAPES:
@@ -295,26 +181,6 @@ class TestPhotonIntegral:
         # kappa tau_p = 1e4: the capped panels outgrow the cavity's lifetime
         with pytest.raises(GridResolutionError, match="panel-halving estimate"):
             photon_integral(PulseSpec("gaussian", 1e-4, 1.0, 1e-2), CAV)
-
-    def test_physical_run_builds_no_trace(self, tmp_path, monkeypatch):
-        calls = []
-
-        def spy(name):
-            def fail(*args, **kwargs):
-                calls.append(name)
-                raise AssertionError(name)
-            return fail
-
-        for name in ("default_time_grid", "intracavity_amplitude"):
-            monkeypatch.setattr(pulses, name, spy(name))
-        cfg = tmp_path / "physical.ini"
-        for shape in PULSE_SHAPES:
-            text = readme_physical_example()
-            cfg.write_text(text.replace("shape = rectangular", f"shape = {shape}"))
-            out = tmp_path / shape
-            assert main(["--config", str(cfg), "--kicks", "100", "--out", str(out), "--quiet"]) == 0
-            assert "from pulse chain" in (tmp_path / f"{shape}.summary.txt").read_text()
-        assert calls == []
 
 
 class TestTemperature:
