@@ -66,6 +66,18 @@ class TestCoupling:
         )
 
 
+class TestDrive:
+    def test_amplitude_formula(self):
+        # E0 = sqrt(2 P0 kappa_0 / (hbar omega_c)) by hand is photon_integral's
+        # drive: a long rectangular pulse settles at alpha = E0/kappa
+        E0 = math.sqrt(2.0 * PULSE.peak_power * CAV.kappa_0 / (HBAR * CAV.omega_c))
+        assert E0 == pytest.approx(3.9504128e13, rel=1e-6)
+        rect = PulseSpec("rectangular", 100.0 / CAV.kappa, 1.0, 1e-5)
+        assert photon_integral(rect, CAV)[1] == pytest.approx(
+            (E0 / CAV.kappa) ** 2, rel=1e-12
+        )
+
+
 class TestIntracavityField:
     """The field alpha' = -kappa alpha + E0(t) from alpha(0) = 0, as
     photon_integral's panels step it."""
@@ -83,14 +95,18 @@ class TestIntracavityField:
         steps = _drive_steps(np.ones_like, np.arange(n) * h, np.full(n, h), kap)
         alpha = np.array(_field([math.exp(-kap * h)] * n, steps.tolist()))
         ref = -np.expm1(-kap * h * np.arange(n + 1)) / kap
-        assert alpha[0] == 0.0
         assert np.all(np.abs(alpha[1:] - ref[1:]) <= 1e-14 * ref[1:])
 
+    def test_starts_empty(self):
+        # alpha(0) = 0: the field's first value is 0.0, whatever the steps,
+        # and the first step is the drive alone
+        assert _field([], []) == [0.0]
+        assert _field([0.5, 0.5], [3.0, 1.0]) == [0.0, 3.0, 2.5]
+
     def test_long_pulse_plateaus_at_drive_over_decay(self):
-        # E0 = sqrt(2 P0 kappa_0 / (hbar omega_c)) by hand; a long pulse's
-        # field settles where the drive balances the decay, alpha = E0/kappa
+        # a long pulse's field settles where the drive balances the decay,
+        # alpha = E0/kappa with E0 = sqrt(2 P0 kappa_0 / (hbar omega_c))
         E0 = math.sqrt(2.0 * PULSE.peak_power * CAV.kappa_0 / (HBAR * CAV.omega_c))
-        assert E0 == pytest.approx(3.9504128e13, rel=1e-6)
         plateau = (E0 / CAV.kappa) ** 2
         rect = PulseSpec("rectangular", 100.0 / CAV.kappa, 1.0, 1e-5)
         assert photon_integral(rect, CAV)[1] == pytest.approx(plateau, rel=1e-12)
