@@ -39,7 +39,9 @@ UNCERTAINTY_ATOL = 1e-9
 
 class DivergenceError(RuntimeError):
     """Raised when evolved moments leave float64: their determinant is no
-    longer finite, or no longer resolved against the uncertainty floor."""
+    longer finite, or no longer resolved against the uncertainty floor; or,
+    from metric_arrays and _check_range, when their determinant or
+    eigenvalue spread is not finite."""
 
 
 class NoStationaryStateError(RuntimeError):
@@ -918,7 +920,8 @@ def _intra_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """intra_period_trace as arrays: the offsets and the (n_samples, 3)
     moments at them.  Raises ValueError for a row that is not finite, then
-    _check_physical's errors, as MomentVector does for each row."""
+    _check_range's DivergenceError and _check_physical's errors: so
+    metric_arrays takes every row without raising."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     v = v_at_kick
@@ -932,6 +935,7 @@ def _intra_rows(
     for name, x in zip(("sigma_q", "sigma_qp", "sigma_p"), rows.T):
         if not np.isfinite(x).all():
             raise ValueError(f"{name} must be finite, got {x[~np.isfinite(x)][0]}")
+    _check_range(*rows.T)
     _check_physical(*rows.T)
     return np.array(offsets), rows
 
@@ -972,6 +976,26 @@ def steady_state(cycle: CycleMap) -> MomentVector:
             f"stationary state not resolvable in float64: the period map's limit is {tuple(x)}"
         )
     return MomentVector(*x)
+
+
+def _check_range(q, qp, p, kicks=None) -> None:
+    """Raise DivergenceError at the first of the states, arrays with a row
+    per kick, whose determinant or eigenvalue spread float64 does not hold,
+    as metric_arrays evaluates them: from moments of about 1e154.  With
+    kicks, the error names the state's kick.  stroboscopic_evolve's own rule
+    (_check_finite) judges the determinant alone, so a row it returns can
+    still fail here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = p - q
+        bad = ~(np.isfinite(q * p - qp * qp) & np.isfinite(d * d + 4.0 * qp * qp))
+    if bad.any():
+        at = int(np.argmax(bad))
+        where = "" if kicks is None else f" at kick {kicks[at]}"
+        raise DivergenceError(
+            f"moments out of float64 range{where}: sigma_q*sigma_p - sigma_qp^2 or the"
+            f" eigenvalue spread of ({float(q[at])}, {float(qp[at])}, {float(p[at])})"
+            " is not finite"
+        )
 
 
 def metric_arrays(q, qp, p) -> StateMetrics:

@@ -13,13 +13,19 @@ binary powers; one noisy ensemble when configured), and writes:
 Every float cell is the text of Python's repr() (the shortest decimal that
 reads back to the same double) and every integer cell (kick_index) plain
 decimal digits, so values round-trip bit-exactly and repeated runs are
-byte-identical.  run_config computes everything before it writes: one
-metric_arrays call covers its trajectory rows, its intra-period rows and its
-stationary state, and _tables_text formats every cell of its tables as one
-flat sequence, a block of cells at a time in numpy, calling repr() only for
-the cells it cannot certify.  The text splits per file by the cells'
-lengths.  write_trajectory_csv, write_ensemble_csv and write_intra_csv are
-the same writer for one table.
+byte-identical.  Before its first byte, run_config evolves and checks
+every row, so that a run that fails in its numerics writes no file: it
+holds the sampled (n, 3) moment rows and their kicks, the intra-period rows
+and the stationary state, checks every row against metric_arrays' own range
+and physicality rules (_check_rows), and takes the summary's metrics, of the
+stationary state and the final row, from one metric_arrays call.
+Everything else is made one text block at a time: _tables_text asks each
+table for a block's rows, makes their time_s and, with one metric_arrays
+call per block, their metrics, and formats every cell of the block as one
+flat sequence in numpy, calling repr() only for the cells it cannot
+certify.  The text splits per file by the cells' lengths.
+write_trajectory_csv, write_ensemble_csv and write_intra_csv are the same
+writer for one table.
 """
 
 from __future__ import annotations
@@ -39,8 +45,10 @@ from .moments import (
     NoStationaryStateError,
     StateMetrics,
     UnphysicalStateError,
-    cycle_map,
+    _check_physical,
+    _check_range,
     _intra_rows,
+    cycle_map,
     metric_arrays,
     steady_state,
     stroboscopic_evolve,
@@ -48,7 +56,8 @@ from .moments import (
 )
 # bound only because bench/tracing.py patches every name of its PATCHES list
 # on this module: run_config reads stroboscopic_evolve's onset, takes its
-# metrics from one metric_arrays call and its intra rows from _intra_rows
+# intra rows from _intra_rows, the summary's metrics from one metric_arrays
+# call and each text block's metrics from one more
 from .moments import intra_period_trace, squeezing_onset, state_metrics  # noqa: F401
 from .pulses import (
     BathParams,
@@ -98,6 +107,10 @@ ENSEMBLE_COLUMNS = (
 _METRIC_COLUMNS = StateMetrics(
     "sigma_min", "phi_min_rad", "squeezing_db", "purity", "entropy_nats", "n_eff"
 )
+# A state's columns, the moments then their metrics, and the StateMetrics
+# field of each metric column
+_STATE_COLUMNS = OUTPUT_COLUMNS[2:]
+_METRIC_ORDER = [_METRIC_COLUMNS.index(name) for name in _STATE_COLUMNS[3:]]
 
 # Cross-trajectory averages settle over the last this-fraction of kicks.
 TAIL_FRACTION = 0.1
@@ -207,12 +220,21 @@ def _csv_row(cells) -> str:
 
 
 # Cells per block of _tables_text, which takes whole rows, of one table or
-# several.  At its peak _cells_text holds about 115 bytes of temporaries per
-# cell (tracemalloc), 1.4 MB at this size.  Larger blocks amortise numpy's
-# per-call overhead: on a 2-core Xeon, bench/run.py's deterministic
-# workload (fig1 and fig2 through the CLI) took 10-14% less wall time at
-# 12,288 cells than at 4,096, and about the same as at 8,192.
+# several, and makes the rows' time_s and metrics per block as well, so this
+# also bounds the metrics' temporaries: 1,117 rows of OUTPUT_COLUMNS.  At
+# its peak _cells_text holds about 115 bytes of temporaries per cell
+# (tracemalloc), 1.4 MB at this size.  Larger blocks amortise numpy's
+# per-call overhead, metric_arrays' too: on a 2-core Xeon, bench/run.py's
+# deterministic workload (fig1 and fig2 through the CLI) took 10-14% less
+# wall time at 12,288 cells than at 4,096, and about the same as at 8,192.
 _CSV_BLOCK = 12288
+# Rows per pass of _check_rows: 1 MB per float64 temporary.  Once freed,
+# temporaries this large also lift glibc malloc's dynamic mmap and trim
+# thresholds above a text block's 1.4 MB, so that the text pass reuses its
+# heap block after block.  Checked _CSV_BLOCK rows at a time, fig1 at stride
+# 1 over 10^6 kicks through the CLI took 282k minor page faults instead of
+# 27k, and about 25% more wall time (2-core Xeon, glibc).
+_CHECK_ROWS = 1 << 17
 # Bytes per cell: the longest float and int reprs
 # ('-2.2250738585072014e-308', '-9223372036854775808') have 24, their
 # separator one more, and a cell's window starts one byte early.
@@ -434,17 +456,35 @@ def _cells_text(x, is_int, seps, big):
     return packed[:size], offsets
 
 
+def _states(*row_blocks):
+    """The (n, 3) moment rows of every block, in order, as the nine
+    _STATE_COLUMNS: sigma_q, sigma_qp, sigma_p and their six metrics, from
+    one metric_arrays call."""
+    moments = np.concatenate([np.transpose(rows) for rows in row_blocks], axis=1, dtype=float)
+    metrics = metric_arrays(*moments)
+    return [*moments, *(metrics[i] for i in _METRIC_ORDER)]
+
+
 def _block_text(tables, block):
     """Yield (k, text) for the rows r0:r1 of each table k of a block of
-    (k, r0, r1), formatted as one flat run of cells by _cells_text."""
-    n = sum((r1 - r0) * len(tables[k]) for k, r0, r1 in block)
+    (k, r0, r1), formatted as one flat run of cells by _cells_text.  Each
+    table is asked for its rows r0:r1 once, and the moment rows of every
+    table in the block take one metric_arrays call (_states)."""
+    parts = [tables[k][2](r0, r1) for k, r0, r1 in block]
+    moment_rows = [c for columns in parts for c in columns if np.ndim(c) == 2]
+    if moment_rows:
+        states = _states(*moment_rows)
+        cuts = np.cumsum([0] + [len(rows) for rows in moment_rows]).tolist()
+        each = iter([c[lo:hi] for c in states] for lo, hi in zip(cuts, cuts[1:]))
+        parts = [[x for c in columns for x in (next(each) if np.ndim(c) == 2 else [c])]
+                 for columns in parts]
+    n = sum((r1 - r0) * len(columns) for (_, r0, r1), columns in zip(block, parts))
     x = np.empty(n)
     is_int = np.empty(n, bool)
     seps = np.empty(n, np.uint8)
     big = {}  # the int cells that a double does not hold, by index
     ends = []
-    for k, r0, r1 in block:
-        columns = [c[r0:r1] for c in tables[k]]
+    for (_, r0, r1), columns in zip(block, parts):
         at, n_cols = ends[-1] if ends else 0, len(columns)
         cells = slice(at, at + (r1 - r0) * n_cols)
         flags = [c.dtype.kind in "iu" for c in columns]
@@ -463,29 +503,52 @@ def _block_text(tables, block):
         yield k, text[lo:hi].tobytes()
 
 
+def _check_lengths(lengths) -> None:
+    if len(set(lengths)) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
+
+
+def _table(table):
+    """(n_rows, width, columns) of a table as _tables_text takes it, with
+    columns(r0, r1) its columns for rows r0:r1 and width its cells per row."""
+    if len(table) == 2 and callable(table[1]):
+        n_rows, columns = table
+    else:
+        arrays = [np.asarray(c) for c in table]
+        lengths = [len(c) for c in arrays]
+        _check_lengths(lengths)
+        n_rows = lengths[0] if lengths else 0
+
+        def columns(r0, r1):
+            return [c[r0:r1] for c in arrays]
+
+    width = sum(len(_STATE_COLUMNS) if np.ndim(c) == 2 else 1 for c in columns(0, 0))
+    return n_rows, width, columns
+
+
 def _tables_text(tables):
     """CSV bodies of several tables of int and float columns, in one pass.
 
-    The rows of every table, in order, go into blocks of up to _CSV_BLOCK
-    cells, a block taking rows of as many tables as fit, and each block is
-    formatted as one flat run of cells (_block_text), each cell with its
-    separator (',' or, at the end of a row, '\\n') and its int flag.  Yields
-    (k, text) for the text of table k in each block, in order: table k's
-    body, for every row ",".join(cells) + "\\n" with repr() of each float
-    cell and str() of each int cell, is the concatenation of its texts.
-    Raises ValueError, before it yields anything, if a table's columns
-    differ in length.
+    A table is a list of equal-length columns, or (n_rows, columns) with
+    columns(r0, r1) the list of its columns for rows r0:r1.  Among a table's
+    columns an (n, 3) array of moment rows stands for the nine
+    _STATE_COLUMNS: the moments and their metrics, made per block.  The rows
+    of every table, in order, go into blocks of up to _CSV_BLOCK cells, a
+    block taking rows of as many tables as fit, and each block is formatted
+    as one flat run of cells (_block_text), each cell with its separator
+    (',' or, at the end of a row, '\\n') and its int flag.  Yields (k, text)
+    for the text of table k in each block, in order: table k's body, for
+    every row ",".join(cells) + "\\n" with repr() of each float cell and
+    str() of each int cell, is the concatenation of its texts.  Raises
+    ValueError, before it yields anything, if a list's columns differ in
+    length.
     """
-    tables = [[np.asarray(c) for c in columns] for columns in tables]
-    for columns in tables:
-        lengths = [len(c) for c in columns]
-        if len(set(lengths)) > 1:
-            raise ValueError(f"table columns differ in length: {lengths}")
+    tables = [_table(table) for table in tables]
     block, room = [], _CSV_BLOCK
-    for k, columns in enumerate(tables):
-        n_rows, r = len(columns[0]) if columns else 0, 0
+    for k, (n_rows, width, _) in enumerate(tables):
+        r = 0
         while r < n_rows:
-            fit = room // len(columns)
+            fit = room // width
             if fit == 0 and block:
                 yield from _block_text(tables, block)
                 block, room = [], _CSV_BLOCK
@@ -493,17 +556,18 @@ def _tables_text(tables):
             # a row wider than a block makes a block of its own
             rows = min(n_rows - r, max(fit, 1))
             block.append((k, r, r + rows))
-            room -= rows * len(columns)
+            room -= rows * width
             r += rows
     if block:
         yield from _block_text(tables, block)
 
 
 def _write_tables(tables) -> None:
-    """Write each (path, header, columns by name) as a CSV, its rows in
-    header order, all of them formatted in one pass of _tables_text.  Each
-    file is opened when its text begins, and written block by block."""
-    bodies = _tables_text([[columns[name] for name in header] for _, header, columns in tables])
+    """Write each (path, header, table) as a CSV, the table as _tables_text
+    takes it with its columns in header order, all of them formatted in one
+    pass of _tables_text.  Each file is opened when its text begins, and
+    written block by block."""
+    bodies = _tables_text([table for _, _, table in tables])
     with ExitStack() as stack:
         files = []
         # the last table's file is opened even where the table has no row
@@ -514,74 +578,63 @@ def _write_tables(tables) -> None:
             files[k].write(text)
 
 
-_INTRA_COLUMNS = ("offset_s",) + OUTPUT_COLUMNS[2:]
+_INTRA_COLUMNS = ("offset_s",) + _STATE_COLUMNS
 
 
-def _state_columns(moments, metrics) -> dict[str, np.ndarray]:
-    """Moment and metric columns of OUTPUT_COLUMNS, by name, from (3, n)
-    moments and their metric arrays."""
-    q, qp, p = moments
-    columns = {"sigma_q": q, "sigma_qp": qp, "sigma_p": p}
-    columns.update(zip(_METRIC_COLUMNS, metrics))
-    return columns
+def _check_rows(kicks, rows) -> None:
+    """Raise where metric_arrays would on one of the (n, 3) moment rows,
+    _CHECK_ROWS rows at a time: _check_range's DivergenceError, then
+    _check_physical's errors, each naming the row's kick where kicks are
+    given.  Rows that pass take their metrics while their file is written."""
+    for lo in range(0, len(rows), _CHECK_ROWS):
+        q, qp, p = np.transpose(rows[lo : lo + _CHECK_ROWS])
+        at = None if kicks is None else kicks[lo : lo + _CHECK_ROWS]
+        _check_range(q, qp, p, at)
+        _check_physical(q, qp, p, at)
 
 
-def _trajectory_table(tau: float, kicks, moments, metrics) -> dict[str, np.ndarray]:
-    """All OUTPUT_COLUMNS for moments sampled at the given kick indices."""
-    columns = _state_columns(moments, metrics)
-    columns["kick_index"] = kicks
-    columns["time_s"] = kicks * tau
-    return columns
+def _trajectory_table(tau: float, kicks, moments, extra=()):
+    """OUTPUT_COLUMNS for the (n, 3) moment rows sampled at the given kick
+    indices, then the extra columns, as (n_rows, columns) for _tables_text:
+    time_s and the metrics are made a block at a time.  Raises, before any
+    text, ValueError if the columns differ in length, then _check_rows'
+    errors."""
+    _check_lengths([len(kicks)] * 2 + [len(moments)] * len(_STATE_COLUMNS) + [len(c) for c in extra])
+    _check_rows(kicks, moments)
+
+    def columns(r0, r1):
+        k = kicks[r0:r1]
+        return [k, k * tau, moments[r0:r1]] + [c[r0:r1] for c in extra]
+
+    return len(kicks), columns
 
 
-def _ensemble_table(tau: float, stats: EnsembleStats, moments, metrics) -> dict[str, np.ndarray]:
+def _ensemble_table(tau: float, stats: EnsembleStats):
     """Trajectory 0's OUTPUT_COLUMNS, then the ENSEMBLE_COLUMNS block."""
-    columns = _trajectory_table(tau, stats.trajectory0.kicks, moments, metrics)
+    extra = {"squeezing_db_of_mean": stats.squeezing_db_of_mean}
     for name, mean, std in zip(_METRIC_COLUMNS, stats.mean, stats.std):
-        columns[name + "_mean"] = mean
-        columns[name + "_std"] = std
-    columns["squeezing_db_of_mean"] = stats.squeezing_db_of_mean
-    return columns
-
-
-def _intra_table(offsets, moments, metrics) -> dict[str, np.ndarray]:
-    columns = _state_columns(moments, metrics)
-    columns["offset_s"] = offsets
-    return columns
-
-
-def _with_metrics(*row_blocks):
-    """The (n, 3) moment rows of every block as one contiguous (3, N) array
-    and their metric arrays, from one metric_arrays call, cut back into
-    blocks: a list of (moments, metrics) per block."""
-    moments = np.concatenate([np.transpose(rows) for rows in row_blocks], axis=1, dtype=float)
-    metrics = metric_arrays(*moments)
-    cuts = np.cumsum([0] + [len(rows) for rows in row_blocks]).tolist()
-    return [
-        (moments[:, lo:hi], StateMetrics._make(m[lo:hi] for m in metrics))
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
+        extra[name + "_mean"] = mean
+        extra[name + "_std"] = std
+    t0 = stats.trajectory0
+    return _trajectory_table(tau, t0.kicks, t0.moments, [extra[name] for name in ENSEMBLE_COLUMNS])
 
 
 def write_trajectory_csv(path: str, tau: float, samples) -> None:
     """Deterministic run: one row per sampled kick, OUTPUT_COLUMNS order."""
-    [(moments, metrics)] = _with_metrics(samples.moments)
-    columns = _trajectory_table(tau, samples.kicks, moments, metrics)
-    _write_tables([(path, OUTPUT_COLUMNS, columns)])
+    _write_tables([(path, OUTPUT_COLUMNS, _trajectory_table(tau, samples.kicks, samples.moments))])
 
 
 def write_ensemble_csv(path: str, tau: float, stats: EnsembleStats) -> None:
     """Ensemble run: base columns are trajectory 0, then the mean/std block."""
-    [(moments, metrics)] = _with_metrics(stats.trajectory0.moments)
-    columns = _ensemble_table(tau, stats, moments, metrics)
-    _write_tables([(path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS, columns)])
+    _write_tables([(path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS, _ensemble_table(tau, stats))])
 
 
 def write_intra_csv(path: str, trace) -> None:
     """Fine-grained single-period trace at the stationary state."""
-    [(moments, metrics)] = _with_metrics([v.as_array() for _, v in trace])
     offsets = np.array([s for s, _ in trace], dtype=float)
-    _write_tables([(path, _INTRA_COLUMNS, _intra_table(offsets, moments, metrics))])
+    rows = np.array([v.as_array() for _, v in trace])
+    _check_rows(None, rows)
+    _write_tables([(path, _INTRA_COLUMNS, [offsets, rows])])
 
 
 def _moment_text(values) -> str:
@@ -613,11 +666,13 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
 
     Returns the list of paths written.  Raises ConfigError/ValueError for
     bad inputs, OSError for unwritable outputs, DivergenceError for numerical
-    blow-up; the CLI maps these to exit codes.  The run computes everything
-    before it writes: one metric_arrays call covers the trajectory rows, the
-    intra-period rows and the stationary state, and its tables are
-    formatted in one pass, so a run that fails in its numerics writes no
-    file.
+    blow-up; the CLI maps these to exit codes.  A run that fails in its
+    numerics writes no file.  Before the first byte the run holds the
+    sampled moment rows and kicks (32 bytes a row), the intra-period rows
+    and the stationary state, checks every row as metric_arrays would
+    (_check_rows, _intra_rows), and takes the summary's metrics from one
+    metric_arrays call.  Its tables are then formatted in one pass, a text
+    block at a time, each block's time_s and metrics made with it.
     """
     csv_path, summary_path, intra_path = output_paths(out)
     mech = config.mechanical
@@ -641,18 +696,18 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
             n_traj=ens.trajectories,
             base_seed=ens.base_seed,
         )
-        rows = stats.trajectory0.moments
     else:
         samples = stroboscopic_evolve(thermal_state(mech), cycle, sched.n_kicks, sched.stride)
-        rows = samples.moments
     intra = sched.intra_samples >= 2 and v_inf is not None
-    row_blocks = [rows]
     if intra:
         offsets, intra_rows = _intra_rows(v_inf, cycle, sched.intra_samples)
-        row_blocks.append(intra_rows)
-    if v_inf is not None:
-        row_blocks.append([v_inf.as_array()])
-    blocks = _with_metrics(*row_blocks)
+    # the summary's states, the stationary state and a deterministic run's
+    # final row, take one metric_arrays call before any file is opened
+    summary_rows = [] if v_inf is None else [[v_inf.as_array()]]
+    if not ensemble:
+        summary_rows.append(samples.moments[-1:])
+    if summary_rows:
+        states = dict(zip(_STATE_COLUMNS, _states(*summary_rows)))
 
     summary: list[str] = []
     summary.append("run summary")
@@ -669,17 +724,16 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
     if v_inf is None:
         summary.append(no_stationary)
     else:
-        v, m = blocks[-1]
-        summary.append("stationary state: " + _moment_text(v[:, 0].tolist()))
+        summary.append(
+            "stationary state: " + _moment_text((v_inf.sigma_q, v_inf.sigma_qp, v_inf.sigma_p))
+        )
         summary.append(
             "stationary metrics: "
-            + ", ".join(f"{name} = {_fmt(x[0])}" for name, x in zip(_METRIC_COLUMNS, m))
+            + ", ".join(f"{name} = {_fmt(states[name][0])}" for name in _METRIC_COLUMNS)
         )
 
-    moments, metrics = blocks[0]
     if ensemble:
-        tables = [(csv_path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS,
-                   _ensemble_table(sched.tau, stats, moments, metrics))]
+        tables = [(csv_path, OUTPUT_COLUMNS + ENSEMBLE_COLUMNS, _ensemble_table(sched.tau, stats))]
         tail = steady_tail_mean(stats, TAIL_FRACTION)
         summary.append(
             f"ensemble: trajectories = {ens.trajectories}, variance ="
@@ -708,7 +762,7 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
         )
     else:
         tables = [(csv_path, OUTPUT_COLUMNS,
-                   _trajectory_table(sched.tau, samples.kicks, moments, metrics))]
+                   _trajectory_table(sched.tau, samples.kicks, samples.moments))]
         onset = samples.onset
         if onset is None:
             summary.append(
@@ -721,14 +775,14 @@ def run_config(config: RunConfig, out: str, quiet: bool = False) -> list[str]:
             )
         summary.append(
             f"final state (kick {int(samples.kicks[-1])}): "
-            + _moment_text(moments[:, -1].tolist())
-            + f", squeezing_db = {_fmt(metrics.squeezing_db[-1])}, "
-            f"purity = {_fmt(metrics.purity[-1])}"
+            + _moment_text(samples.moments[-1].tolist())
+            + f", squeezing_db = {_fmt(states['squeezing_db'][-1])}, "
+            f"purity = {_fmt(states['purity'][-1])}"
         )
 
     if sched.intra_samples >= 2:
         if intra:
-            tables.append((intra_path, _INTRA_COLUMNS, _intra_table(offsets, *blocks[1])))
+            tables.append((intra_path, _INTRA_COLUMNS, [offsets, intra_rows]))
             summary.append(
                 f"intra-period trace: {sched.intra_samples} samples across one"
                 f" period at the stationary state -> {intra_path}"

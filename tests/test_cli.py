@@ -124,7 +124,22 @@ class TestExitCodes:
         cfg.write_text(MINIMAL.replace("n_bar = 10", "n_bar = 1e200"))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "hot"), "--quiet"]) == 2
         assert "numerical failure" in capsys.readouterr().err
-        assert not (tmp_path / "hot.summary.txt").exists()
+        for suffix in (".csv", ".intra.csv", ".summary.txt"):
+            assert not (tmp_path / ("hot" + suffix)).exists()
+
+    def test_row_out_of_metric_range_writes_nothing(self, tmp_path, capsys):
+        # the row at kick 100 keeps a finite determinant, which is all the
+        # evolve checks, but its (sigma_p - sigma_q)^2 overflows, so
+        # metric_arrays raises on it; the stationary state and the final row
+        # pass, so only a check of every row before the first byte keeps a
+        # CSV cut short from being left behind
+        cfg = tmp_path / "hot.ini"
+        text = MINIMAL.replace("n_bar = 10", "n_bar = 1e152")
+        text = text.replace("n_kicks = 2000\nstride = 500", "n_kicks = 1900\nstride = 100")
+        cfg.write_text(text + "intra_samples = 33\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "hot"), "--quiet"]) == 2
+        assert "out of float64 range at kick 100:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_overflow_warns_nothing_before_the_typed_error(self, tmp_path):
         # a numpy RuntimeWarning raised as an error under -W escaped main and
@@ -175,7 +190,8 @@ class TestExitCodes:
         [line] = run.stderr.splitlines()
         assert line.startswith("numerical failure: moments diverged (determinant lost to rounding)")
         assert "at kick 10:" in line
-        assert not (tmp_path / "unstable.summary.txt").exists()
+        for suffix in (".csv", ".intra.csv", ".summary.txt"):
+            assert not (tmp_path / ("unstable" + suffix)).exists()
 
     @pytest.mark.parametrize("omega_m", ["1e60", "1e100"])
     def test_phase_past_decimal_reduction_runs(self, tmp_path, capsys, omega_m):

@@ -10,6 +10,7 @@ must give repr()'s text for every double and str()'s for every int64.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import moment_vectors
 from springkick import (
+    DivergenceError,
     KickNoiseModel,
     MechanicalParams,
     MomentVector,
@@ -169,6 +171,15 @@ class TestTrajectoryCsv:
         assert got == reference_trajectory_csv(tau, samples)
 
 
+    def test_row_out_of_range_raises_and_writes_nothing(self, tmp_path):
+        # (sigma_p - sigma_q)^2 overflows: metric_arrays raises on the row,
+        # so the writer raises before it opens its file
+        samples = Samples(np.array([0]), np.array([[1e100, 0.0, 1e155]]))
+        with pytest.raises(DivergenceError, match="out of float64 range at kick 0:"):
+            write_trajectory_csv(str(tmp_path / "out.csv"), TAU, samples)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestIntraCsv:
     def test_stationary_trace(self, tmp_path):
         cyc = cycle_map(FIG, TAU, 10.0)
@@ -311,6 +322,8 @@ class TestCellFormat:
         # overlaps 12 later ones, pin that the windows go in cell order.
         assert sorted({len(c) for c in repr_cells(INT_LENGTHS)}) == list(range(1, 21))
         assert sorted({len(c) for c in repr_cells(FLOAT_LENGTHS)}) == list(range(3, 25))
+        samples = stroboscopic_evolve(thermal_state(FIG), cycle_map(FIG, TAU, 10.0), 30_000, 100)
+        run_body = reference_trajectory_csv(TAU, samples).split("\n", 1)[1].encode()
         for block in (1, 7, 4096, _CSV_BLOCK):
             monkeypatch.setattr(runner, "_CSV_BLOCK", block)
             rng = np.random.default_rng(7)
@@ -324,7 +337,20 @@ class TestCellFormat:
                 np.resize(FLOAT_LENGTHS, n),
             ]
             digits = [np.arange(n) % 10]
-            assert bodies([table, digits]) == [reference_body(table), reference_body(digits)]
+            expected = [reference_body(table), reference_body(digits)]
+            assert bodies([table, digits]) == expected
+            # the same tables given as a row count and a function of the
+            # rows r0:r1, each row asked for once, and a run's moment rows,
+            # whose metrics are made a block at a time
+            asked = Counter()
+
+            def part(r0, r1):
+                asked.update(range(r0, r1))
+                return [c[r0:r1] for c in table]
+
+            run = runner._trajectory_table(TAU, samples.kicks, samples.moments)
+            assert bodies([(n, part), digits, run]) == expected + [run_body]
+            assert asked == Counter(range(n))
 
     def test_powers_of_two_take_their_own_digits(self):
         # below a power of two the lower rounding gap is half the upper one;
